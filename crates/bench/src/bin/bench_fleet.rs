@@ -32,9 +32,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use sibia_fleet::{Fleet, FleetConfig, SlowProxy, SweepStats};
-use sibia_serve::json::Json;
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::Client;
+use sibia_serve::Json;
 
 struct Args {
     archs: Vec<String>,

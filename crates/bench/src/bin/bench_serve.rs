@@ -1,14 +1,13 @@
 //! Load generator for the serve daemon.
 //!
-//! Sweeps connection counts against one or both front ends (blocking
-//! thread-per-connection vs the epoll reactor), drives a pipelined mixed
+//! Sweeps connection counts against one daemon, drives a pipelined mixed
 //! ping/encode/simulate workload through every connection, and reports
 //! throughput plus *exact* client-side latency percentiles (every request
 //! is individually timed; no histogram rounding) as one JSON leg per
-//! (front, connection-count) pair.
+//! connection count.
 //!
 //! ```text
-//! bench_serve [--addr HOST:PORT] [--front blocking|reactor|both]
+//! bench_serve [--addr HOST:PORT]
 //!             [--connections N[,N...]] [--requests N] [--pipeline D]
 //!             [--sample-cap N] [--threads T] [--out PATH] [--p99-bound-ms MS]
 //!             [--telemetry]
@@ -19,8 +18,7 @@
 //! and the run fails if the traced p50 exceeds the baseline by more than
 //! 5% (plus a small absolute slack for sub-millisecond timer jitter).
 //!
-//! Without `--addr` an in-process daemon is started per front on an
-//! ephemeral port (queue sized to the offered load so the bench measures
+//! Without `--addr` an in-process daemon is started on an ephemeral port (queue sized to the offered load so the bench measures
 //! service time, not admission rejections). The driver multiplexes the
 //! connections over `--threads` OS threads: each thread owns a shard of
 //! connections, pipelines `--pipeline` requests deep on every one
@@ -35,13 +33,12 @@ use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use sibia_serve::json::Json;
 use sibia_serve::server::{ServeConfig, Server};
+use sibia_serve::Json;
 use sibia_serve::{Client, ClientError};
 
 struct Args {
     addr: Option<String>,
-    fronts: Vec<bool>, // reactor?
     connections: Vec<usize>,
     requests: usize,
     pipeline: usize,
@@ -60,12 +57,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn parse_args() -> Result<Args, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fronts = match flag_value(&args, "--front").as_deref() {
-        None | Some("both") => vec![false, true],
-        Some("blocking") => vec![false],
-        Some("reactor") => vec![true],
-        Some(other) => return Err(format!("--front: '{other}' is not blocking|reactor|both")),
-    };
     let connections = match flag_value(&args, "--connections") {
         None => vec![100, 1000, 5000],
         Some(list) => {
@@ -90,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
     };
     Ok(Args {
         addr: flag_value(&args, "--addr"),
-        fronts,
         connections,
         requests: numeric("--requests", 6)?.max(1),
         pipeline: numeric("--pipeline", 8)?.max(1),
@@ -157,9 +147,8 @@ fn request_json(conn: usize, r: usize, sample_cap: usize) -> Json {
 }
 
 /// Connects like a real load-generator client: a 5k-connection storm can
-/// overflow the daemon's listen backlog (the blocking front spawns a thread
-/// per accept, so it drains slowly), so refused or timed-out connects are
-/// retried with backoff before being counted as failures.
+/// overflow the daemon's listen backlog, so refused or timed-out connects
+/// are retried with backoff before being counted as failures.
 fn connect_with_retry(addr: &str) -> Result<Client, ClientError> {
     let mut delay = Duration::from_millis(100);
     for _ in 0..4 {
@@ -365,11 +354,12 @@ struct LegResult {
 }
 
 /// One measured leg: `connections` concurrent pipelined connections against
-/// `addr`, multiplexed over the driver thread pool.
-fn run_leg(addr: &str, front: &str, connections: usize, args: &Args) -> LegResult {
+/// `addr`, multiplexed over the driver thread pool. `label` only tags the
+/// progress lines.
+fn run_leg(addr: &str, label: &str, connections: usize, args: &Args) -> LegResult {
     let threads = args.threads.min(connections);
     println!(
-        "bench_serve: [{front}] {connections} connections x {} requests (pipeline {}, {threads} driver threads)",
+        "bench_serve: [{label}] {connections} connections x {} requests (pipeline {}, {threads} driver threads)",
         args.requests, args.pipeline
     );
     let barrier = Arc::new(Barrier::new(threads));
@@ -428,7 +418,6 @@ fn run_leg(addr: &str, front: &str, connections: usize, args: &Args) -> LegResul
 
     LegResult {
         json: Json::obj(vec![
-            ("front", Json::from(front)),
             ("connections", Json::from(connections)),
             ("requests_per_connection", Json::from(args.requests)),
             ("pipeline_depth", Json::from(args.pipeline)),
@@ -469,14 +458,11 @@ fn telemetry_mode(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let connections = args.connections.iter().copied().max().unwrap_or(100);
-    let reactor = args.fronts[0];
-    let front = if reactor { "reactor" } else { "blocking" };
-    let mut legs: Vec<Json> = Vec::new();
+    let mut legs: Vec<(&str, Json)> = Vec::new();
     let mut p50s: Vec<f64> = Vec::new();
     let mut protocol_errors = 0u64;
     for (label, trace) in [("telemetry-off", false), ("telemetry-on", true)] {
         let server = Server::start(ServeConfig {
-            reactor,
             trace,
             queue_capacity: (connections * args.pipeline).max(64),
             pipeline_depth: args.pipeline.max(64),
@@ -484,12 +470,12 @@ fn telemetry_mode(args: &Args) -> ExitCode {
         })
         .expect("bind ephemeral port");
         let addr = server.addr().to_string();
-        let leg = run_leg(&addr, &format!("{front}/{label}"), connections, args);
+        let leg = run_leg(&addr, label, connections, args);
         protocol_errors += leg.protocol_errors;
         p50s.push(leg.p50_ms);
-        legs.push(leg.json);
+        legs.push((label, leg.json));
         server.shutdown();
-        println!("  [{front}/{label}] in-process daemon drained");
+        println!("  [{label}] in-process daemon drained");
     }
     let (off, on) = (p50s[0], p50s[1]);
     let bound = off * RELATIVE_BOUND + ABSOLUTE_SLACK_MS;
@@ -497,7 +483,7 @@ fn telemetry_mode(args: &Args) -> ExitCode {
 
     let report = Json::obj(vec![
         ("benchmark", Json::from("serve_telemetry_overhead")),
-        ("legs", Json::Array(legs)),
+        ("legs", Json::obj(legs)),
         (
             "overhead",
             Json::obj(vec![
@@ -541,69 +527,53 @@ fn main() -> ExitCode {
     let mut protocol_errors = 0u64;
     let mut bound_breaches = 0u64;
 
-    // (front label, server handle or external addr) pairs to bench.
-    let targets: Vec<(String, Option<Server>, String)> = match &args.addr {
-        Some(addr) => {
-            // External daemon: learn its front from the version response.
-            let front = Client::connect(addr)
-                .and_then(|mut c| c.version())
-                .ok()
-                .and_then(|v| v.get("front").and_then(|f| f.as_str().map(str::to_owned)))
-                .unwrap_or_else(|| "unknown".to_owned());
-            vec![(front, None, addr.clone())]
-        }
-        None => args
-            .fronts
-            .iter()
-            .map(|&reactor| {
-                let server = Server::start(ServeConfig {
-                    reactor,
-                    // Size admission to the offered load so the bench
-                    // measures service time, not queue rejections.
-                    queue_capacity: (max_conns * args.pipeline).max(64),
-                    pipeline_depth: args.pipeline.max(64),
-                    ..ServeConfig::default()
-                })
-                .expect("bind ephemeral port");
-                let addr = server.addr().to_string();
-                let front = if reactor { "reactor" } else { "blocking" };
-                (front.to_owned(), Some(server), addr)
+    // An external daemon, or one in-process daemon for every leg.
+    let (server, addr) = match &args.addr {
+        Some(addr) => (None, addr.clone()),
+        None => {
+            let server = Server::start(ServeConfig {
+                // Size admission to the offered load so the bench measures
+                // service time, not queue rejections.
+                queue_capacity: (max_conns * args.pipeline).max(64),
+                pipeline_depth: args.pipeline.max(64),
+                ..ServeConfig::default()
             })
-            .collect(),
+            .expect("bind ephemeral port");
+            let addr = server.addr().to_string();
+            (Some(server), addr)
+        }
     };
 
-    for (front, server, addr) in targets {
-        for &connections in &args.connections {
-            let leg = run_leg(&addr, &front, connections, &args);
-            protocol_errors += leg.protocol_errors;
-            if let Some(bound) = args.p99_bound_ms {
-                if leg.p99_ms > bound {
-                    eprintln!(
-                        "bench_serve: [{front}] {connections}-connection p99 {:.2}ms exceeds bound {bound}ms",
-                        leg.p99_ms
-                    );
-                    bound_breaches += 1;
-                }
+    for &connections in &args.connections {
+        let leg = run_leg(&addr, "serve", connections, &args);
+        protocol_errors += leg.protocol_errors;
+        if let Some(bound) = args.p99_bound_ms {
+            if leg.p99_ms > bound {
+                eprintln!(
+                    "bench_serve: {connections}-connection p99 {:.2}ms exceeds bound {bound}ms",
+                    leg.p99_ms
+                );
+                bound_breaches += 1;
             }
-            legs.push(leg.json);
         }
-        // Post-run observability check per server: the phase histograms
-        // must be internally consistent (every phase saw every request;
-        // their exact-µs sum never exceeds the total), and the trace
-        // buffer must hold spans. An inconsistency is a server bug, so it
-        // fails the run like a protocol error would.
-        let (_phases, consistency_errors) = match Client::connect(&addr) {
-            Ok(mut probe) => check_observability(&mut probe),
-            Err(e) => {
-                eprintln!("bench_serve: post-run probe connect failed: {e}");
-                (Json::Null, 1)
-            }
-        };
-        protocol_errors += consistency_errors;
-        if let Some(server) = server {
-            server.shutdown();
-            println!("  [{front}] in-process daemon drained");
+        legs.push(leg.json);
+    }
+    // Post-run observability check: the phase histograms must be internally
+    // consistent (every phase saw every request; their exact-µs sum never
+    // exceeds the total), and the trace buffer must hold spans. An
+    // inconsistency is a server bug, so it fails the run like a protocol
+    // error would.
+    let (_phases, consistency_errors) = match Client::connect(&addr) {
+        Ok(mut probe) => check_observability(&mut probe),
+        Err(e) => {
+            eprintln!("bench_serve: post-run probe connect failed: {e}");
+            (Json::Null, 1)
         }
+    };
+    protocol_errors += consistency_errors;
+    if let Some(server) = server {
+        server.shutdown();
+        println!("  in-process daemon drained");
     }
 
     let report = Json::obj(vec![

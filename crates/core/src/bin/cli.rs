@@ -211,10 +211,10 @@ fn usage() -> ExitCode {
          \x20 compare <network> [--seed S] [--trace-out PATH]\n\
          \x20                                    all architectures side by side\n\
          \x20 serve [--host H] [--port P] [--threads N] [--queue Q] [--cache-entries C]\n\
-         \x20       [--store-dir DIR] [--peers H:P[,H:P...]] [--reactor] [--trace]\n\
+         \x20       [--store-dir DIR] [--peers H:P[,H:P...]] [--trace]\n\
          \x20                                    newline-delimited-JSON simulation daemon\n\
-         \x20                                    (--reactor: epoll front end, pipelined\n\
-         \x20                                    out-of-order responses; Linux only;\n\
+         \x20                                    (Linux only; pipelined requests may be\n\
+         \x20                                    answered out of order, matched by id;\n\
          \x20                                    --trace: record hierarchy spans for the\n\
          \x20                                    spans verb / merged fleet traces)\n\
          \x20 fleet sweep (--endpoints H:P[,H:P...] | --local) --networks N[,N...]\n\
@@ -1269,7 +1269,6 @@ fn main() -> ExitCode {
                     "--cache-entries",
                     "--store-dir",
                     "--peers",
-                    "--reactor",
                     "--trace",
                 ],
             ) {
@@ -1299,7 +1298,6 @@ fn main() -> ExitCode {
                 peers: flag_value(&args, "--peers")
                     .map(|raw| raw.split(',').map(str::to_owned).collect())
                     .unwrap_or_default(),
-                reactor: args.iter().any(|a| a == "--reactor"),
                 trace: args.iter().any(|a| a == "--trace"),
                 ..defaults.clone()
             };

@@ -57,6 +57,7 @@ fn unknown_flag_is_an_error() {
         &["simulate", "dgcnn", "--sede", "7"][..],
         &["networks", "--verbose"][..],
         &["serve", "--prot", "0"][..],
+        &["serve", "--reactor"][..],
         &["store", "stats", "--dir", "x"][..],
     ] {
         let out = cli(args);

@@ -105,9 +105,9 @@ impl ChaosPlan {
 ///
 /// One thread accepts; each connection gets a forwarding thread that
 /// reads a request line from the client, sleeps the current delay, relays
-/// it upstream, and relays the response line back. The NDJSON protocol is
-/// strictly request/response per connection on the blocking front, so
-/// line-at-a-time forwarding preserves the framing exactly. A cancelled
+/// it upstream, and relays the response line back. Fleet dispatch keeps one
+/// request in flight per connection, so line-at-a-time forwarding preserves
+/// the framing exactly. A cancelled
 /// client (socket shutdown) surfaces as a read/write error and tears the
 /// pair down, which is precisely how hedge cancellation is supposed to
 /// look from the backend's side of the proxy.

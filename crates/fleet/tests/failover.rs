@@ -8,6 +8,7 @@
 //! `fleet.failover_total >= 1` (and the per-sweep failover count), the
 //! overload test pins the retry path, and the store test shows re-runs are
 //! warm hits.
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -15,8 +16,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use sibia_fleet::{Fleet, FleetConfig, FleetError};
+use sibia_obs::json::Json;
 use sibia_obs::registry;
-use sibia_serve::json::Json;
 use sibia_serve::protocol::{arch_by_name, error_response, grid_to_json, ErrorCode, ServeError};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::Client;

@@ -1,9 +1,9 @@
 //! sibia-net: a single-reactor epoll event loop for pipelined NDJSON
 //! serving on plain `std`.
 //!
-//! The serve daemon's original front end spends one blocking thread per
-//! connection; at thousands of connections the thread stacks and context
-//! switches dominate. This crate provides the alternative: **one** reactor
+//! A front end that spends one blocking thread per connection drowns in
+//! thread stacks and context switches at thousands of connections. This
+//! crate is the serve daemon's front end instead: **one** reactor
 //! thread multiplexing every connection through `epoll(7)` — declared as a
 //! raw-syscall `extern` shim ([`sys`]), since `std` links libc but exposes
 //! no readiness API — with per-connection reused read/write buffers and
@@ -15,8 +15,7 @@
 //! The crate is protocol-agnostic: it splits byte frames and moves
 //! responses, nothing more. The serve daemon supplies the NDJSON protocol
 //! as a [`FrameHandler`]. Off Linux the reactor constructor returns
-//! [`std::io::ErrorKind::Unsupported`] and callers fall back to the
-//! blocking front end.
+//! [`std::io::ErrorKind::Unsupported`], so serving is Linux-only.
 
 pub mod buffer;
 pub mod reactor;

@@ -12,10 +12,14 @@
 //! caller gets a typed "no reactor here" error instead of a link failure.
 
 #[cfg(target_os = "linux")]
-pub use linux::{widen_listen_backlog, Epoll, EventFd};
+pub(crate) use linux::widen_listen_backlog;
+#[cfg(target_os = "linux")]
+pub use linux::{Epoll, EventFd};
 
 #[cfg(not(target_os = "linux"))]
-pub use fallback::{widen_listen_backlog, Epoll, EventFd};
+pub(crate) use fallback::widen_listen_backlog;
+#[cfg(not(target_os = "linux"))]
+pub use fallback::{Epoll, EventFd};
 
 /// One readiness event, mirroring `struct epoll_event`. On x86-64 the
 /// kernel ABI packs the struct (no padding between `events` and `data`);
@@ -74,7 +78,7 @@ mod linux {
     /// `listen` again on Linux just updates the backlog (clamped by
     /// `net.core.somaxconn`). Failure is ignored: the socket keeps its old
     /// backlog, which is only a capacity loss, never a correctness one.
-    pub fn widen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
+    pub(crate) fn widen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
         use std::os::fd::AsRawFd;
         unsafe { listen(listener.as_raw_fd(), backlog) };
     }
@@ -210,7 +214,7 @@ mod fallback {
     }
 
     /// No-op off Linux: the listener keeps `std`'s default backlog.
-    pub fn widen_listen_backlog(_listener: &std::net::TcpListener, _backlog: i32) {}
+    pub(crate) fn widen_listen_backlog(_listener: &std::net::TcpListener, _backlog: i32) {}
 
     /// Stub: construction fails with `Unsupported` off Linux.
     #[derive(Debug)]

@@ -1,8 +1,8 @@
 //! A tiny, dependency-free JSON value, parser, and serializer.
 //!
 //! This module is the canonical JSON layer of the whole stack: the serve
-//! protocol re-exports it (`sibia_serve::json`), the metrics registry
-//! serializes snapshots with it, and the span tracer emits Chrome
+//! protocol speaks it (re-exported as `sibia_serve::Json`), the metrics
+//! registry serializes snapshots with it, and the span tracer emits Chrome
 //! `trace_event` lines through it — one serializer, one set of guarantees.
 //!
 //! Its consumers need exactly three guarantees, none of which require an

@@ -9,7 +9,7 @@
 //! | [`metrics`] | unified registry of counters / gauges / power-of-two latency histograms with canonical JSON snapshots |
 //! | [`timeseries`] | ring-buffer time series over the registry: reset-aware counter rates, gauge levels, windowed histogram deltas, a background sampler, Prometheus-style exposition |
 //! | [`context`] | cross-process trace context (`trace_id` + parent span id) propagated through request envelopes |
-//! | [`json`] | the stack's canonical JSON value, parser, and serializer (re-exported by `sibia_serve::json`) |
+//! | [`json`] | the stack's canonical JSON value, parser, and serializer (re-exported as `sibia_serve::Json`) |
 //!
 //! This crate sits at the **bottom** of the dependency graph — everything
 //! may depend on it, it depends on nothing — so the simulator, the serve

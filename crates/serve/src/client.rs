@@ -2,21 +2,20 @@
 //!
 //! One [`Client`] owns one TCP connection. The serial path is
 //! [`Client::call`]: write a request line, read the matching response line.
-//! Against the reactor front end ([`crate::ServeConfig::reactor`]) the
-//! split [`Client::send`] / [`Client::recv`] pair pipelines instead:
-//! several requests go out back-to-back, responses come back in whatever
-//! order the server completes them, and each is correlated to its request
-//! by the client-assigned `id` the server echoes. A response whose id was
-//! never sent (or already answered) surfaces as a typed
-//! [`ClientError::IdMismatch`] instead of silently pairing the wrong
-//! response with a call.
+//! The split [`Client::send`] / [`Client::recv`] pair pipelines instead:
+//! several requests go out back-to-back, responses may arrive out of
+//! request order (in whatever order the server completes them), and each
+//! is matched to its request by the client-assigned `id` the server
+//! echoes. A response whose id was never sent (or already answered)
+//! surfaces as a typed [`ClientError::IdMismatch`] instead of silently
+//! pairing the wrong response with a call.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::json::Json;
 use crate::protocol::{parse_response, ErrorCode, ServeError};
+use sibia_obs::json::Json;
 
 /// What a request can fail with, from the caller's point of view.
 #[derive(Debug)]
@@ -205,11 +204,8 @@ impl Client {
     }
 
     /// Pipelining: writes one request line without waiting for its
-    /// response, returning the assigned id. Pair with [`Client::recv`].
-    ///
-    /// Only the reactor front end (`"front": "reactor"` in the `version`
-    /// response) completes pipelined requests out of order; the blocking
-    /// front still answers in request order, which `recv` handles fine.
+    /// response, returning the assigned id. Pair with [`Client::recv`];
+    /// pipelined responses may arrive out of request order.
     pub fn send(&mut self, mut request: Json) -> Result<i64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;

@@ -12,9 +12,9 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`json`] — the canonical parser/serializer (re-exported from
-//!   [`sibia_obs::json`]) whose canonical output makes "byte-identical
-//!   responses" a checkable property, not an aspiration;
+//! * [`Json`] — the canonical parser/serializer from [`sibia_obs::json`],
+//!   whose canonical output makes "byte-identical responses" a checkable
+//!   property, not an aspiration;
 //! * [`protocol`] — request/response shapes, error codes, per-request
 //!   `trace_id`s, and the canonical projection of simulator results into
 //!   JSON;
@@ -23,11 +23,11 @@
 //! * [`metrics`] — request counters and queue-wait / compute / serialize
 //!   latency histograms, registered in a unified [`sibia_obs`] registry
 //!   and backing the `metrics` request;
-//! * [`server`] — accept loop, worker pool, per-request deadlines, graceful
-//!   drain on shutdown;
-//! * `reactor_front` — the alternative epoll front end
-//!   (`ServeConfig::reactor`): one [`sibia_net`] reactor thread multiplexes
-//!   thousands of connections with pipelined, out-of-order responses;
+//! * [`server`] — worker pool, per-request deadlines, graceful drain on
+//!   shutdown;
+//! * `reactor_front` — the front end: one [`sibia_net`] epoll reactor
+//!   thread multiplexes thousands of connections with pipelined,
+//!   out-of-order responses (Linux only);
 //! * [`client`] — a blocking connection with typed helpers, shared by the
 //!   load generator and the integration tests;
 //! * [`signal`] — SIGINT/SIGTERM latching via a self-declared `signal(2)`.
@@ -39,7 +39,6 @@
 //! cannot perturb any result.
 
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
@@ -48,6 +47,6 @@ pub mod server;
 pub mod signal;
 
 pub use client::{CancelHandle, Client, ClientError, ProgressFn};
-pub use json::Json;
 pub use protocol::{ErrorCode, Request, ServeError};
 pub use server::{ServeConfig, Server};
+pub use sibia_obs::json::Json;

@@ -23,10 +23,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use sibia_obs::json::Json;
 use sibia_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use sibia_store::StoreStats;
 
-use crate::json::Json;
 use crate::protocol::ErrorCode;
 
 /// The serve latency histogram type (the power-of-two-bucket scheme now
@@ -135,7 +135,9 @@ impl ServeMetrics {
         Self {
             ok_by_kind,
             err_by_code,
-            connections: registry.counter("serve.connections.accepted"),
+            // Counted by the reactor, which registers its `net.*`
+            // instruments in this same registry.
+            connections: registry.counter("net.connections.accepted"),
             latency: registry.histogram("serve.latency.total_us"),
             queue_wait: registry.histogram("serve.latency.queue_wait_us"),
             compute: registry.histogram("serve.latency.compute_us"),
@@ -161,11 +163,6 @@ impl ServeMetrics {
     /// The backing registry.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Records an accepted connection.
-    pub fn connection(&self) {
-        self.connections.inc();
     }
 
     /// Records a completed request: its kind label, outcome, end-to-end
@@ -362,7 +359,6 @@ mod tests {
     #[test]
     fn counters_split_by_kind_and_code() {
         let m = ServeMetrics::new();
-        m.connection();
         let phases = PhaseTimings {
             queue_wait: Duration::from_micros(10),
             compute: Duration::from_micros(1900),
@@ -479,7 +475,6 @@ mod tests {
     #[test]
     fn registry_snapshot_rides_along_in_the_response() {
         let m = ServeMetrics::new();
-        m.connection();
         m.request(
             "ping",
             Ok(()),

@@ -5,12 +5,9 @@
 //!
 //! The transport is **newline-delimited JSON** over TCP: every request is
 //! one JSON object on one line and every response is one JSON object on
-//! one line. Under the blocking front end a connection's responses come
-//! back in request order; under the reactor front end
-//! (`ServeConfig::reactor`, advertised as `"front": "reactor"` by the
-//! `version` request) requests **pipeline** and responses may return in any
-//! order — clients must correlate by the `id` they supplied, which the
-//! server echoes verbatim in the response envelope.
+//! one line. Requests **pipeline**: a connection's responses may return
+//! out of request order, so clients must correlate by the `id` they
+//! supplied, which the server echoes verbatim in the response envelope.
 //!
 //! ```text
 //! request  = { "kind": KIND, ["id": any], ["timeout_ms": int],
@@ -95,7 +92,7 @@
 //! the direct library call's result, regardless of server thread counts,
 //! cache state, or request interleaving.
 
-use crate::json::Json;
+use sibia_obs::json::Json;
 use sibia_obs::TraceContext;
 use sibia_sbr::packed::PackedPlane;
 use sibia_sbr::{gsbr::GenSlices, Precision};
@@ -118,8 +115,10 @@ pub use sibia_sim::jsonio::{grid_to_json, network_result_to_json};
 /// before simulating; revision 6 added the optional `tile` scheduling
 /// hint on `simulate` / `sweep` and the opt-in `"stream": true` sweep
 /// mode, under which progress frames — lines without an `"ok"` key —
-/// interleave before the byte-identical final response).
-pub const PROTOCOL_REVISION: u64 = 6;
+/// interleave before the byte-identical final response; revision 7 removed
+/// the `front` field from `version`, since the reactor is the only front
+/// end and responses may always return out of request order).
+pub const PROTOCOL_REVISION: u64 = 7;
 
 /// Typed protocol error codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,15 +1,15 @@
-//! The epoll reactor front end (`ServeConfig::reactor`).
+//! The daemon's front end: the epoll reactor.
 //!
 //! Glue between the protocol-agnostic [`sibia_net`] reactor and the serve
 //! daemon: one `ReactorHandler` implements [`FrameHandler`] on the reactor
-//! thread, answering cheap requests (`ping`, `version`, `metrics`,
-//! `trace`, `spans`, `stats`) inline and admitting work requests into the
-//! same bounded [`JobQueue`]
-//! and worker pool the blocking front uses. Workers finish reactor jobs
-//! themselves ([`finish_job`]): serialize, record metrics and the
-//! `serve.request` span, then hand the complete response line to the
-//! reactor through the frame's [`Completer`] — which is what lets
-//! pipelined responses on one connection complete out of request order.
+//! thread, answering cheap requests (`ping`, `version`, `lookup`,
+//! `metrics`, `trace`, `spans`, `stats`) inline and admitting work
+//! requests into the bounded [`JobQueue`](crate::queue::JobQueue) the
+//! worker pool drains. Workers finish jobs themselves ([`finish_job`]):
+//! serialize, record metrics and the `serve.request` span, then hand the
+//! complete response line to the reactor through the frame's
+//! [`Completer`] — which is what lets pipelined responses on one
+//! connection complete out of request order.
 //!
 //! ## Backpressure (all typed, in-protocol)
 //!
@@ -19,26 +19,22 @@
 //! 1. its connection already has `pipeline_depth` requests in flight;
 //! 2. its connection has more than `write_budget_bytes` of unread
 //!    response bytes queued (a client that pipelines but never reads);
-//! 3. the shared job queue is at capacity (same rule as the blocking
-//!    front).
-//!
-//! The compute path, protocol semantics, and result bytes are identical to
-//! the blocking front — only scheduling differs.
+//! 3. the shared job queue is at capacity.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sibia_net::{Completer, FrameCx, FrameHandler, FrameOutcome, Reactor, ReactorConfig};
+use sibia_obs::json::Json;
 
-use crate::json::Json;
 use crate::metrics::PhaseTimings;
 use crate::protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorCode, Request, ServeError,
 };
 use crate::queue::PushError;
 use crate::server::{
-    record_request, Job, ReplySink, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT,
+    record_request, Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT,
     TRACE_DEFAULT_LIMIT,
 };
 
@@ -143,8 +139,7 @@ impl FrameHandler for ReactorHandler {
     fn on_frame(&self, cx: &FrameCx, frame: &[u8]) -> FrameOutcome {
         let received = Instant::now();
         let Ok(line) = std::str::from_utf8(frame) else {
-            // Same contract as the blocking front's LineReader: invalid
-            // UTF-8 is a framing violation, not a request.
+            // Invalid UTF-8 is a framing violation, not a request.
             return FrameOutcome::Close;
         };
         if line.trim().is_empty() {
@@ -160,8 +155,9 @@ impl FrameHandler for ReactorHandler {
         };
         let id = envelope.id.clone();
         let kind = envelope.request.kind();
-        // Same trace-id adoption rule as the blocking front: a propagated
-        // context's id supersedes the server-assigned one.
+        // A propagated trace context's id supersedes the server-assigned
+        // one: the response echoes the caller's id, and the request's spans
+        // become pullable under it via `spans`.
         if let Some(ctx) = &envelope.trace {
             trace_id = ctx.trace_id.clone();
         }
@@ -258,8 +254,8 @@ impl FrameHandler for ReactorHandler {
     }
 }
 
-/// Queue admission for the reactor front: `Pending` on success (the worker
-/// completes it), typed rejection on a full or closed queue.
+/// Queue admission: `Pending` on success (the worker completes it), typed
+/// rejection on a full or closed queue.
 fn submit(
     handler: &ReactorHandler,
     cx: &FrameCx,
@@ -277,20 +273,18 @@ fn submit(
         envelope,
         queued_at: Instant::now(),
         deadline,
-        reply: ReplySink::Reactor(ReactorJob {
+        reply: ReactorJob {
             completer: cx.completer.clone(),
             id,
             trace_id,
             kind,
             received,
-        }),
+        },
     };
     match shared.queue.try_push(job) {
         Ok(()) => FrameOutcome::Pending,
         Err(PushError::Full(job)) => {
-            let ReplySink::Reactor(rj) = job.reply else {
-                unreachable!("reactor front built this job");
-            };
+            let rj = job.reply;
             handler.reject(
                 rj.id.as_ref(),
                 rj.trace_id,
@@ -306,9 +300,7 @@ fn submit(
             )
         }
         Err(PushError::Closed(job)) => {
-            let ReplySink::Reactor(rj) = job.reply else {
-                unreachable!("reactor front built this job");
-            };
+            let rj = job.reply;
             handler.reject(
                 rj.id.as_ref(),
                 rj.trace_id,
@@ -351,8 +343,7 @@ pub(crate) fn finish_job(
     rj.completer.complete(line);
 }
 
-/// One complete response line (trailing `\n` included), byte-identical to
-/// what the blocking front writes for the same outcome.
+/// One complete response line, trailing `\n` included.
 fn serialize_response(
     id: Option<&Json>,
     trace_id: &str,

@@ -3,21 +3,24 @@
 //! ## Threading model
 //!
 //! ```text
-//! accept thread ──spawns──▶ connection threads (one per client)
-//!                               │  parse line → admission control
-//!                               ▼
-//!                        bounded JobQueue  ──▶ worker pool (N threads)
-//!                               ▲                   │ simulate / encode / sweep
-//!                               │                   ▼
-//!                        overloaded reject    reply channel → connection thread
+//! epoll reactor (one thread, every connection)
+//!        │  frame line → parse → admission control
+//!        ▼
+//! bounded JobQueue  ──▶ worker pool (N threads)
+//!        ▲                   │ simulate / encode / sweep
+//!        │                   ▼
+//! overloaded reject    serialize → Completer → reactor flushes the line
 //! ```
 //!
-//! Cheap requests (`ping`, `metrics`, `trace`, `spans`, `stats`) are
-//! answered inline on the connection thread so the daemon stays observable
-//! while saturated. Work
-//! requests (`encode`, `simulate`, `sweep`) pass through the bounded
-//! [`JobQueue`]: when it is full the request is rejected *immediately* with
-//! a typed `overloaded` error — never queued unboundedly, never blocked.
+//! Cheap requests (`ping`, `version`, `lookup`, `metrics`, `trace`,
+//! `spans`, `stats`) are answered inline on the reactor thread so the
+//! daemon stays observable while saturated. Work requests (`encode`,
+//! `simulate`, `sweep`) pass through the bounded [`JobQueue`]: when it is
+//! full the request is rejected *immediately* with a typed `overloaded`
+//! error — never queued unboundedly, never blocked. Requests pipeline, and
+//! a connection's responses may return out of request order (see
+//! `crate::reactor_front`). Linux only: `Server::start` fails with
+//! `Unsupported` elsewhere.
 //!
 //! ## Observability
 //!
@@ -31,11 +34,10 @@
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or SIGTERM/ctrl-c via [`crate::signal`] in
-//! the CLI) flips one atomic flag. The accept loop stops admitting
-//! connections, the queue closes (pending jobs still drain, so every
-//! admitted request gets its response), workers are joined, connection
-//! threads notice the flag on their next read tick and close, and the
-//! accept thread joins them all before returning.
+//! the CLI) drains the reactor: it stops reading new frames, waits for
+//! every in-flight job's response to flush, and closes the connections and
+//! the listener. Only then does the queue close and the worker pool join,
+//! so every admitted request gets its response.
 //!
 //! ## Determinism
 //!
@@ -43,35 +45,32 @@
 //! cache hits, evictions, worker interleaving, and sweep thread counts are
 //! all invisible in responses (see `crate::protocol` for the guarantee).
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sibia_nn::zoo;
+use sibia_obs::json::Json;
 use sibia_obs::{Sampler, SamplerSource, Telemetry, Tracer};
 use sibia_sim::{DecompCache, GridCell, ParallelEngine, Simulator};
 use sibia_store::Store;
 
-use crate::json::Json;
 use crate::metrics::{GaugeSample, PhaseTimings, ServeMetrics};
 use crate::protocol::{
-    arch_by_name, encode_stats, error_response, grid_to_json, network_result_to_json, ok_response,
-    parse_request, progress_frame, Envelope, ErrorCode, Request, ServeError, PROTOCOL_REVISION,
+    arch_by_name, encode_stats, grid_to_json, network_result_to_json, progress_frame, Envelope,
+    ErrorCode, Request, ServeError, PROTOCOL_REVISION,
 };
-use crate::queue::{JobQueue, PushError};
+use crate::queue::JobQueue;
+use crate::reactor_front::ReactorJob;
 
 /// Library-default statistics sample cap (matches `Simulator::new`).
 pub const DEFAULT_SAMPLE_CAP: usize = 32_768;
 
-/// How often blocked reads wake up to check the shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(50);
-
-/// Idle sleep of the accept loop between polls.
-const ACCEPT_TICK: Duration = Duration::from_millis(20);
+/// How often the foreground daemon checks the signal latch.
+const SIGNAL_TICK: Duration = Duration::from_millis(20);
 
 /// Longest accepted request line (16 MiB covers ~2M-value encode payloads).
 pub(crate) const MAX_LINE_BYTES: usize = 16 << 20;
@@ -116,19 +115,13 @@ pub struct ServeConfig {
     /// never consult *their* peers), so chains cannot recurse. Only
     /// meaningful together with [`ServeConfig::store_dir`].
     pub peers: Vec<String>,
-    /// Serve through the epoll reactor front end instead of the
-    /// thread-per-connection blocking front (see DESIGN.md §11): one
-    /// reactor thread multiplexes every connection, requests pipeline, and
-    /// responses may return out of request order (correlate by `id`).
-    /// Linux only; `Server::start` fails with `Unsupported` elsewhere.
-    pub reactor: bool,
-    /// Reactor front only: per-connection pipelining cap. A request
-    /// arriving while this many are already in flight on its connection is
-    /// rejected with a typed `overloaded` error.
+    /// Per-connection pipelining cap. A request arriving while this many
+    /// are already in flight on its connection is rejected with a typed
+    /// `overloaded` error.
     pub pipeline_depth: usize,
-    /// Reactor front only: per-connection write budget. A work request
-    /// arriving while more than this many response bytes are queued unread
-    /// is rejected with a typed `overloaded` error.
+    /// Per-connection write budget. A work request arriving while more
+    /// than this many response bytes are queued unread is rejected with a
+    /// typed `overloaded` error.
     pub write_budget_bytes: usize,
     /// Enable the process-global tracer for the daemon's lifetime, so work
     /// requests record the full `serve.request` → `sim.network` →
@@ -153,7 +146,6 @@ impl Default for ServeConfig {
             cache_capacity: 4096,
             store_dir: None,
             peers: Vec::new(),
-            reactor: false,
             pipeline_depth: 64,
             write_budget_bytes: 1 << 20,
             trace: false,
@@ -162,63 +154,20 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a worker sends back for one job: the outcome plus where the time
-/// went (queue wait, then compute).
-pub(crate) type JobReply = (Result<Json, ServeError>, Duration, Duration);
-
-/// One message on a blocking-front job channel: zero or more progress
-/// frames (streamed sweeps only), then exactly one `Done`.
-pub(crate) enum JobFrame {
-    /// A revision-6 progress frame to write to the connection now.
-    Progress(Json),
-    /// The job's outcome; ends the stream.
-    Done(JobReply),
-}
-
-/// Where a finished job's outcome goes.
-pub(crate) enum ReplySink {
-    /// Blocking front: the connection thread waits on this channel and
-    /// finishes the request itself (serialize, metrics, span).
-    Blocking(mpsc::Sender<JobFrame>),
-    /// Reactor front: the worker finishes the request itself and pushes
-    /// the complete response line through the connection's completer
-    /// (see [`crate::reactor_front`]).
-    Reactor(crate::reactor_front::ReactorJob),
-}
-
 /// Worker-side handle that turns per-cell completions into wire progress
-/// frames, built only for `sweep` requests that opted into streaming.
-/// Front-agnostic: the blocking front relays frames over the job channel,
-/// the reactor front pushes non-final completions straight to the reactor.
+/// frames, built only for `sweep` requests that opted into streaming. Each
+/// frame goes straight to the reactor as a non-final completion.
 pub(crate) struct ProgressEmitter {
     id: Option<Json>,
-    sink: ProgressSink,
-}
-
-enum ProgressSink {
-    /// `Sender` is `Send` but not `Sync`; the engine calls `emit` from
-    /// several scoped workers, so the sender rides behind a mutex (frames
-    /// are rare — one per cell — so contention is negligible).
-    Blocking(Mutex<mpsc::Sender<JobFrame>>),
-    Reactor(sibia_net::Completer),
+    completer: sibia_net::Completer,
 }
 
 impl ProgressEmitter {
     pub(crate) fn emit(&self, done: usize, total: usize, cell: &str) {
         let frame = progress_frame(self.id.as_ref(), done, total, cell);
-        match &self.sink {
-            ProgressSink::Blocking(tx) => {
-                let _ = tx
-                    .lock()
-                    .expect("progress sender lock")
-                    .send(JobFrame::Progress(frame));
-            }
-            ProgressSink::Reactor(completer) => {
-                let mut line = frame.to_string().into_bytes();
-                line.push(b'\n');
-                completer.progress(line);
-            }
-        }
+        let mut line = frame.to_string().into_bytes();
+        line.push(b'\n');
+        self.completer.progress(line);
     }
 }
 
@@ -227,7 +176,8 @@ pub(crate) struct Job {
     pub(crate) envelope: Envelope,
     pub(crate) queued_at: Instant,
     pub(crate) deadline: Option<Instant>,
-    pub(crate) reply: ReplySink,
+    /// Where the finished response goes (see [`crate::reactor_front`]).
+    pub(crate) reply: ReactorJob,
 }
 
 /// Shared server state.
@@ -249,14 +199,10 @@ pub(crate) struct Shared {
     /// Peer daemons consulted (via `lookup`) on a local store miss before
     /// simulating. Empty means no peer warm start.
     pub(crate) peers: Vec<String>,
-    /// Which front end is serving (`"blocking"` or `"reactor"`), echoed by
-    /// the `version` request so clients can gate pipelining on it.
-    pub(crate) front: &'static str,
     /// Time-series store sampled by the background [`Sampler`] and read by
     /// the `stats` request (which also forces a fresh sample, so scrapes
     /// are never staler than one call).
     pub(crate) telemetry: Arc<Telemetry>,
-    pub(crate) shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -295,15 +241,13 @@ impl Shared {
             .set_gauges(&self.gauge_sample(), store_stats.as_ref());
     }
 
-    /// The `version` response: crate version, wire-protocol revision, and
-    /// the serving front end, so clients can gate on features (`version`
-    /// itself arrived in revision 2; `front` and out-of-order pipelined
-    /// responses in revision 3).
+    /// The `version` response: crate version and wire-protocol revision,
+    /// so clients can gate on features (`version` itself arrived in
+    /// revision 2).
     pub(crate) fn version_json(&self) -> Json {
         Json::obj(vec![
             ("crate_version", Json::from(env!("CARGO_PKG_VERSION"))),
             ("protocol_revision", Json::from(PROTOCOL_REVISION)),
-            ("front", Json::from(self.front)),
         ])
     }
 
@@ -626,7 +570,7 @@ pub(crate) fn execute(
             Ok(grid_to_json(&grid))
         }
         // Ping/Version/Lookup/Metrics/Trace/Spans/Stats are answered inline
-        // by the connection (or reactor) thread.
+        // by the reactor thread.
         Request::Ping
         | Request::Version
         | Request::Lookup { .. }
@@ -662,15 +606,12 @@ fn worker_loop(shared: &Shared) {
                 span.set_remote_parent(parent);
             }
         }
-        // Streamed sweeps get a progress emitter bound to this job's reply
-        // path; everything else computes silently.
+        // Streamed sweeps get a progress emitter bound to this job's
+        // connection; everything else computes silently.
         let emitter = match &job.envelope.request {
             Request::Sweep { stream: true, .. } => Some(ProgressEmitter {
                 id: job.envelope.id.clone(),
-                sink: match &job.reply {
-                    ReplySink::Blocking(tx) => ProgressSink::Blocking(Mutex::new(tx.clone())),
-                    ReplySink::Reactor(rj) => ProgressSink::Reactor(rj.completer()),
-                },
+                completer: job.reply.completer(),
             }),
             _ => None,
         };
@@ -686,20 +627,12 @@ fn worker_loop(shared: &Shared) {
         let compute = compute_start.elapsed();
         busy_us.add(compute.as_micros().min(u128::from(u64::MAX)) as u64);
         idle_since = Instant::now();
-        match job.reply {
-            // A dropped receiver means the client hung up; nothing to do.
-            ReplySink::Blocking(tx) => {
-                let _ = tx.send(JobFrame::Done((outcome, queue_wait, compute)));
-            }
-            ReplySink::Reactor(rj) => {
-                crate::reactor_front::finish_job(shared, rj, outcome, queue_wait, compute);
-            }
-        }
+        crate::reactor_front::finish_job(shared, job.reply, outcome, queue_wait, compute);
     }
 }
 
 /// Records one completed request into the metrics and the trace buffer —
-/// shared by the blocking connection loop and the reactor front.
+/// shared by inline replies on the reactor thread and worker completions.
 pub(crate) fn record_request(
     shared: &Shared,
     kind: &str,
@@ -734,296 +667,27 @@ pub(crate) fn record_request(
     );
 }
 
-/// Accumulates stream bytes and yields complete newline-terminated lines,
-/// surviving read-timeout ticks without losing partial input (which
-/// `BufReader::read_line` cannot guarantee).
-struct LineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-    /// Scan resume offset into `pending` (bytes before it hold no `\n`).
-    scanned: usize,
-}
-
-enum ReadEvent {
-    /// One complete line, `\n` stripped (and a trailing `\r`, for telnet).
-    Line(String),
-    /// The peer closed the connection.
-    Eof,
-    /// Read timeout: check the shutdown flag and try again.
-    Tick,
-    /// Unrecoverable stream or framing error.
-    Broken,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_read_timeout(Some(READ_TICK))?;
-        Ok(Self {
-            stream,
-            pending: Vec::new(),
-            scanned: 0,
-        })
-    }
-
-    /// The underlying stream, for writing responses via `&TcpStream`.
-    fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
-    fn next(&mut self) -> ReadEvent {
-        loop {
-            if let Some(pos) = self.pending[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                let pos = self.scanned + pos;
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                self.scanned = 0;
-                return match String::from_utf8(line) {
-                    Ok(s) => ReadEvent::Line(s),
-                    Err(_) => ReadEvent::Broken,
-                };
-            }
-            self.scanned = self.pending.len();
-            if self.pending.len() > MAX_LINE_BYTES {
-                return ReadEvent::Broken;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return ReadEvent::Eof,
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return ReadEvent::Tick
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return ReadEvent::Broken,
-            }
-        }
-    }
-}
-
-/// Handles one client connection until EOF, error, or shutdown.
-fn connection_loop(shared: &Shared, stream: TcpStream) {
-    shared.metrics.connection();
-    let mut reader = match LineReader::new(stream) {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let line = match reader.next() {
-            ReadEvent::Line(l) => l,
-            ReadEvent::Tick => continue,
-            ReadEvent::Eof | ReadEvent::Broken => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let received = Instant::now();
-        let mut trace_id = format!("t{}", shared.trace_seq.fetch_add(1, Ordering::Relaxed) + 1);
-        let mut phases = PhaseTimings::default();
-        let (kind, id, outcome) = match parse_request(&line) {
-            Err(e) => ("invalid", None, Err(e)),
-            Ok(envelope) => {
-                let id = envelope.id.clone();
-                let kind = envelope.request.kind();
-                // A propagated trace context supersedes the server-assigned
-                // trace id: the response echoes the caller's id, and the
-                // request's spans become pullable under it via `spans`.
-                if let Some(ctx) = &envelope.trace {
-                    trace_id = ctx.trace_id.clone();
-                }
-                // Inline requests: queue wait is genuinely zero and compute
-                // is the handler itself. Queued work reports both phases
-                // from the worker.
-                let inline = |handler: &dyn Fn() -> Json, phases: &mut PhaseTimings| {
-                    let compute_start = Instant::now();
-                    let result = handler();
-                    phases.compute = compute_start.elapsed();
-                    Ok(result)
-                };
-                let outcome = match &envelope.request {
-                    Request::Ping => {
-                        inline(&|| Json::obj(vec![("pong", Json::Bool(true))]), &mut phases)
-                    }
-                    Request::Version => inline(&|| shared.version_json(), &mut phases),
-                    Request::Metrics => inline(&|| shared.metrics_json(), &mut phases),
-                    Request::Trace { limit } => {
-                        let limit = limit.unwrap_or(TRACE_DEFAULT_LIMIT);
-                        inline(&|| shared.trace_json(limit), &mut phases)
-                    }
-                    Request::Spans { limit, trace_id } => {
-                        let limit = limit.unwrap_or(SPANS_DEFAULT_LIMIT);
-                        inline(
-                            &|| shared.spans_json(limit, trace_id.as_deref()),
-                            &mut phases,
-                        )
-                    }
-                    Request::Stats => inline(&|| shared.stats_json(), &mut phases),
-                    Request::Lookup {
-                        arch,
-                        network,
-                        seed,
-                        sample_cap,
-                    } => {
-                        // Inline like the other store/metadata verbs, but
-                        // the handler is fallible (unknown arch/network are
-                        // typed errors), so it bypasses the `inline` helper.
-                        let compute_start = Instant::now();
-                        let outcome = shared.lookup_json(arch, network, *seed, *sample_cap);
-                        phases.compute = compute_start.elapsed();
-                        outcome
-                    }
-                    _ => {
-                        // Progress frames (streamed sweeps) are written to
-                        // the connection as they arrive, *before* the final
-                        // response line. A failed frame write is ignored
-                        // here — the final write's error closes the
-                        // connection exactly as before.
-                        let mut writer = reader.stream();
-                        let (outcome, queue_wait, compute) =
-                            submit(shared, envelope, received, &mut |frame: &Json| {
-                                let _ = writer
-                                    .write_all(frame.to_string().as_bytes())
-                                    .and_then(|()| writer.write_all(b"\n"));
-                            });
-                        phases.queue_wait = queue_wait;
-                        phases.compute = compute;
-                        outcome
-                    }
-                };
-                (kind, id, outcome)
-            }
-        };
-        let serialize_start = Instant::now();
-        let response = match &outcome {
-            Ok(result) => ok_response(id.as_ref(), Some(&trace_id), result.clone()),
-            Err(e) => error_response(id.as_ref(), Some(&trace_id), e),
-        };
-        // Write through `&TcpStream` on the reader's stream rather than a
-        // `try_clone` dup: one fd per connection, not two — at 10k
-        // connections that halves the daemon's descriptor footprint.
-        let mut writer = reader.stream();
-        let write_result = writer
-            .write_all(response.to_string().as_bytes())
-            .and_then(|()| writer.write_all(b"\n"));
-        phases.serialize = serialize_start.elapsed();
-        let total = received.elapsed();
-        let outcome_code = outcome.as_ref().map(|_| ()).map_err(|e| e.code);
-        record_request(
-            shared,
-            kind,
-            outcome_code,
-            received,
-            total,
-            phases,
-            trace_id,
-        );
-        if write_result.is_err() {
-            return;
-        }
-    }
-}
-
-/// Admission control: queue the job or reject it immediately. Returns the
-/// outcome plus the measured (queue-wait, compute) durations. Progress
-/// frames arriving before the job's `Done` are handed to `on_progress`
-/// (the connection loop writes them to the client inline).
-fn submit(
-    shared: &Shared,
-    envelope: Envelope,
-    received: Instant,
-    on_progress: &mut dyn FnMut(&Json),
-) -> JobReply {
-    let deadline = envelope
-        .timeout_ms
-        .map(|ms| received + Duration::from_millis(ms));
-    let (reply, rx) = mpsc::channel();
-    let job = Job {
-        envelope,
-        queued_at: Instant::now(),
-        deadline,
-        reply: ReplySink::Blocking(reply),
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full(_)) => {
-            return (
-                Err(ServeError::new(
-                    ErrorCode::Overloaded,
-                    format!(
-                        "job queue full ({} pending); retry with backoff",
-                        shared.queue.capacity()
-                    ),
-                )),
-                Duration::ZERO,
-                Duration::ZERO,
-            )
-        }
-        Err(PushError::Closed(_)) => {
-            return (
-                Err(ServeError::new(
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                )),
-                Duration::ZERO,
-                Duration::ZERO,
-            )
-        }
-    }
-    // The queue was admitted, so a worker owns the job and always replies
-    // (the pool drains the queue fully before exiting on shutdown).
-    loop {
-        match rx.recv() {
-            Ok(JobFrame::Progress(frame)) => on_progress(&frame),
-            Ok(JobFrame::Done(reply)) => return reply,
-            Err(_) => {
-                return (
-                    Err(ServeError::new(ErrorCode::Internal, "worker pool gone")),
-                    Duration::ZERO,
-                    Duration::ZERO,
-                )
-            }
-        }
-    }
-}
-
-/// Which front end a running server is serving through.
-enum Front {
-    /// Thread-per-connection accept loop; the accept thread joins the
-    /// worker pool itself on drain.
-    Blocking(JoinHandle<()>),
-    /// Single-thread epoll reactor (see [`crate::reactor_front`]); the
-    /// handle owns the worker pool and joins it after the reactor drains.
-    Reactor {
-        reactor: sibia_net::Reactor,
-        workers: Vec<JoinHandle<()>>,
-    },
-}
-
 /// A running daemon. Dropping the handle does **not** stop the server; call
 /// [`ServerHandle::shutdown`].
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    front: Front,
+    /// The epoll reactor serving every connection (see
+    /// [`crate::reactor_front`]).
+    reactor: sibia_net::Reactor,
+    /// The worker pool draining the job queue; joined after the reactor
+    /// drains.
+    workers: Vec<JoinHandle<()>>,
     /// Background telemetry sampler; stopped (flag + condvar, no thread
     /// kill) during [`Server::shutdown`].
-    sampler: Option<Sampler>,
+    sampler: Sampler,
 }
 
 /// Public alias: `Server::start` returns the handle type.
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds, spawns the worker pool and the configured front end (accept
-    /// thread or epoll reactor), and returns immediately.
+    /// Binds, starts the epoll reactor and spawns the worker pool, and
+    /// returns immediately.
     pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         let tracer = Arc::new(Tracer::with_capacity(TRACE_CAPACITY));
         tracer.enable();
@@ -1056,14 +720,11 @@ impl Server {
             trace_seq: AtomicU64::new(0),
             store,
             peers: config.peers.clone(),
-            front: if config.reactor {
-                "reactor"
-            } else {
-                "blocking"
-            },
             telemetry: Arc::clone(&telemetry),
-            shutdown: AtomicBool::new(false),
         });
+        // Start the reactor before any other thread so a failed bind or an
+        // unsupported platform fails cleanly with nothing to clean up.
+        let reactor = crate::reactor_front::start(&config, Arc::clone(&shared))?;
         // Pre-tick hook refreshes the pull-style gauges. Weak, so the hook
         // (owned by the telemetry the Shared also owns) never forms a
         // reference cycle that would leak the engine's thread pool.
@@ -1073,62 +734,27 @@ impl Server {
                 s.refresh_gauges();
             }
         });
-        let sampler = Some(Sampler::start(
+        let sampler = Sampler::start(
             telemetry,
             Duration::from_millis(config.sample_interval_ms.max(1)),
-        ));
-
-        if config.reactor {
-            // Start the reactor before spawning workers so an unsupported
-            // platform fails cleanly with no threads to clean up.
-            let reactor = crate::reactor_front::start(&config, Arc::clone(&shared))?;
-            let addr = reactor.addr();
-            let workers: Vec<JoinHandle<()>> = (0..config.workers.clamp(1, 256))
-                .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&shared))
-                })
-                .collect();
-            return Ok(Server {
-                shared,
-                addr,
-                front: Front::Reactor { reactor, workers },
-                sampler,
-            });
-        }
-
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        // std's default backlog of 128 overflows under a multi-thousand
-        // connect storm (the per-connection threads starve the accept loop
-        // on small machines) and the kernel eventually resets the waiting
-        // connections; widen it to somaxconn.
-        sibia_net::sys::widen_listen_backlog(&listener, 4096);
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-
-        let workers: Vec<JoinHandle<()>> = (0..config.workers.clamp(1, 256))
+        );
+        let workers = (0..config.workers.clamp(1, 256))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(shared, &listener, workers))
-        };
-
         Ok(Server {
             shared,
-            addr,
-            front: Front::Blocking(accept),
+            reactor,
+            workers,
             sampler,
         })
     }
 
     /// The bound address (useful with `port: 0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// Live queue depth (pending jobs).
@@ -1139,25 +765,15 @@ impl Server {
     /// Requests the graceful drain and blocks until every thread has
     /// exited: pending jobs finish and get responses, new work is refused,
     /// connections close.
-    pub fn shutdown(mut self) {
-        if let Some(sampler) = self.sampler.take() {
-            sampler.stop();
-        }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        match self.front {
-            Front::Blocking(accept) => {
-                let _ = accept.join();
-            }
-            Front::Reactor { reactor, workers } => {
-                // Order matters: the reactor drain stops new frames but
-                // waits for every in-flight completion, which needs the
-                // workers alive. Only then close the queue and join them.
-                reactor.shutdown();
-                self.shared.queue.close();
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
+    pub fn shutdown(self) {
+        self.sampler.stop();
+        // Order matters: the reactor drain stops new frames but waits for
+        // every in-flight completion, which needs the workers alive. Only
+        // then close the queue and join them.
+        self.reactor.shutdown();
+        self.shared.queue.close();
+        for w in self.workers {
+            let _ = w.join();
         }
     }
 
@@ -1166,34 +782,8 @@ impl Server {
     pub fn run_until_signalled(self) {
         crate::signal::install();
         while !crate::signal::signalled() {
-            std::thread::sleep(ACCEPT_TICK);
+            std::thread::sleep(SIGNAL_TICK);
         }
         self.shutdown();
-    }
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: &TcpListener, workers: Vec<JoinHandle<()>>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(&shared);
-                connections.push(std::thread::spawn(move || connection_loop(&shared, stream)));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
-        }
-        // Reap finished connection threads so a long-lived daemon does not
-        // accumulate handles.
-        connections.retain(|h| !h.is_finished());
-    }
-    // Drain: refuse new jobs, let workers finish the admitted ones, then
-    // wait for connections to notice the flag and hang up.
-    shared.queue.close();
-    for w in workers {
-        let _ = w.join();
-    }
-    for c in connections {
-        let _ = c.join();
     }
 }

@@ -6,13 +6,14 @@
 //! The remaining tests pin the protocol's failure modes — typed errors for
 //! bad input, `overloaded` (not a hang) past the queue bound, and a
 //! graceful drain on shutdown.
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use sibia_serve::json::Json;
+use sibia_obs::json::Json;
 use sibia_serve::protocol::{arch_by_name, grid_to_json, network_result_to_json};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::{Client, ClientError, ErrorCode};

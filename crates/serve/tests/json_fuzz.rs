@@ -1,4 +1,5 @@
-//! Property-style fuzzing of the `serve::json` parser.
+//! Property-style fuzzing of the `sibia_obs::json` parser the daemon reads
+//! requests with.
 //!
 //! The daemon parses every request line straight off the network, so the
 //! parser's contract — **error, never panic** — is load-bearing for
@@ -9,7 +10,7 @@
 //! generated documents.
 
 use sibia_nn::rng::SynthRng;
-use sibia_serve::json::Json;
+use sibia_obs::json::Json;
 
 /// A random JSON-ish document: valid shapes with random contents, so
 /// mutations of it land near the parser's accepting paths.

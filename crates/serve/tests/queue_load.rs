@@ -1,17 +1,17 @@
-//! The bounded job queue under real load, exercised through the wire on
-//! both front ends: per-connection FIFO completion, typed overload at
+//! The bounded job queue under real load, exercised through the wire:
+//! per-connection FIFO completion with one worker, typed overload at
 //! capacity, and a graceful drain that finishes every admitted job.
+#![cfg(target_os = "linux")]
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use sibia_serve::json::Json;
+use sibia_obs::json::Json;
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::{Client, ClientError};
 
-fn start(reactor: bool, config: ServeConfig) -> Server {
-    Server::start(ServeConfig { reactor, ..config }).expect("bind ephemeral port")
+fn start(config: ServeConfig) -> Server {
+    Server::start(config).expect("bind ephemeral port")
 }
 
 fn connect(addr: SocketAddr) -> Client {
@@ -33,55 +33,16 @@ fn simulate_request(seed: u64, sample_cap: u64) -> Json {
 }
 
 #[test]
-fn blocking_front_answers_a_pipelined_burst_in_request_order() {
-    // The blocking front reads one line, answers it, reads the next: even
-    // a client that pipelines gets strictly FIFO responses.
-    let server = start(
-        false,
-        ServeConfig {
-            workers: 2,
-            engine_threads: 1,
-            ..ServeConfig::default()
-        },
-    );
-    let stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-
-    let burst = 5;
-    let mut lines = String::new();
-    for id in 0..burst {
-        lines.push_str(&format!("{{\"id\":{id},\"kind\":\"ping\"}}\n"));
-    }
-    writer.write_all(lines.as_bytes()).unwrap();
-    for id in 0..burst {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = Json::parse(line.trim_end()).expect("response is json");
-        assert_eq!(v.get("id"), Some(&Json::Int(id)), "FIFO per connection");
-        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-    }
-    server.shutdown();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn reactor_work_requests_complete_fifo_with_one_worker() {
     // One worker pops the shared queue in admission order, so pipelined
     // work requests from one connection complete FIFO even though the
     // transport allows reordering.
-    let server = start(
-        true,
-        ServeConfig {
-            workers: 1,
-            engine_threads: 1,
-            queue_capacity: 16,
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        workers: 1,
+        engine_threads: 1,
+        queue_capacity: 16,
+        ..ServeConfig::default()
+    });
     let mut client = connect(server.addr());
     let ids: Vec<i64> = (0..4)
         .map(|seed| {
@@ -100,18 +61,15 @@ fn reactor_work_requests_complete_fifo_with_one_worker() {
 
 #[test]
 fn typed_overload_at_capacity_does_not_lose_admitted_jobs() {
-    // Blocking front, one worker, one queue slot: a concurrent burst must
-    // split into completed jobs and typed overloads — nothing hangs,
-    // nothing disconnects, and every admitted job completes.
-    let server = start(
-        false,
-        ServeConfig {
-            workers: 1,
-            queue_capacity: 1,
-            engine_threads: 1,
-            ..ServeConfig::default()
-        },
-    );
+    // One worker, one queue slot: a concurrent burst must split into
+    // completed jobs and typed overloads — nothing hangs, nothing
+    // disconnects, and every admitted job completes.
+    let server = start(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        engine_threads: 1,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let handles: Vec<_> = (0..6)
         .map(|i| {
@@ -139,42 +97,12 @@ fn typed_overload_at_capacity_does_not_lose_admitted_jobs() {
 }
 
 #[test]
-fn blocking_drain_completes_the_in_flight_job() {
-    let server = start(
-        false,
-        ServeConfig {
-            workers: 1,
-            engine_threads: 1,
-            ..ServeConfig::default()
-        },
-    );
-    let mut client = connect(server.addr());
-    // Pipeline the request so this thread is free to trigger the drain
-    // while the worker is mid-compute. The sleep lets the server admit the
-    // job before the drain stops taking new work.
-    client.send(simulate_request(42, 8192)).expect("send");
-    std::thread::sleep(Duration::from_millis(150));
-    let drain = std::thread::spawn(move || server.shutdown());
-
-    let (_, outcome) = client.recv().expect("in-flight job answers");
-    assert!(outcome
-        .expect("drain completes, not cancels")
-        .get("layers")
-        .is_some());
-    drain.join().unwrap();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn reactor_drain_completes_the_in_flight_job_then_closes() {
-    let server = start(
-        true,
-        ServeConfig {
-            workers: 1,
-            engine_threads: 1,
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        workers: 1,
+        engine_threads: 1,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let mut client = connect(addr);
     client.send(simulate_request(43, 8192)).expect("send");

@@ -1,30 +1,26 @@
-//! Reactor front end vs blocking front end: the result bytes must be
-//! identical, and pipelining must be real (out-of-order completion,
-//! correlated by client-supplied id) without weakening the typed-error
-//! contract.
+//! Pipelining on the reactor front end must be real (out-of-order
+//! completion, correlated by client-supplied id) without weakening the
+//! typed-error contract.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use sibia_serve::json::Json;
+use sibia_obs::json::Json;
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::{Client, ClientError, ErrorCode};
 
-fn start(reactor: bool, config: ServeConfig) -> Server {
-    Server::start(ServeConfig { reactor, ..config }).expect("bind ephemeral port")
+fn start(config: ServeConfig) -> Server {
+    Server::start(config).expect("bind ephemeral port")
 }
 
-fn small_server(reactor: bool) -> Server {
-    start(
-        reactor,
-        ServeConfig {
-            workers: 2,
-            engine_threads: 2,
-            ..ServeConfig::default()
-        },
-    )
+fn small_server() -> Server {
+    start(ServeConfig {
+        workers: 2,
+        engine_threads: 2,
+        ..ServeConfig::default()
+    })
 }
 
 fn connect(addr: SocketAddr) -> Client {
@@ -35,125 +31,9 @@ fn connect(addr: SocketAddr) -> Client {
     client
 }
 
-/// A representative request mix: every work kind plus an inline kind.
-fn request_mix() -> Vec<Json> {
-    vec![
-        Json::obj(vec![("kind", Json::from("ping"))]),
-        Json::obj(vec![
-            ("kind", Json::from("encode")),
-            ("values", Json::Array((-64i64..64).map(Json::Int).collect())),
-            ("bits", Json::from(8u64)),
-            ("gsbr_width", Json::from(4u64)),
-        ]),
-        Json::obj(vec![
-            ("kind", Json::from("simulate")),
-            ("arch", Json::from("sibia")),
-            ("network", Json::from("dgcnn")),
-            ("seed", Json::from(7u64)),
-            ("sample_cap", Json::from(1024u64)),
-        ]),
-        Json::obj(vec![
-            ("kind", Json::from("sweep")),
-            (
-                "archs",
-                Json::Array(vec![Json::from("bitfusion"), Json::from("sibia")]),
-            ),
-            ("networks", Json::Array(vec![Json::from("dgcnn")])),
-            (
-                "seeds",
-                Json::Array(vec![Json::from(1u64), Json::from(2u64)]),
-            ),
-            ("sample_cap", Json::from(512u64)),
-        ]),
-    ]
-}
-
-#[test]
-fn reactor_results_are_byte_identical_to_blocking() {
-    let blocking = small_server(false);
-    let reactor = small_server(true);
-    let mut via_blocking = connect(blocking.addr());
-    let mut via_reactor = connect(reactor.addr());
-
-    for request in request_mix() {
-        let a = via_blocking.call(request.clone()).expect("blocking front");
-        let b = via_reactor.call(request.clone()).expect("reactor front");
-        assert_eq!(
-            a.to_string(),
-            b.to_string(),
-            "result bytes must not depend on the front end: {request}"
-        );
-    }
-
-    // The version response advertises which front answered.
-    let vb = via_blocking.version().unwrap();
-    let vr = via_reactor.version().unwrap();
-    assert_eq!(vb.get("front"), Some(&Json::from("blocking")));
-    assert_eq!(vr.get("front"), Some(&Json::from("reactor")));
-    assert_eq!(
-        vb.get("protocol_revision"),
-        vr.get("protocol_revision"),
-        "both fronts speak the same protocol revision"
-    );
-
-    blocking.shutdown();
-    reactor.shutdown();
-}
-
-#[test]
-fn streamed_sweep_on_the_reactor_front_matches_blocking() {
-    let blocking = small_server(false);
-    let reactor = small_server(true);
-    let mut via_blocking = connect(blocking.addr());
-    let mut via_reactor = connect(reactor.addr());
-
-    let archs = ["bitfusion", "sibia"];
-    let nets = ["dgcnn"];
-    let seeds = [1u64, 2];
-    let plain = via_blocking
-        .sweep(&archs, &nets, &seeds, Some(512))
-        .expect("blocking plain sweep");
-
-    let mut frames = 0usize;
-    let mut on_progress = |done: u64, total: u64, cell: &str| {
-        frames += 1;
-        assert_eq!(total, 4);
-        assert!((1..=4).contains(&done));
-        assert_eq!(cell.split('/').count(), 3, "{cell}");
-    };
-    let streamed = via_reactor
-        .sweep_with(
-            &archs,
-            &nets,
-            &seeds,
-            Some(512),
-            None,
-            Some(&mut on_progress),
-        )
-        .expect("reactor streamed sweep");
-    assert_eq!(
-        streamed.to_string(),
-        plain.to_string(),
-        "reactor streamed final document must match the blocking plain sweep"
-    );
-    assert_eq!(
-        frames, 4,
-        "one progress frame per cell on the reactor front"
-    );
-
-    // Tile granularity is invisible in bytes on this front too.
-    let tiled = via_reactor
-        .sweep_with(&archs, &nets, &seeds, Some(512), Some(7), None)
-        .expect("reactor tiled sweep");
-    assert_eq!(tiled.to_string(), plain.to_string());
-
-    blocking.shutdown();
-    reactor.shutdown();
-}
-
 #[test]
 fn pipelined_responses_complete_out_of_order_by_id() {
-    let server = small_server(true);
+    let server = small_server();
     let mut client = connect(server.addr());
 
     // A slow work request followed by an inline ping, pipelined in a burst.
@@ -185,16 +65,13 @@ fn pipelined_responses_complete_out_of_order_by_id() {
 
 #[test]
 fn pipeline_depth_overflow_is_a_typed_overload() {
-    let server = start(
-        true,
-        ServeConfig {
-            workers: 1,
-            engine_threads: 1,
-            queue_capacity: 64,
-            pipeline_depth: 2,
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        workers: 1,
+        engine_threads: 1,
+        queue_capacity: 64,
+        pipeline_depth: 2,
+        ..ServeConfig::default()
+    });
     let mut client = connect(server.addr());
 
     // Eight slow requests pipelined on one connection against depth 2: the
@@ -237,16 +114,13 @@ fn pipeline_depth_overflow_is_a_typed_overload() {
 
 #[test]
 fn queue_overflow_on_the_reactor_front_is_a_typed_overload() {
-    let server = start(
-        true,
-        ServeConfig {
-            workers: 1,
-            engine_threads: 1,
-            queue_capacity: 1,
-            pipeline_depth: 64,
-            ..ServeConfig::default()
-        },
-    );
+    let server = start(ServeConfig {
+        workers: 1,
+        engine_threads: 1,
+        queue_capacity: 1,
+        pipeline_depth: 64,
+        ..ServeConfig::default()
+    });
     let mut client = connect(server.addr());
 
     let burst = 6;

@@ -10,6 +10,7 @@
 //!   `store.misses == 0` for that request — it really was served from the
 //!   store, not recomputed;
 //! * `version` answers inline with the crate version and protocol revision.
+#![cfg(target_os = "linux")]
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -150,6 +151,8 @@ fn version_reports_crate_and_protocol() {
         v.get("protocol_revision").and_then(|j| j.as_u64()),
         Some(PROTOCOL_REVISION)
     );
+    // Revision 7 dropped the `front` field: the reactor is the only front.
+    assert_eq!(v.get("front"), None, "{v}");
     server.shutdown();
 }
 
@@ -163,6 +166,6 @@ fn server_without_store_reports_null_store() {
     .expect("bind");
     let mut client = connect(server.addr());
     let metrics = client.metrics().expect("metrics");
-    assert_eq!(metrics.get("store"), Some(&sibia_serve::json::Json::Null));
+    assert_eq!(metrics.get("store"), Some(&sibia_serve::Json::Null));
     server.shutdown();
 }

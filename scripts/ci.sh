@@ -58,7 +58,11 @@ rm -rf "$store_dir"
 cargo test -q -p sibia-serve --test warm_restart
 
 echo "==> serve smoke test"
-# Daemon on an ephemeral port, short bench_serve burst, graceful SIGTERM.
+# Daemon on an ephemeral port, a short bench_serve burst, then 1000
+# pipelined connections through the one reactor thread, graceful SIGTERM.
+# Zero protocol errors required; the p99 bound is deliberately generous
+# (this is a correctness smoke on shared CI hardware, not a performance
+# assertion — BENCH_serve.json holds those).
 serve_log="$(mktemp)"
 ./target/release/sibia-cli serve --port 0 >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -71,8 +75,8 @@ for _ in $(seq 1 50); do
 done
 [ -n "$serve_addr" ] || { echo "serve daemon never came up"; cat "$serve_log"; exit 1; }
 serve_bench="$(mktemp)"
-./target/release/bench_serve --addr "$serve_addr" --connections 8 --requests 5 \
-  --sample-cap 512 --out "$serve_bench"
+./target/release/bench_serve --addr "$serve_addr" --connections 8,1000 --requests 5 \
+  --sample-cap 256 --p99-bound-ms 30000 --out "$serve_bench"
 grep -q '"protocol_errors":0' "$serve_bench"
 rm -f "$serve_bench"
 kill -TERM "$serve_pid"
@@ -80,35 +84,6 @@ wait "$serve_pid"
 trap - EXIT
 grep -q "shutdown complete" "$serve_log" || { echo "daemon did not drain cleanly"; cat "$serve_log"; exit 1; }
 rm -f "$serve_log"
-
-echo "==> reactor smoke test"
-# The epoll front end under real concurrency: 1000 pipelined connections
-# through one reactor thread. Zero protocol errors required; the p99 bound
-# is deliberately generous (this is a correctness smoke on shared CI
-# hardware, not a performance assertion — BENCH_serve.json holds those).
-reactor_log="$(mktemp)"
-./target/release/sibia-cli serve --port 0 --reactor >"$reactor_log" 2>&1 &
-reactor_pid=$!
-trap 'kill "$reactor_pid" 2>/dev/null || true' EXIT
-reactor_addr=""
-for _ in $(seq 1 50); do
-  reactor_addr="$(sed -n 's/^sibia-serve listening on //p' "$reactor_log")"
-  [ -n "$reactor_addr" ] && break
-  sleep 0.1
-done
-[ -n "$reactor_addr" ] || { echo "reactor daemon never came up"; cat "$reactor_log"; exit 1; }
-reactor_bench="$(mktemp)"
-./target/release/bench_serve --addr "$reactor_addr" --connections 1000 --requests 5 \
-  --sample-cap 256 --p99-bound-ms 30000 --out "$reactor_bench"
-grep -q '"protocol_errors":0' "$reactor_bench"
-grep -q '"front":"reactor"' "$reactor_bench" \
-  || { echo "reactor smoke did not hit a reactor front"; exit 1; }
-rm -f "$reactor_bench"
-kill -TERM "$reactor_pid"
-wait "$reactor_pid"
-trap - EXIT
-grep -q "shutdown complete" "$reactor_log" || { echo "reactor did not drain cleanly"; cat "$reactor_log"; exit 1; }
-rm -f "$reactor_log"
 
 echo "==> streaming sweep smoke test"
 # Revision-6 progress streaming end to end: one daemon, one sweep with
@@ -209,8 +184,10 @@ for i in 1 2 3 4; do
   [ -n "$addr" ] || { echo "chaos backend $i never came up"; cat "$chaos_dir"/*.log; exit 1; }
   chaos_addrs+=("$addr")
 done
+# 96 full-sample cells keep the sweep running well past the 150 ms kill
+# (about 0.7 s on a 2-core host), so the join lands mid-sweep.
 chaos_grid=(--archs sibia,bitfusion --networks dgcnn
-            --seeds 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16 --sample-cap 4096)
+            --seeds "$(seq -s, 1 48)" --sample-cap 32768)
 ./target/release/sibia-cli fleet sweep --local "${chaos_grid[@]}" >"$chaos_dir/direct.json"
 ./target/release/sibia-cli fleet sweep \
   --endpoints "${chaos_addrs[0]},${chaos_addrs[1]},${chaos_addrs[2]}" \
@@ -234,8 +211,8 @@ trap - EXIT
 rm -rf "$chaos_dir"
 
 echo "==> telemetry smoke test"
-# The fleet-wide telemetry plane end to end: two traced backends (one per
-# front), a traced sharded sweep, and one merged Chrome trace in which the
+# The fleet-wide telemetry plane end to end: two traced backends, a traced
+# sharded sweep, and one merged Chrome trace in which the
 # coordinator's fleet.dispatch spans are cross-process ancestors of the
 # backends' serve.request and sim.* spans — three pid lanes minimum, valid
 # nesting. Telemetry must never change the sweep's result bytes, and the
@@ -243,7 +220,7 @@ echo "==> telemetry smoke test"
 tel_dir="$(mktemp -d)"
 ./target/release/sibia-cli serve --port 0 --trace >"$tel_dir/a.log" 2>&1 &
 tel_pid_a=$!
-./target/release/sibia-cli serve --port 0 --trace --reactor >"$tel_dir/b.log" 2>&1 &
+./target/release/sibia-cli serve --port 0 --trace >"$tel_dir/b.log" 2>&1 &
 tel_pid_b=$!
 trap 'kill "$tel_pid_a" "$tel_pid_b" 2>/dev/null || true' EXIT
 tel_addr_a=""; tel_addr_b=""
@@ -268,12 +245,12 @@ cmp "$tel_dir/direct.json" "$tel_dir/fleet.json" \
 # scrape's own connection bumps the accepted count, so later is strictly
 # greater there.)
 tel_c1="$(./target/release/sibia-cli metrics-export --endpoint "$tel_addr_a" \
-  | awk '$1=="sibia_serve_connections_accepted"{print $2}')"
+  | awk '$1=="sibia_net_connections_accepted"{print $2}')"
 tel_s1="$(./target/release/sibia-cli metrics-export --endpoint "$tel_addr_a" \
   | awk '$1=="sibia_sim_engine_cells"{print $2}')"
 sleep 0.7
 tel_c2="$(./target/release/sibia-cli metrics-export --endpoint "$tel_addr_a" \
-  | awk '$1=="sibia_serve_connections_accepted"{print $2}')"
+  | awk '$1=="sibia_net_connections_accepted"{print $2}')"
 tel_s2="$(./target/release/sibia-cli metrics-export --endpoint "$tel_addr_a" \
   | awk '$1=="sibia_sim_engine_cells"{print $2}')"
 awk -v a="$tel_c1" -v b="$tel_c2" 'BEGIN{exit !(a+0 > 0 && b+0 > a+0)}' \
