@@ -13,7 +13,6 @@
 
 use std::time::Instant;
 
-use sibia::nn::zoo::GlueTask;
 use sibia::prelude::*;
 use sibia::sbr::kernels::{self, KernelTier};
 
@@ -99,97 +98,13 @@ fn main() {
     let speedup = serial_ms / grid_ms;
     println!("  speedup: {speedup:.2}x");
 
-    // Tile leg: the Albert GLUE variants share every transformer weight
-    // matrix shape, but their per-task sparsity enters the decomposition
-    // key — so across variants the decomp cache misses while the
-    // content-keyed tile cache hits on the identical weight tiles. One
-    // cold tiled sweep measures that sharing; the warm sweeps pin that
-    // the tile grain costs nothing once the caches are hot.
-    let glue = vec![
-        zoo::albert(GlueTask::Sst2),
-        zoo::albert(GlueTask::Qqp),
-        zoo::albert(GlueTask::Mnli),
-    ];
-    let glue_archs = [ArchSpec::sibia_hybrid()];
-    let mut tiled_sim = sim;
-    tiled_sim.tile = Some(16);
-
-    let layer_cache = DecompCache::new();
-    let layer_grid =
-        ParallelEngine::new().simulate_grid_cached(&sim, &glue_archs, &glue, &[1], &layer_cache);
-    let mut warm_layer_ms = f64::INFINITY;
-    for _ in 0..RUNS {
-        let t = Instant::now();
-        let _ = ParallelEngine::new().simulate_grid_cached(
-            &sim,
-            &glue_archs,
-            &glue,
-            &[1],
-            &layer_cache,
-        );
-        warm_layer_ms = warm_layer_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-
-    let tile_cache = DecompCache::new();
-    let tiled_grid = ParallelEngine::new().simulate_grid_cached(
-        &tiled_sim,
-        &glue_archs,
-        &glue,
-        &[1],
-        &tile_cache,
-    );
-    let (tile_hits, tile_misses) = (tile_cache.tile_hits(), tile_cache.tile_misses());
-    let tile_hit_rate = tile_cache.tile_hit_rate();
-    let mut warm_tile_ms = f64::INFINITY;
-    for _ in 0..RUNS {
-        let t = Instant::now();
-        let _ = ParallelEngine::new().simulate_grid_cached(
-            &tiled_sim,
-            &glue_archs,
-            &glue,
-            &[1],
-            &tile_cache,
-        );
-        warm_tile_ms = warm_tile_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    for ni in 0..glue.len() {
-        assert_eq!(
-            tiled_grid.get(0, ni, 0),
-            layer_grid.get(0, ni, 0),
-            "tile grain must not change GLUE cell {ni}"
-        );
-    }
-    assert!(
-        tile_hits > 0,
-        "GLUE variants must share content-identical tiles (hits {tile_hits})"
-    );
-    // Warm sweeps are full decomp-cache hits on both paths; allow a small
-    // timing-noise margin on the "no slower" gate.
-    assert!(
-        warm_tile_ms <= warm_layer_ms * 1.25 + 5.0,
-        "warm tiled sweep ({warm_tile_ms:.1} ms) must not be slower than \
-         warm layer-grain ({warm_layer_ms:.1} ms)"
-    );
-    println!(
-        "  tile leg: {tile_hits} shared-tile hits ({:.1}% of {} streams), \
-         warm layer {warm_layer_ms:.1} ms vs warm tile {warm_tile_ms:.1} ms",
-        tile_hit_rate * 100.0,
-        tile_hits + tile_misses
-    );
-
     let json = format!(
         "{{\n  \"benchmark\": \"fig10_dense_sweep\",\n  \"cells\": {cells},\n  \
          \"threads\": {threads},\n  \"serial_kernel_tier\": \"scalar\",\n  \
          \"kernel_tier\": \"{tier}\",\n  \"serial_ms\": {serial_ms:.1},\n  \
          \"grid_ms\": {grid_ms:.1},\n  \"speedup\": {speedup:.2},\n  \
          \"decomp_cache_hits\": {hits},\n  \"decomp_cache_misses\": {misses},\n  \
-         \"decomp_cache_hit_rate\": {hit_rate:.3},\n  \
-         \"tile_leg\": {{\n    \"benchmark\": \"albert_glue_tile_cache\",\n    \
-         \"tile_subwords\": 16,\n    \"tile_cache_hits\": {tile_hits},\n    \
-         \"tile_cache_misses\": {tile_misses},\n    \
-         \"tile_cache_hit_rate\": {tile_hit_rate:.3},\n    \
-         \"warm_layer_ms\": {warm_layer_ms:.1},\n    \
-         \"warm_tile_ms\": {warm_tile_ms:.1}\n  }}\n}}\n"
+         \"decomp_cache_hit_rate\": {hit_rate:.3}\n}}\n"
     );
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("  wrote BENCH_sim.json");

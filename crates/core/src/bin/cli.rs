@@ -90,32 +90,6 @@ fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Stri
         .map_err(|_| format!("{flag}: invalid value '{raw}'"))
 }
 
-/// Environment override for the tile granularity; the `--tile` flag wins
-/// when both are given.
-const TILE_ENV: &str = "SIBIA_TILE_SIZE";
-
-/// Resolves the tile granularity (sub-words per simulation tile) from
-/// `--tile N` or, failing that, the `SIBIA_TILE_SIZE` environment
-/// variable. Zero or garbage from either source is a typed error, never a
-/// silent fallback; `None` means layer-at-a-time.
-fn resolve_tile(args: &[String]) -> Result<Option<usize>, String> {
-    if let Some(n) = parse_flag::<usize>(args, "--tile")? {
-        if n == 0 {
-            return Err("--tile must be at least 1 sub-word".to_owned());
-        }
-        return Ok(Some(n));
-    }
-    match std::env::var(TILE_ENV) {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "{TILE_ENV}: invalid value '{raw}' (need an integer >= 1)"
-            )),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
 /// Rejects any `--flag` token the command does not define. Unknown flags
 /// used to be ignored outright, so a typo like `--sede 7` exited 0.
 fn check_flags(args: &[String], allowed: &[&str]) -> Result<(), String> {
@@ -203,11 +177,7 @@ fn usage() -> ExitCode {
          \x20 encode <value> [--bits N]          show slice decompositions of a value\n\
          \x20 sparsity <network>                 slice-sparsity report (seeded synthesis)\n\
          \x20 simulate <network> [--arch A] [--seed S] [--store-dir DIR] [--trace-out PATH]\n\
-         \x20          [--tile N]\n\
          \x20                                    run the cycle/energy simulator\n\
-         \x20                                    (--tile: sub-words per simulation tile,\n\
-         \x20                                    byte-identical results at any size; the\n\
-         \x20                                    SIBIA_TILE_SIZE env var is the fallback)\n\
          \x20 compare <network> [--seed S] [--trace-out PATH]\n\
          \x20                                    all architectures side by side\n\
          \x20 serve [--host H] [--port P] [--threads N] [--queue Q] [--cache-entries C]\n\
@@ -221,7 +191,7 @@ fn usage() -> ExitCode {
          \x20       [--archs A[,A...]] [--seeds S[,S...]] [--sample-cap N] [--timeout-ms T]\n\
          \x20       [--retries R] [--connections C] [--trace-out PATH]\n\
          \x20       [--join MS:H:P]... [--leave MS:H:P]... [--no-steal] [--no-hedge]\n\
-         \x20       [--hedge-ms N] [--status-out PATH] [--tile N]\n\
+         \x20       [--hedge-ms N] [--status-out PATH]\n\
          \x20                                    shard a sweep across serve daemons\n\
          \x20                                    (--endpoints + --trace-out: pull backend\n\
          \x20                                    spans and write one merged fleet trace;\n\
@@ -230,7 +200,7 @@ fn usage() -> ExitCode {
          \x20                                    publishes a live roster snapshot for\n\
          \x20                                    `top --fleet-status`)\n\
          \x20 sweep --endpoint H:P --networks N[,N...] [--archs A[,A...]] [--seeds S[,S...]]\n\
-         \x20       [--sample-cap N] [--tile N] [--stream]\n\
+         \x20       [--sample-cap N] [--stream]\n\
          \x20                                    one sweep against one daemon\n\
          \x20                                    (--stream: per-cell progress frames on\n\
          \x20                                    stderr; the final document on stdout is\n\
@@ -349,7 +319,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
             "--no-hedge",
             "--hedge-ms",
             "--status-out",
-            "--tile",
         ],
     ) {
         return fail("fleet", &e);
@@ -390,10 +359,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail("fleet", &e),
     };
-    let tile = match resolve_tile(args) {
-        Ok(t) => t,
-        Err(e) => return fail("fleet", &e),
-    };
     let trace_path = trace_out(args);
 
     if local {
@@ -405,7 +370,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
         if let Some(cap) = sample_cap {
             sim.sample_cap = cap.max(1);
         }
-        sim.tile = tile;
         let grid = ParallelEngine::new().simulate_grid(&sim, &specs, &nets, &seeds);
         println!("{}", grid_to_json(&grid));
         return match trace_path {
@@ -448,7 +412,6 @@ fn fleet_command(args: &[String]) -> ExitCode {
         Err(e) => return fail("fleet", &e),
     }
     config.status_path = flag_value(args, "--status-out").map(std::path::PathBuf::from);
-    config.tile = tile;
     // `--join MS:H:P` / `--leave MS:H:P`: membership events fired that many
     // milliseconds into the sweep (both repeatable).
     for (flag, build) in [
@@ -509,7 +472,7 @@ fn fleet_command(args: &[String]) -> ExitCode {
 }
 
 /// `sweep --endpoint H:P --networks N[,...] [--archs A[,...]] [--seeds S[,...]]
-///        [--sample-cap N] [--tile N] [--stream]`
+///        [--sample-cap N] [--stream]`
 ///
 /// One sweep against one running daemon over the NDJSON protocol — the
 /// thin-client counterpart of `fleet sweep` (no sharding, no failover).
@@ -528,7 +491,6 @@ fn sweep_command(args: &[String]) -> ExitCode {
             "--archs",
             "--seeds",
             "--sample-cap",
-            "--tile",
             "--stream",
         ],
     ) {
@@ -568,10 +530,6 @@ fn sweep_command(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail("sweep", &e),
     };
-    let tile = match resolve_tile(args) {
-        Ok(t) => t,
-        Err(e) => return fail("sweep", &e),
-    };
     let stream = args.iter().any(|a| a == "--stream");
 
     let mut client = match Client::connect(endpoint.as_str()) {
@@ -588,7 +546,7 @@ fn sweep_command(args: &[String]) -> ExitCode {
     };
     let progress: Option<sibia::serve::ProgressFn<'_>> =
         if stream { Some(&mut on_progress) } else { None };
-    match client.sweep_with(&arch_refs, &net_refs, &seeds, sample_cap, tile, progress) {
+    match client.sweep_with(&arch_refs, &net_refs, &seeds, sample_cap, progress) {
         Ok(doc) => {
             println!("{doc}");
             ExitCode::SUCCESS
@@ -1150,10 +1108,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "simulate" => {
-            if let Err(e) = check_flags(
-                &args,
-                &["--arch", "--seed", "--store-dir", "--trace-out", "--tile"],
-            ) {
+            if let Err(e) = check_flags(&args, &["--arch", "--seed", "--store-dir", "--trace-out"])
+            {
                 return fail("simulate", &e);
             }
             let Some(net) = args.get(1).and_then(|n| find_network(n)) else {
@@ -1180,12 +1136,8 @@ fn main() -> ExitCode {
                 },
                 None => None,
             };
-            let tile = match resolve_tile(&args) {
-                Ok(t) => t,
-                Err(e) => return fail("simulate", &e),
-            };
             let trace_path = trace_out(&args);
-            let acc = Accelerator::from_spec(arch).with_seed(seed).with_tile(tile);
+            let acc = Accelerator::from_spec(arch).with_seed(seed);
             let r = match &store {
                 Some(store) => acc.run_network_stored(&net, store),
                 None => acc.run_network(&net),

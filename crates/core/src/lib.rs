@@ -148,15 +148,6 @@ impl Accelerator {
         self
     }
 
-    /// Overrides the tile granularity (sub-words per simulation tile);
-    /// `None` keeps the layer-at-a-time default. Results are
-    /// byte-identical either way — the knob only changes scheduling grain
-    /// and tile-cache reuse (DESIGN.md §14).
-    pub fn with_tile(mut self, tile: Option<usize>) -> Self {
-        self.simulator.tile = tile;
-        self
-    }
-
     /// The architecture specification.
     pub fn spec(&self) -> &ArchSpec {
         &self.spec

@@ -59,6 +59,16 @@ fn unknown_flag_is_an_error() {
         &["serve", "--prot", "0"][..],
         &["serve", "--reactor"][..],
         &["store", "stats", "--dir", "x"][..],
+        &["simulate", "dgcnn", "--tile", "7"][..],
+        &[
+            "fleet",
+            "sweep",
+            "--local",
+            "--networks",
+            "dgcnn",
+            "--tile",
+            "7",
+        ][..],
     ] {
         let out = cli(args);
         assert!(
@@ -286,112 +296,6 @@ fn fleet_local_sweep_prints_the_canonical_grid() {
     assert_eq!(cells.len(), 4, "2 archs x 1 network x 2 seeds");
     // Canonical text: parse ∘ serialize is the identity.
     assert_eq!(format!("{doc}\n"), stdout(&out));
-}
-
-/// `cli()` with an environment override, for the `SIBIA_TILE_SIZE` tests.
-fn cli_env(args: &[&str], key: &str, value: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sibia-cli"))
-        .args(args)
-        .env(key, value)
-        .output()
-        .expect("spawn sibia-cli")
-}
-
-#[test]
-fn tile_flag_rejects_zero_and_garbage_on_every_verb() {
-    for args in [
-        &["simulate", "dgcnn", "--tile", "0"][..],
-        &["simulate", "dgcnn", "--tile", "lots"][..],
-        &[
-            "fleet",
-            "sweep",
-            "--local",
-            "--networks",
-            "dgcnn",
-            "--tile",
-            "0",
-        ][..],
-        &[
-            "sweep",
-            "--endpoint",
-            "127.0.0.1:1",
-            "--networks",
-            "dgcnn",
-            "--tile",
-            "0",
-        ][..],
-    ] {
-        let out = cli(args);
-        assert!(!out.status.success(), "{args:?} must exit nonzero");
-        let err = stderr(&out);
-        assert!(
-            err.contains("--tile") || err.contains("invalid value"),
-            "{args:?}: {err}"
-        );
-    }
-}
-
-#[test]
-fn tile_env_var_is_validated_and_loses_to_the_flag() {
-    // Garbage in SIBIA_TILE_SIZE is a typed error, not a silent fallback.
-    for bad in ["0", "many"] {
-        let out = cli_env(&["simulate", "dgcnn"], "SIBIA_TILE_SIZE", bad);
-        assert!(!out.status.success(), "env '{bad}' must exit nonzero");
-        assert!(stderr(&out).contains("SIBIA_TILE_SIZE"), "{}", stderr(&out));
-    }
-    // An explicit --tile wins: the garbage env var is never consulted.
-    let out = cli_env(
-        &["simulate", "dgcnn", "--tile", "7"],
-        "SIBIA_TILE_SIZE",
-        "many",
-    );
-    assert!(out.status.success(), "{}", stderr(&out));
-}
-
-#[test]
-fn tile_runs_are_byte_identical_to_layer_grain_runs() {
-    let base = cli(&["simulate", "dgcnn", "--seed", "3"]);
-    assert!(base.status.success(), "{}", stderr(&base));
-    let tiled = cli(&["simulate", "dgcnn", "--seed", "3", "--tile", "7"]);
-    assert!(tiled.status.success(), "{}", stderr(&tiled));
-    assert_eq!(
-        stdout(&tiled),
-        stdout(&base),
-        "--tile must not change results"
-    );
-    // The environment override takes the same path as the flag.
-    let via_env = cli_env(
-        &["simulate", "dgcnn", "--seed", "3"],
-        "SIBIA_TILE_SIZE",
-        "7",
-    );
-    assert!(via_env.status.success(), "{}", stderr(&via_env));
-    assert_eq!(stdout(&via_env), stdout(&base));
-
-    let grid = |extra: &[&str]| {
-        let mut args = vec![
-            "fleet",
-            "sweep",
-            "--local",
-            "--networks",
-            "dgcnn",
-            "--archs",
-            "sibia,bitfusion",
-            "--seeds",
-            "1,2",
-            "--sample-cap",
-            "256",
-        ];
-        args.extend_from_slice(extra);
-        let out = cli(&args);
-        assert!(out.status.success(), "{}", stderr(&out));
-        stdout(&out)
-    };
-    assert_eq!(
-        grid(&["--tile", "7"]),
-        grid(&[]),
-        "tiled local sweep must match the layer-grain grid byte for byte"
-    );
 }
 
 #[test]

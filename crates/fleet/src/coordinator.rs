@@ -161,12 +161,6 @@ pub struct FleetConfig {
     /// live JSON snapshot of the roster every ~200 ms during a sweep
     /// (`sibia top --fleet-status` reads it).
     pub status_path: Option<PathBuf>,
-    /// Simulation tile granularity (sub-words per tile), forwarded as the
-    /// revision-6 `tile` field on every dispatched `simulate` request.
-    /// `None` keeps backends on their layer-at-a-time default. Results are
-    /// byte-identical either way — this only changes backend scheduling
-    /// grain and tile-cache reuse.
-    pub tile: Option<usize>,
 }
 
 impl FleetConfig {
@@ -186,7 +180,6 @@ impl FleetConfig {
             hedge: HedgeConfig::default(),
             membership_plan: Vec::new(),
             status_path: None,
-            tile: None,
         }
     }
 }
@@ -1037,9 +1030,6 @@ impl Fleet {
         ];
         if let Some(cap) = state.sample_cap {
             fields.push(("sample_cap", Json::from(cap)));
-        }
-        if let Some(tile) = self.config.tile {
-            fields.push(("tile", Json::from(tile)));
         }
         // Trace context rides the request *envelope*, never the result, so
         // the merged document stays byte-identical whether or not anyone is

@@ -107,7 +107,7 @@ fn merged_sweep_is_byte_identical_for_1_2_and_4_backends() {
 }
 
 #[test]
-fn tiled_sweep_is_byte_identical_and_status_reports_progress() {
+fn sweep_is_byte_identical_and_status_reports_progress() {
     let server = start_server();
     let status_path = {
         let mut p = std::env::temp_dir();
@@ -121,13 +121,12 @@ fn tiled_sweep_is_byte_identical_and_status_reports_progress() {
     let expected = direct_grid_bytes(&SEEDS);
 
     let mut config = fleet_config(vec![server.addr().to_string()]);
-    config.tile = Some(7);
     config.status_path = Some(status_path.clone());
     let fleet = Fleet::new(config).unwrap();
     assert_eq!(
         fleet_sweep_bytes(&fleet, &SEEDS),
         expected,
-        "a tile-forwarding sweep must keep the merged bytes identical"
+        "a status-publishing sweep must keep the merged bytes identical"
     );
 
     // The final status snapshot carries the sweep's progress object:

@@ -373,12 +373,10 @@ impl Client {
         seeds: &[u64],
         sample_cap: Option<usize>,
     ) -> Result<Json, ClientError> {
-        self.sweep_with(archs, networks, seeds, sample_cap, None, None)
+        self.sweep_with(archs, networks, seeds, sample_cap, None)
     }
 
-    /// [`Client::sweep`] with the revision-6 knobs: an optional `tile`
-    /// granularity hint (sub-words per simulation tile) and an optional
-    /// progress callback.
+    /// [`Client::sweep`] with an optional progress callback (revision 6).
     ///
     /// Passing a callback opts the request into `"stream": true`: the
     /// server interleaves progress frames (lines **without** an `"ok"`
@@ -394,7 +392,6 @@ impl Client {
         networks: &[&str],
         seeds: &[u64],
         sample_cap: Option<usize>,
-        tile: Option<usize>,
         mut on_progress: Option<ProgressFn<'_>>,
     ) -> Result<Json, ClientError> {
         let mut fields = vec![
@@ -414,9 +411,6 @@ impl Client {
         ];
         if let Some(cap) = sample_cap {
             fields.push(("sample_cap", Json::from(cap)));
-        }
-        if let Some(t) = tile {
-            fields.push(("tile", Json::from(t)));
         }
         if on_progress.is_some() {
             fields.push(("stream", Json::Bool(true)));

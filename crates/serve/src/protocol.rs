@@ -43,10 +43,7 @@
 //!   `gsbr_width: int (2..=8)`; returns SBR / conventional / GSBR
 //!   slice-sparsity statistics of the payload.
 //! * `simulate` — `arch: string`, `network: string`, `seed: int`, optional
-//!   `sample_cap: int`, optional `tile: int ≥ 1` (revision 6: simulate at
-//!   tile granularity — the result is byte-identical either way, so `tile`
-//!   is a scheduling hint, not a result parameter); returns one canonical
-//!   [`NetworkResult`].
+//!   `sample_cap: int`; returns one canonical [`NetworkResult`].
 //! * `lookup` — same params as `simulate` (revision 5); a **store-only**
 //!   probe that never computes: returns `{ "found": true, "result": … }`
 //!   when this daemon's `sibia-store` already holds the cell (the `result`
@@ -55,10 +52,10 @@
 //!   inline, never queued, and never consults *its own* peers, so peer
 //!   warm-start chains cannot recurse.
 //! * `sweep` — `archs: [string]`, `networks: [string]`, `seeds: [int]`,
-//!   optional `sample_cap: int`, optional `tile: int ≥ 1`, optional
-//!   `stream: bool` (both revision 6); returns the full grid in row-major
-//!   (arch, network, seed) order, exactly as [`sibia_sim::ParallelEngine`]
-//!   produces it. With `"stream": true` the server interleaves **progress
+//!   optional `sample_cap: int`, optional `stream: bool` (revision 6);
+//!   returns the full grid in row-major (arch, network, seed) order,
+//!   exactly as [`sibia_sim::ParallelEngine`] produces it. With
+//!   `"stream": true` the server interleaves **progress
 //!   frames** before the final response: each is one line of the form
 //!   `{ ["id": any], "progress": { "done": int, "total": int,
 //!   "cell": "arch/network/seed" } }` — distinguished from the final
@@ -117,8 +114,10 @@ pub use sibia_sim::jsonio::{grid_to_json, network_result_to_json};
 /// mode, under which progress frames — lines without an `"ok"` key —
 /// interleave before the byte-identical final response; revision 7 removed
 /// the `front` field from `version`, since the reactor is the only front
-/// end and responses may always return out of request order).
-pub const PROTOCOL_REVISION: u64 = 7;
+/// end and responses may always return out of request order; revision 8
+/// removed the `tile` hint from `simulate` / `sweep` — it never changed a
+/// result, and a request that still sends it parses as if it had not).
+pub const PROTOCOL_REVISION: u64 = 8;
 
 /// Typed protocol error codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,9 +199,6 @@ pub enum Request {
         /// Per-tensor statistics sample cap (default 32768, the library
         /// default).
         sample_cap: Option<usize>,
-        /// Tile granularity in sub-words (revision 6). A scheduling hint:
-        /// the result is byte-identical at any value.
-        tile: Option<usize>,
     },
     /// A store-only probe for one cell (revision 5): answers from this
     /// daemon's persistent store or reports `found: false`, never
@@ -228,9 +224,6 @@ pub enum Request {
         seeds: Vec<u64>,
         /// Per-tensor statistics sample cap.
         sample_cap: Option<usize>,
-        /// Tile granularity in sub-words (revision 6). A scheduling hint:
-        /// the grid is byte-identical at any value.
-        tile: Option<usize>,
         /// Interleave per-cell progress frames before the final response
         /// (revision 6).
         stream: bool,
@@ -320,18 +313,6 @@ fn field_u64(v: &Json, key: &str) -> Result<Option<u64>, ServeError> {
                 format!("'{key}' must be a non-negative integer"),
             )
         }),
-    }
-}
-
-/// Parses the optional `tile` scheduling hint: a positive sub-word count.
-fn field_tile(v: &Json) -> Result<Option<usize>, ServeError> {
-    match field_u64(v, "tile")? {
-        None => Ok(None),
-        Some(0) => Err(ServeError::new(
-            ErrorCode::BadRequest,
-            "'tile' must be at least 1 sub-word",
-        )),
-        Some(n) => Ok(Some(n as usize)),
     }
 }
 
@@ -443,7 +424,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
                 .to_owned(),
             seed: field_u64(&v, "seed")?.unwrap_or(1),
             sample_cap: field_u64(&v, "sample_cap")?.map(|c| c as usize),
-            tile: field_tile(&v)?,
         },
         "lookup" => Request::Lookup {
             arch: v
@@ -494,7 +474,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
                 networks,
                 seeds,
                 sample_cap: field_u64(&v, "sample_cap")?.map(|c| c as usize),
-                tile: field_tile(&v)?,
                 stream,
             }
         }
@@ -727,34 +706,42 @@ mod tests {
         .unwrap();
         assert_eq!(e.timeout_ms, Some(500));
         assert_eq!(e.request.kind(), "sweep");
-        // Revision 6 fields default off / absent.
+        // The revision-6 stream flag defaults off.
         match e.request {
-            Request::Sweep { tile, stream, .. } => {
-                assert_eq!(tile, None);
-                assert!(!stream);
-            }
+            Request::Sweep { stream, .. } => assert!(!stream),
             other => panic!("expected sweep, got {other:?}"),
         }
 
         let e = parse_request(
             "{\"kind\":\"sweep\",\"archs\":[\"sibia\"],\"networks\":[\"dgcnn\"],\
-             \"seeds\":[1],\"tile\":7,\"stream\":true}",
+             \"seeds\":[1],\"stream\":true}",
         )
         .unwrap();
         match e.request {
-            Request::Sweep { tile, stream, .. } => {
-                assert_eq!(tile, Some(7));
-                assert!(stream);
-            }
+            Request::Sweep { stream, .. } => assert!(stream),
             other => panic!("expected sweep, got {other:?}"),
         }
-        let e = parse_request(
-            "{\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"tile\":16}",
-        )
-        .unwrap();
-        match e.request {
-            Request::Simulate { tile, .. } => assert_eq!(tile, Some(16)),
-            other => panic!("expected simulate, got {other:?}"),
+
+        // Revision 8 removed `tile`: a pre-revision-8 client's hint is
+        // ignored like any unknown field, so the line parses equal to the
+        // same line without it.
+        for (hinted, plain) in [
+            (
+                "{\"kind\":\"sweep\",\"archs\":[\"sibia\"],\"networks\":[\"dgcnn\"],\
+                 \"seeds\":[1],\"tile\":7,\"stream\":true}",
+                "{\"kind\":\"sweep\",\"archs\":[\"sibia\"],\"networks\":[\"dgcnn\"],\
+                 \"seeds\":[1],\"stream\":true}",
+            ),
+            (
+                "{\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"tile\":16}",
+                "{\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\"}",
+            ),
+        ] {
+            assert_eq!(
+                parse_request(hinted).unwrap(),
+                parse_request(plain).unwrap(),
+                "{hinted}"
+            );
         }
 
         let e = parse_request("{\"kind\":\"trace\",\"limit\":5}").unwrap();
@@ -822,8 +809,6 @@ mod tests {
             "{\"kind\":\"simulate\",\"network\":\"dgcnn\"}",
             "{\"kind\":\"sweep\",\"archs\":[],\"networks\":[\"dgcnn\"]}",
             "{\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"seed\":-1}",
-            "{\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\"tile\":0}",
-            "{\"kind\":\"sweep\",\"archs\":[\"sibia\"],\"networks\":[\"dgcnn\"],\"tile\":0}",
             "{\"kind\":\"sweep\",\"archs\":[\"sibia\"],\"networks\":[\"dgcnn\"],\"stream\":3}",
         ] {
             let err = parse_request(bad).unwrap_err();

@@ -441,7 +441,6 @@ pub(crate) fn execute(
             network,
             seed,
             sample_cap,
-            tile,
         } => {
             let spec = arch_by_name(arch).ok_or_else(|| {
                 ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{arch}'"))
@@ -454,7 +453,6 @@ pub(crate) fn execute(
             })?;
             let mut sim = Simulator::new(*seed);
             sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            sim.tile = *tile;
             let result = match &shared.store {
                 Some(store) => {
                     // Open-coded read-through (one store probe, exactly like
@@ -497,7 +495,6 @@ pub(crate) fn execute(
             networks,
             seeds,
             sample_cap,
-            tile,
             stream,
         } => {
             let specs = archs
@@ -518,55 +515,34 @@ pub(crate) fn execute(
                 .collect::<Result<Vec<_>, _>>()?;
             let mut sim = Simulator::new(seeds[0]);
             sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            sim.tile = *tile;
-            let grid = match (progress.filter(|_| *stream), &shared.store) {
-                // Streamed: the observed engine fires per completed cell;
-                // the emitter turns each into one wire frame. The grid
-                // itself — and therefore the final response line — is
-                // byte-identical to the unobserved paths below.
-                (Some(emitter), store) => {
-                    let total = specs.len() * nets.len() * seeds.len();
-                    let done = AtomicUsize::new(0);
-                    let observe = |cell: &GridCell| {
-                        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        let name = format!(
-                            "{}/{}/{}",
-                            archs[cell.arch_index], networks[cell.network_index], cell.seed
-                        );
-                        emitter.emit(n, total, &name);
-                    };
-                    let grid = shared.engine.simulate_grid_observed(
-                        &sim,
-                        &specs,
-                        &nets,
-                        seeds,
-                        &shared.cache,
-                        store.as_ref(),
-                        &observe,
+            // Streamed: the observer turns each completed cell into one
+            // wire frame. The grid itself — and therefore the final
+            // response line — is byte-identical with or without it.
+            let total = specs.len() * nets.len() * seeds.len();
+            let done = AtomicUsize::new(0);
+            let observe = progress.filter(|_| *stream).map(|emitter| {
+                let done = &done;
+                move |cell: &GridCell| {
+                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    let name = format!(
+                        "{}/{}/{}",
+                        archs[cell.arch_index], networks[cell.network_index], cell.seed
                     );
-                    if let Some(store) = store {
-                        let _ = store.maybe_compact();
-                    }
-                    grid
+                    emitter.emit(n, total, &name);
                 }
-                (None, Some(store)) => {
-                    let grid = shared.engine.simulate_grid_stored(
-                        &sim,
-                        &specs,
-                        &nets,
-                        seeds,
-                        &shared.cache,
-                        store,
-                    );
-                    let _ = store.maybe_compact();
-                    grid
-                }
-                (None, None) => {
-                    shared
-                        .engine
-                        .simulate_grid_cached(&sim, &specs, &nets, seeds, &shared.cache)
-                }
-            };
+            });
+            let grid = shared.engine.simulate_grid_observed(
+                &sim,
+                &specs,
+                &nets,
+                seeds,
+                &shared.cache,
+                shared.store.as_ref(),
+                observe.as_ref().map(|f| f as &(dyn Fn(&GridCell) + Sync)),
+            );
+            if let Some(store) = &shared.store {
+                let _ = store.maybe_compact();
+            }
             Ok(grid_to_json(&grid))
         }
         // Ping/Version/Lookup/Metrics/Trace/Spans/Stats are answered inline

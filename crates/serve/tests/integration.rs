@@ -107,14 +107,7 @@ fn streamed_sweep_emits_progress_and_an_identical_final_document() {
         frames.push((done, total, cell.to_owned()));
     };
     let streamed = client
-        .sweep_with(
-            &archs,
-            &nets,
-            &seeds,
-            Some(1024),
-            None,
-            Some(&mut on_progress),
-        )
+        .sweep_with(&archs, &nets, &seeds, Some(1024), Some(&mut on_progress))
         .expect("streamed sweep");
     assert_eq!(
         streamed.to_string(),
@@ -132,12 +125,6 @@ fn streamed_sweep_emits_progress_and_an_identical_final_document() {
         assert!(archs.contains(&parts[0]), "{cell}");
         assert_eq!(parts[1], "dgcnn", "{cell}");
     }
-
-    // The tile knob changes scheduling grain, never bytes.
-    let tiled = client
-        .sweep_with(&archs, &nets, &seeds, Some(1024), Some(7), None)
-        .expect("tiled sweep");
-    assert_eq!(tiled.to_string(), plain.to_string());
     server.shutdown();
 }
 

@@ -42,7 +42,6 @@ use sibia_nn::Layer;
 use sibia_sbr::packed::PackedPlane;
 
 use crate::spec::Repr;
-use crate::tile::{TileConfig, TileFold, TileKey, TilePlan, TileStats};
 
 /// Zero-structure counts of one slice plane, measured once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,52 +124,6 @@ impl OperandStats {
             .iter()
             .map(|p| PlaneStats::measure_plane(p))
             .collect();
-        let zero_value_groups = codes
-            .chunks(4)
-            .filter(|g| g.iter().all(|&v| v == 0))
-            .count();
-        Self {
-            sampled: codes.len(),
-            planes,
-            zero_value_groups,
-            value_groups: codes.len().div_ceil(4),
-        }
-    }
-
-    /// [`Self::measure`] as a streaming fold over `config`-sized tiles,
-    /// with per-tile stats recalled from `cache`'s content-keyed tile level.
-    /// The fold's exactness contract (see [`crate::tile`]) makes the result
-    /// **byte-identical** to the layer-at-a-time measurement; only the
-    /// memoization granularity changes.
-    pub fn measure_tiled(
-        codes: &[i32],
-        precision: sibia_sbr::Precision,
-        repr: Repr,
-        config: TileConfig,
-        cache: &DecompCache,
-    ) -> Self {
-        let planes = match repr {
-            Repr::Sbr => sibia_sbr::sbr::planes(codes, precision),
-            Repr::Conventional => sibia_sbr::conv::planes(codes, precision),
-        };
-        let mut span = sibia_obs::tracer().span("sim.tile.measure");
-        span.attr("tile_subwords", config.subwords());
-        let mut tiles = 0u64;
-        let planes = planes
-            .iter()
-            .map(|p| {
-                let plan = TilePlan::new(p.len(), config);
-                tiles += plan.tile_count() as u64;
-                let mut fold = TileFold::new(DMU_INDEX_BITS);
-                for tile in plan.iter(p) {
-                    fold.push(cache.tile_stats(tile, DMU_INDEX_BITS));
-                }
-                fold.finish()
-            })
-            .collect();
-        span.attr("tiles", tiles);
-        let registry = sibia_obs::registry();
-        registry.counter("sim.tile.tiles").add(tiles);
         let zero_value_groups = codes
             .chunks(4)
             .filter(|g| g.iter().all(|&v| v == 0))
@@ -291,25 +244,15 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
     }
 }
 
-/// Thread-safe memo of synthesis, decomposition, and per-tile measurement
-/// results, optionally bounded per level.
-///
-/// The tile level is **content-keyed** ([`TileKey`]): identical tile bytes
-/// hit the same entry regardless of which layer, network, or position they
-/// came from, so all-zero tiles and repeated activation patterns (the
-/// albert GLUE variants share many) collapse to single entries. Tile hits
-/// and misses are tracked separately from the layer levels — they answer a
-/// different question (sub-layer sharing) at a very different rate.
+/// Thread-safe memo of synthesis and decomposition results, optionally
+/// bounded per level.
 #[derive(Debug)]
 pub struct DecompCache {
     tensors: Mutex<Shard<TensorKey, LayerTensors>>,
     decomps: Mutex<Shard<DecompKey, LayerDecomp>>,
-    tiles: Mutex<Shard<TileKey, TileStats>>,
     capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    tile_hits: AtomicU64,
-    tile_misses: AtomicU64,
 }
 
 impl DecompCache {
@@ -319,12 +262,9 @@ impl DecompCache {
         Self {
             tensors: Mutex::new(Shard::new()),
             decomps: Mutex::new(Shard::new()),
-            tiles: Mutex::new(Shard::new()),
             capacity: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            tile_hits: AtomicU64::new(0),
-            tile_misses: AtomicU64::new(0),
         }
     }
 
@@ -351,65 +291,6 @@ impl DecompCache {
     /// Number of cached layer decompositions.
     pub fn decomp_entries(&self) -> usize {
         self.decomps.lock().expect("cache lock").map.len()
-    }
-
-    /// Number of cached per-tile measurements (distinct tile contents).
-    pub fn tile_entries(&self) -> usize {
-        self.tiles.lock().expect("cache lock").map.len()
-    }
-
-    /// Tile-level lookups answered from the cache.
-    pub fn tile_hits(&self) -> u64 {
-        self.tile_hits.load(Ordering::Relaxed)
-    }
-
-    /// Tile-level lookups that had to measure.
-    pub fn tile_misses(&self) -> u64 {
-        self.tile_misses.load(Ordering::Relaxed)
-    }
-
-    /// Tile-level hit fraction; 0 before the first tile lookup.
-    pub fn tile_hit_rate(&self) -> f64 {
-        let (h, m) = (self.tile_hits(), self.tile_misses());
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Returns the stats of one tile, measuring on a miss. Content-keyed:
-    /// the lookup fingerprints the tile bytes, so identical tiles anywhere
-    /// in the grid share one entry. The lock is not held while measuring.
-    pub fn tile_stats(&self, tile: &[i8], index_bits: u8) -> TileStats {
-        // Registry handles are resolved once per process: the per-tile path
-        // must not pay a registry lookup per call.
-        static HITS: std::sync::OnceLock<Arc<sibia_obs::Counter>> = std::sync::OnceLock::new();
-        static MISSES: std::sync::OnceLock<Arc<sibia_obs::Counter>> = std::sync::OnceLock::new();
-        let key = TileKey::of(tile, index_bits);
-        if let Some(hit) = self.tiles.lock().expect("cache lock").get(&key) {
-            self.tile_hits.fetch_add(1, Ordering::Relaxed);
-            HITS.get_or_init(|| sibia_obs::registry().counter("sim.tile.cache_hits"))
-                .add(1);
-            return *hit;
-        }
-        self.tile_misses.fetch_add(1, Ordering::Relaxed);
-        MISSES
-            .get_or_init(|| sibia_obs::registry().counter("sim.tile.cache_misses"))
-            .add(1);
-        let value = TileStats::measure(tile, index_bits);
-        self.tiles
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::new(value), self.tile_capacity());
-        value
-    }
-
-    /// The tile level's entry cap: tiles are tiny `Copy` summaries, so a
-    /// bounded cache affords them 64× the layer-level cap before memory
-    /// matters.
-    fn tile_capacity(&self) -> Option<usize> {
-        self.capacity.map(|c| c.saturating_mul(64))
     }
 
     /// Lookups answered from the cache (both levels).

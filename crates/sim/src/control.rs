@@ -117,14 +117,6 @@ impl Program {
 pub struct ControlUnit {
     /// Global memory capacity available for double-buffered tiles, bytes.
     pub gmem_bytes: u64,
-    /// Re-arm the DSM on every tile instead of only the first.
-    ///
-    /// Off (the default), the monitor samples the first tile and its
-    /// interrupt commits one skip mode for the layer — the paper's flow.
-    /// On, each tile gets its own `ArmDsm`/`SetSkipMode` pair, modelling a
-    /// monitor that re-decides per tile (the control-side counterpart of
-    /// [`crate::detailed::DetailedSim::dsm_per_tile`]).
-    pub dsm_per_tile: bool,
 }
 
 impl ControlUnit {
@@ -133,7 +125,6 @@ impl ControlUnit {
     pub fn sibia() -> Self {
         Self {
             gmem_bytes: 64 * 1024,
-            dsm_per_tile: false,
         }
     }
 
@@ -155,18 +146,9 @@ impl ControlUnit {
         let ws = Self::working_set_bytes(layer).max(1);
         let tiles = ws.div_ceil(self.gmem_bytes).max(1) as usize;
         let tile_bytes = ws.div_ceil(tiles as u64);
-        let mut instrs = Vec::with_capacity(if self.dsm_per_tile {
-            tiles * 6
-        } else {
-            tiles * 4 + 2
-        });
-        if !self.dsm_per_tile {
-            instrs.push(Instr::ArmDsm { layer: index });
-        }
+        let mut instrs = Vec::with_capacity(tiles * 4 + 2);
+        instrs.push(Instr::ArmDsm { layer: index });
         for t in 0..tiles {
-            if self.dsm_per_tile {
-                instrs.push(Instr::ArmDsm { layer: index });
-            }
             instrs.push(Instr::LoadInput {
                 layer: index,
                 tile: t,
@@ -177,7 +159,7 @@ impl ControlUnit {
                 tile: t,
                 bytes: tile_bytes - tile_bytes / 2,
             });
-            if self.dsm_per_tile || t == 0 {
+            if t == 0 {
                 // The DSM measured this tile while it streamed in; its
                 // interrupt sets the mode before execution starts.
                 instrs.push(Instr::SetSkipMode {
@@ -315,36 +297,6 @@ mod tests {
             .position(|i| matches!(i, Instr::Execute { .. }))
             .unwrap();
         assert!(set < exec);
-    }
-
-    #[test]
-    fn per_tile_rearm_emits_a_dsm_pair_for_every_tile() {
-        let mut cu = ControlUnit::sibia();
-        cu.dsm_per_tile = true;
-        let big = Layer::linear("b", 128, 3072, 3072);
-        let (instrs, cl) = cu.compile_layer(0, &big);
-        assert!(cl.tiles > 1);
-        // Per tile: ArmDsm + 2 loads + SetSkipMode + exec + store.
-        assert_eq!(instrs.len(), cl.tiles * 6);
-        let arms = instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::ArmDsm { .. }))
-            .count();
-        let sets = instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::SetSkipMode { .. }))
-            .count();
-        assert_eq!(arms, cl.tiles);
-        assert_eq!(sets, cl.tiles);
-        // Every SetSkipMode still precedes its tile's Execute.
-        for w in instrs.windows(2) {
-            if let Instr::Execute { .. } = w[1] {
-                assert!(matches!(w[0], Instr::SetSkipMode { .. }));
-            }
-        }
-        // The default flow is untouched.
-        let (default_instrs, dl) = ControlUnit::sibia().compile_layer(0, &big);
-        assert_eq!(default_instrs.len(), 2 + dl.tiles * 4);
     }
 
     #[test]

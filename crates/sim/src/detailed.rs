@@ -81,15 +81,6 @@ pub struct DetailedSim {
     pub column_latching: bool,
     /// Elements sampled per operand tensor.
     pub sample_cap: usize,
-    /// Re-run the DSM decision per tile window instead of once per layer.
-    ///
-    /// Off (the default), the DSM samples the first tile and commits one
-    /// skip side for the whole layer — the paper's §III-B flow, and the
-    /// path every existing result is pinned to. On, the monitor re-decides
-    /// on every [`crate::tile::TileConfig::PAPER_SUBWORDS`]-sub-word window,
-    /// so a layer whose sparsity flips sides mid-stream skips the locally
-    /// better operand in each window.
-    pub dsm_per_tile: bool,
 }
 
 impl DetailedSim {
@@ -100,7 +91,6 @@ impl DetailedSim {
             pipeline: PipelineSim::sibia(),
             column_latching: true,
             sample_cap: 16_384,
-            dsm_per_tile: false,
         }
     }
 
@@ -136,15 +126,10 @@ impl DetailedSim {
         for (oi, ip) in input_planes.iter().enumerate() {
             for (ow, wp) in weight_planes.iter().enumerate() {
                 // The skipped operand's sub-word stream for this pass.
-                let words = if self.dsm_per_tile {
-                    per_tile_stream(&dsm, ip, wp)
-                } else {
-                    let plane: &[i8] = match skip_side {
-                        SkipSide::Weight => wp,
-                        _ => ip,
-                    };
-                    to_subwords(plane)
-                };
+                let words = to_subwords(match skip_side {
+                    SkipSide::Weight => wp,
+                    _ => ip,
+                });
                 let nonzero = words.iter().filter(|w| !w.is_zero()).count();
                 // Deal sub-words round-robin to columns and pipeline each.
                 let mut col_cycles = vec![0u64; self.columns];
@@ -189,43 +174,6 @@ impl DetailedSim {
             },
         }
     }
-}
-
-/// Builds the skipped sub-word stream with a fresh DSM decision per tile
-/// window: tile `t` compares the same window of the input and weight
-/// planes and streams whichever side the monitor picks there. Windows past
-/// a shorter plane's end measure as fully dense (zero fraction 0.0), so
-/// the decision falls to the operand that still has data.
-fn per_tile_stream(
-    dsm: &DsmUnit,
-    input_plane: &[i8],
-    weight_plane: &[i8],
-) -> Vec<sibia_sbr::subword::SubWord> {
-    let tile_digits = crate::tile::TileConfig::default().digits();
-    let tiles = input_plane
-        .len()
-        .max(weight_plane.len())
-        .div_ceil(tile_digits)
-        .max(1);
-    let window = |plane: &[i8], t: usize| -> Vec<i8> {
-        let lo = (t * tile_digits).min(plane.len());
-        let hi = ((t + 1) * tile_digits).min(plane.len());
-        plane[lo..hi].to_vec()
-    };
-    let mut words = Vec::new();
-    for t in 0..tiles {
-        let iw = window(input_plane, t);
-        let ww = window(weight_plane, t);
-        let side = dsm
-            .decide(std::slice::from_ref(&iw), std::slice::from_ref(&ww))
-            .side;
-        let chosen = match side {
-            SkipSide::Weight => &ww,
-            _ => &iw,
-        };
-        words.extend(to_subwords(chosen));
-    }
-    words
 }
 
 impl DetailedSim {
@@ -364,44 +312,6 @@ mod tests {
         let a_sbr = sim.simulate_network(&ArchSpec::sibia_hybrid(), &net);
         let a_conv = sim.simulate_network(&ArchSpec::sibia_no_sbr(), &net);
         assert!(a_sbr.total_cycles() < a_conv.total_cycles());
-    }
-
-    #[test]
-    fn per_tile_dsm_defaults_off_and_the_default_path_is_unchanged() {
-        let sim = DetailedSim::sibia();
-        assert!(!sim.dsm_per_tile);
-        let mut explicit = sim;
-        explicit.dsm_per_tile = false;
-        let mut src1 = SynthSource::new(7);
-        let mut src2 = SynthSource::new(7);
-        let arch = ArchSpec::sibia_hybrid();
-        let l = layer();
-        assert_eq!(
-            sim.run_layer(&arch, &l, &mut src1),
-            explicit.run_layer(&arch, &l, &mut src2)
-        );
-    }
-
-    #[test]
-    fn per_tile_dsm_stays_close_to_the_layer_decision_on_uniform_data() {
-        // Synthetic layers are statistically uniform, so a per-tile monitor
-        // should mostly agree with the layer-level one: same pass count,
-        // cycles within a modest band either way.
-        let mut per_layer = DetailedSim::sibia();
-        let mut per_tile = per_layer;
-        per_tile.dsm_per_tile = true;
-        per_layer.sample_cap = 4096;
-        per_tile.sample_cap = 4096;
-        let mut src1 = SynthSource::new(11);
-        let mut src2 = SynthSource::new(11);
-        let arch = ArchSpec::sibia_hybrid();
-        let l = layer();
-        let t_layer = per_layer.run_layer(&arch, &l, &mut src1);
-        let t_tile = per_tile.run_layer(&arch, &l, &mut src2);
-        assert_eq!(t_layer.passes.len(), t_tile.passes.len());
-        assert!(t_tile.total_cycles() > 0);
-        let ratio = t_tile.total_cycles() as f64 / t_layer.total_cycles() as f64;
-        assert!((0.5..=1.5).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod perf;
 pub mod pipeline;
 pub mod spec;
 pub mod stored;
-pub mod tile;
 pub mod trace;
 
 pub use cache::DecompCache;
@@ -39,6 +38,5 @@ pub use jsonio::{grid_to_json, network_result_from_json, network_result_to_json}
 pub use parallel::{GridCell, GridResult, ParallelEngine};
 pub use perf::{LayerResult, NetworkResult, Simulator};
 pub use stored::{config_fingerprint, network_key, simulate_network_stored, try_stored};
-pub use tile::{TileConfig, TileFold, TileIter, TilePlan, TileStats};
 
 pub use spec::{ArchSpec, Repr, SkipGranularity, SkipPolicy};

@@ -159,38 +159,29 @@ impl ParallelEngine {
         seeds: &[u64],
         cache: &DecompCache,
     ) -> GridResult {
-        self.run_grid(sim, archs, networks, seeds, cache, None, None)
+        self.simulate_grid_observed(sim, archs, networks, seeds, cache, None, None)
     }
 
-    /// [`Self::simulate_grid_cached`] with per-cell read-through against the
-    /// persistent store: a cell whose key is already stored skips simulation
-    /// entirely; a missed cell simulates and writes back. Keys are the same
-    /// `sim.network` keys single simulations use (see
+    /// The fully-general entry point behind [`Self::simulate_grid_cached`]:
+    /// optional store read-through plus an optional per-cell observer.
+    ///
+    /// With a store, a cell whose key is already stored skips simulation
+    /// entirely and a missed cell simulates and writes back. Keys are the
+    /// same `sim.network` keys single simulations use (see
     /// [`crate::stored::network_key`]), so a sweep warms later single
-    /// requests and vice versa. Results are bit-identical to
-    /// [`Self::simulate_grid_cached`] either way.
+    /// requests and vice versa.
+    ///
+    /// The observer is invoked from worker threads the moment each cell's
+    /// result lands in its slot (in completion order, not grid order). It
+    /// feeds streamed progress frames (`sibia-serve` sweep streaming) and
+    /// fleet status.
+    ///
+    /// Neither changes results: the returned grid is byte-identical to
+    /// [`Self::simulate_grid_cached`] with or without them.
     ///
     /// # Panics
     ///
     /// Panics if `archs`, `networks`, or `seeds` is empty.
-    pub fn simulate_grid_stored(
-        &self,
-        sim: &Simulator,
-        archs: &[ArchSpec],
-        networks: &[Network],
-        seeds: &[u64],
-        cache: &DecompCache,
-        store: &sibia_store::Store,
-    ) -> GridResult {
-        self.run_grid(sim, archs, networks, seeds, cache, Some(store), None)
-    }
-
-    /// The fully-general entry point: optional store read-through plus an
-    /// optional per-cell observer, invoked from worker threads the moment
-    /// each cell's result lands in its slot (in completion order, not grid
-    /// order). The observer feeds streamed progress frames (`sibia-serve`
-    /// sweep streaming) and fleet status without perturbing results: the
-    /// returned grid is byte-identical with or without it.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_grid_observed(
         &self,
@@ -200,25 +191,8 @@ impl ParallelEngine {
         seeds: &[u64],
         cache: &DecompCache,
         store: Option<&sibia_store::Store>,
-        on_cell: &(dyn Fn(&GridCell) + Sync),
-    ) -> GridResult {
-        self.run_grid(sim, archs, networks, seeds, cache, store, Some(on_cell))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid(
-        &self,
-        sim: &Simulator,
-        archs: &[ArchSpec],
-        networks: &[Network],
-        seeds: &[u64],
-        cache: &DecompCache,
-        store: Option<&sibia_store::Store>,
         on_cell: Option<&(dyn Fn(&GridCell) + Sync)>,
     ) -> GridResult {
-        if sim.tile.is_some() {
-            return self.run_grid_tiled(sim, archs, networks, seeds, cache, store, on_cell);
-        }
         assert!(!archs.is_empty(), "need at least one architecture");
         assert!(!networks.is_empty(), "need at least one network");
         assert!(!seeds.is_empty(), "need at least one seed");
@@ -359,201 +333,6 @@ impl ParallelEngine {
                 });
             }
         });
-
-        let cells = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every job completed")
-            })
-            .collect();
-        GridResult {
-            cells,
-            network_count: networks.len(),
-            seed_count: seeds.len(),
-        }
-    }
-
-    /// The tile-grain scheduler, used when `sim.tile` is set.
-    ///
-    /// The layer-grain engine claims whole (network, seed) rows, so one fat
-    /// layer serializes its row behind a single worker. Here the stealable
-    /// quantum shrinks to a **tile stream**: every (row, representation,
-    /// layer) decomposition — a streaming fold over that layer's tiles
-    /// through the shared content-keyed tile cache — is one task on a
-    /// shared counter, and cells are claimed individually afterwards from
-    /// the now-warm [`DecompCache`]. Three phases, each a scoped fan-out:
-    ///
-    /// 1. **probe** — per-row store read-through, exactly as the row engine
-    ///    does it, producing the pending-architecture lists;
-    /// 2. **stream** — the flattened tile-stream tasks; a row with eight
-    ///    layers spreads over up to eight workers instead of one;
-    /// 3. **cells** — per-cell simulation from the warmed cache, store
-    ///    write-back, slot write, observer.
-    ///
-    /// The fold's exactness contract makes every decomposition — and hence
-    /// every cell — byte-identical to the layer-grain engine at any thread
-    /// count (pinned by `tests/tile.rs`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid_tiled(
-        &self,
-        sim: &Simulator,
-        archs: &[ArchSpec],
-        networks: &[Network],
-        seeds: &[u64],
-        cache: &DecompCache,
-        store: Option<&sibia_store::Store>,
-        on_cell: Option<&(dyn Fn(&GridCell) + Sync)>,
-    ) -> GridResult {
-        assert!(!archs.is_empty(), "need at least one architecture");
-        assert!(!networks.is_empty(), "need at least one network");
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let cell_count = archs.len() * networks.len() * seeds.len();
-        let rows = networks.len() * seeds.len();
-        let slots: Vec<Mutex<Option<GridCell>>> =
-            (0..cell_count).map(|_| Mutex::new(None)).collect();
-        let slot_of = |arch_index: usize, network_index: usize, seed_index: usize| {
-            (arch_index * networks.len() + network_index) * seeds.len() + seed_index
-        };
-        let sim_for_row = |row: usize| {
-            let mut cell_sim = *sim;
-            cell_sim.seed = seeds[row % seeds.len()];
-            cell_sim
-        };
-        let net_of_row = |row: usize| &networks[row / seeds.len()];
-
-        let mut grid_span = sibia_obs::tracer().span("sim.grid");
-        grid_span.attr("archs", archs.len());
-        grid_span.attr("networks", networks.len());
-        grid_span.attr("seeds", seeds.len());
-        grid_span.attr("cells", cell_count);
-        grid_span.attr("threads", self.threads);
-        grid_span.attr("tile_subwords", sim.tile.unwrap_or(0));
-
-        let fan_out = |tasks: usize, work: &(dyn Fn(usize) + Sync)| {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..self.threads.min(tasks) {
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        let task = next.fetch_add(1, Ordering::Relaxed);
-                        if task >= tasks {
-                            break;
-                        }
-                        work(task);
-                    });
-                }
-            });
-        };
-
-        // Phase 1: store probes, one row per task.
-        let pending: Vec<Mutex<Vec<usize>>> = (0..rows).map(|_| Mutex::new(Vec::new())).collect();
-        fan_out(rows, &|row| {
-            let cell_sim = sim_for_row(row);
-            let net = net_of_row(row);
-            let mut missed = Vec::with_capacity(archs.len());
-            for (arch_index, arch) in archs.iter().enumerate() {
-                let stored =
-                    store.and_then(|store| crate::stored::try_stored(&cell_sim, arch, net, store));
-                match stored {
-                    Some(result) => {
-                        let mut span = sibia_obs::tracer().span("sim.cell");
-                        span.attr("arch", &arch.name);
-                        span.attr("network", net.name());
-                        span.attr("seed", cell_sim.seed);
-                        let cell = GridCell {
-                            arch_index,
-                            network_index: row / seeds.len(),
-                            seed: cell_sim.seed,
-                            result,
-                        };
-                        if let Some(observe) = on_cell {
-                            observe(&cell);
-                        }
-                        let slot = slot_of(arch_index, cell.network_index, row % seeds.len());
-                        *slots[slot].lock().expect("slot lock") = Some(cell);
-                    }
-                    None => missed.push(arch_index),
-                }
-            }
-            *pending[row].lock().expect("pending lock") = missed;
-        });
-        let pending: Vec<Vec<usize>> = pending
-            .into_iter()
-            .map(|p| p.into_inner().expect("pending lock"))
-            .collect();
-
-        // Phase 2: the flattened tile-stream tasks. One task = one
-        // (row, repr, layer) decomposition, folded tile by tile through the
-        // shared cache; `decompose_layer` memoizes the result, so phase 3
-        // recalls it without recomputing.
-        let mut streams: Vec<(usize, crate::spec::Repr, usize)> = Vec::new();
-        for (row, missed) in pending.iter().enumerate() {
-            let mut reprs: Vec<crate::spec::Repr> = Vec::new();
-            for &arch_index in missed {
-                let repr = archs[arch_index].repr;
-                if !reprs.contains(&repr) {
-                    reprs.push(repr);
-                }
-            }
-            for repr in reprs {
-                for layer_index in 0..net_of_row(row).layers().len() {
-                    streams.push((row, repr, layer_index));
-                }
-            }
-        }
-        let stream_count = streams.len();
-        fan_out(stream_count, &|task| {
-            let (row, repr, layer_index) = streams[task];
-            let cell_sim = sim_for_row(row);
-            let net = net_of_row(row);
-            let mut span = sibia_obs::tracer().span("sim.tile.stream");
-            span.attr("network", net.name());
-            span.attr("layer", net.layers()[layer_index].name());
-            span.attr("seed", cell_sim.seed);
-            let _ = cell_sim.decompose_layer(&net.layers()[layer_index], layer_index, repr, cache);
-        });
-        sibia_obs::registry()
-            .counter("sim.tile.streams")
-            .add(stream_count as u64);
-
-        // Phase 3: per-cell simulation from the warmed cache.
-        let cells: Vec<(usize, usize)> = pending
-            .iter()
-            .enumerate()
-            .flat_map(|(row, missed)| missed.iter().map(move |&a| (row, a)))
-            .collect();
-        fan_out(cells.len(), &|task| {
-            let (row, arch_index) = cells[task];
-            let cell_sim = sim_for_row(row);
-            let net = net_of_row(row);
-            let arch = &archs[arch_index];
-            let mut span = sibia_obs::tracer().span("sim.cell");
-            span.attr("arch", &arch.name);
-            span.attr("network", net.name());
-            span.attr("seed", cell_sim.seed);
-            let decomps = cell_sim.decompose_network(net, arch.repr, cache);
-            let result = cell_sim.simulate_network_from_decomps(arch, net, None, &decomps);
-            if let Some(store) = store {
-                let key = crate::stored::network_key(&cell_sim, arch, net.name());
-                crate::stored::put_best_effort(store, &key, &result);
-            }
-            let cell = GridCell {
-                arch_index,
-                network_index: row / seeds.len(),
-                seed: cell_sim.seed,
-                result,
-            };
-            if let Some(observe) = on_cell {
-                observe(&cell);
-            }
-            let slot = slot_of(arch_index, cell.network_index, row % seeds.len());
-            *slots[slot].lock().expect("slot lock") = Some(cell);
-        });
-        sibia_obs::registry()
-            .counter("sim.engine.cells")
-            .add(cells.len() as u64);
 
         let cells = slots
             .into_iter()

@@ -171,14 +171,6 @@ pub struct Simulator {
     pub extmem: HyperRam,
     /// Latency composition.
     pub latency_model: LatencyModel,
-    /// Measurement granularity: `Some(n)` measures decompositions as a
-    /// streaming fold over `n`-sub-word tiles through the content-keyed
-    /// tile cache (see [`crate::tile`]); `None` (the default) measures
-    /// whole planes at once. The fold's exactness contract makes every
-    /// result **byte-identical** either way — this field changes memoization
-    /// granularity and scheduling, never output, and is deliberately
-    /// excluded from the store's configuration fingerprint.
-    pub tile: Option<usize>,
 }
 
 impl Simulator {
@@ -190,7 +182,6 @@ impl Simulator {
             tech: TechNode::samsung_28nm(),
             extmem: HyperRam::cypress_64mbit(),
             latency_model: LatencyModel::ComputeOnly,
-            tile: None,
         }
     }
 
@@ -401,22 +392,15 @@ impl Simulator {
                     layer.weight_precision().conv_slices(),
                 ),
             };
-            // Tile-grain measurement folds to byte-identical stats, so the
-            // cache key deliberately ignores `self.tile`: both paths may
-            // share one entry.
-            let measure = |codes: &[i32], precision: sibia_sbr::Precision| match self.tile {
-                Some(subwords) => {
-                    let config = crate::tile::TileConfig::new(subwords)
-                        .expect("tile size validated at configuration time");
-                    OperandStats::measure_tiled(codes, precision, repr, config, cache)
-                }
-                None => OperandStats::measure(codes, precision, repr),
-            };
             LayerDecomp {
                 ki,
                 kw,
-                input: measure(&tensors.input_codes, layer.input_precision()),
-                weight: measure(&tensors.weight_codes, layer.weight_precision()),
+                input: OperandStats::measure(&tensors.input_codes, layer.input_precision(), repr),
+                weight: OperandStats::measure(
+                    &tensors.weight_codes,
+                    layer.weight_precision(),
+                    repr,
+                ),
             }
         })
     }

@@ -11,7 +11,7 @@
 
 use sibia_nn::network::{DensityClass, TaskDomain};
 use sibia_nn::{Activation, Layer, Network};
-use sibia_sim::{ArchSpec, DecompCache, ParallelEngine, Simulator};
+use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
 
 fn nets() -> Vec<Network> {
     vec![
@@ -149,6 +149,58 @@ fn shared_cache_grid_is_bit_identical_and_reuses_entries() {
     assert_eq!(second, fresh);
     assert_eq!(cache.misses(), misses_after_first, "second grid all hits");
     assert!(cache.hits() > 0);
+}
+
+#[test]
+fn observed_store_backed_grid_sees_every_cell_and_round_trips() {
+    // The serve daemon's streamed sweep: a store plus a per-cell observer.
+    // The observer fires once per cell whether the cell simulates (cold)
+    // or is read back from the store (warm), and neither changes a byte.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let sim = small_sim();
+    let archs = archs();
+    let nets = nets();
+    let seeds = [3u64];
+    let cells = archs.len() * nets.len() * seeds.len();
+    let dir = std::env::temp_dir().join(format!("sibia-parallel-observed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = sibia_store::Store::open(&dir).unwrap();
+    let engine = ParallelEngine::with_threads(3);
+    let observed_run = || {
+        let seen = AtomicUsize::new(0);
+        let count = |_: &GridCell| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        };
+        let grid = engine.simulate_grid_observed(
+            &sim,
+            &archs,
+            &nets,
+            &seeds,
+            &DecompCache::new(),
+            Some(&store),
+            Some(&count),
+        );
+        assert_eq!(seen.load(Ordering::Relaxed), cells, "one call per cell");
+        grid
+    };
+
+    let cold = observed_run();
+    let stats = store.stats();
+    assert_eq!(
+        (stats.hits, stats.puts),
+        (0, cells as u64),
+        "cold run writes back"
+    );
+    let warm = observed_run();
+    assert_eq!(
+        store.stats().hits,
+        cells as u64,
+        "warm run is all store hits"
+    );
+    assert_eq!(warm, cold);
+    assert_eq!(cold, engine.simulate_grid(&sim, &archs, &nets, &seeds));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

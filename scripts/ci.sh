@@ -89,7 +89,7 @@ echo "==> streaming sweep smoke test"
 # Revision-6 progress streaming end to end: one daemon, one sweep with
 # --stream. At least one per-cell progress frame must land on stderr and
 # the final document must be byte-identical to the non-streamed sweep of
-# the same grid; the tile granularity knob must be invisible in the bytes.
+# the same grid.
 stream_dir="$(mktemp -d)"
 ./target/release/sibia-cli serve --port 0 >"$stream_dir/serve.log" 2>&1 &
 stream_pid=$!
@@ -110,10 +110,6 @@ grep -q "^progress: " "$stream_dir/progress.log" \
   || { echo "streamed sweep emitted no progress frames"; cat "$stream_dir/progress.log"; exit 1; }
 cmp "$stream_dir/plain.json" "$stream_dir/stream.json" \
   || { echo "streamed final document differs from the plain sweep"; exit 1; }
-./target/release/sibia-cli sweep --endpoint "$stream_addr" "${stream_grid[@]}" --tile 7 \
-  >"$stream_dir/tiled.json"
-cmp "$stream_dir/plain.json" "$stream_dir/tiled.json" \
-  || { echo "tiled sweep changed the result bytes"; exit 1; }
 kill -TERM "$stream_pid"
 wait "$stream_pid" 2>/dev/null || true
 trap - EXIT
@@ -143,10 +139,8 @@ done
   || { echo "fleet backends never came up"; cat "$fleet_dir"/*.log; exit 1; }
 fleet_grid=(--archs sibia,bitfusion --networks dgcnn --seeds 1,2,3,4,5,6 --sample-cap 512)
 ./target/release/sibia-cli fleet sweep --local "${fleet_grid[@]}" >"$fleet_dir/direct.json"
-# --tile 7 on the fleet side only: the merged bytes must still equal the
-# untiled local grid (tile granularity is pure scheduling, never results).
 ./target/release/sibia-cli fleet sweep --endpoints "$fleet_addr_a,$fleet_addr_b" \
-  --tile 7 "${fleet_grid[@]}" >"$fleet_dir/fleet.json" 2>"$fleet_dir/fleet.log" &
+  "${fleet_grid[@]}" >"$fleet_dir/fleet.json" 2>"$fleet_dir/fleet.log" &
 fleet_sweep_pid=$!
 sleep 0.3
 kill -9 "$fleet_pid_b" 2>/dev/null || true
