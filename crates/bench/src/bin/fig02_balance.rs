@@ -35,10 +35,11 @@ fn main() {
 
     section("32-to-1 max-pool speculation success rate (VoteNet setting)");
     let mut t = Table::new(&["candidates", "signed (SBR)", "conventional", "paper"]);
-    for candidates in [1usize, 2, 4, 8] {
-        let sc = MaxPoolScenario::votenet_32to1(candidates);
-        let sbr = sc.run(SliceRepr::Signed);
-        let conv = sc.run(SliceRepr::Conventional);
+    let counts = [1usize, 2, 4, 8];
+    let sc = MaxPoolScenario::votenet_32to1(1);
+    let signed = sc.run_candidates(SliceRepr::Signed, &counts);
+    let conventional = sc.run_candidates(SliceRepr::Conventional, &counts);
+    for ((&candidates, sbr), conv) in counts.iter().zip(&signed).zip(&conventional) {
         let paper = if candidates == 4 {
             "~95% vs 80.1%"
         } else {

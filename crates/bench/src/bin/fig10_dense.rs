@@ -2,7 +2,7 @@
 //! accelerators on the dense DNN benchmarks (Bit-fusion = 1).
 
 use sibia::prelude::*;
-use sibia_bench::{header, Table};
+use sibia_bench::{fig_archs, header, Table};
 
 /// Paper speedups: (HNPU, input skipping, hybrid skipping) and the paper's
 /// peak efficiency gain where reported.
@@ -32,15 +32,9 @@ fn main() {
         "eff hybrid",
     ]);
     // The whole sweep is one (arch × network) grid: cells run on the worker
-    // pool and the five variants share one decomposition cache, so each
-    // layer is synthesized/decomposed once per slice representation.
-    let archs = [
-        ArchSpec::bit_fusion(),
-        ArchSpec::hnpu(),
-        ArchSpec::sibia_no_sbr(),
-        ArchSpec::sibia_input_skip(),
-        ArchSpec::sibia_hybrid(),
-    ];
+    // pool and the five variants of a network share its statistics, so each
+    // layer is synthesized once and measured once per slice representation.
+    let archs = fig_archs();
     let nets = zoo::dense_benchmarks();
     let grid = ParallelEngine::new().simulate_grid(&Simulator::new(1), &archs, &nets, &[1]);
     for (ni, net) in nets.iter().enumerate() {

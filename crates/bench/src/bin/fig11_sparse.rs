@@ -2,7 +2,7 @@
 //! accelerators on the sparse (ReLU) DNN benchmarks (Bit-fusion = 1).
 
 use sibia::prelude::*;
-use sibia_bench::{header, Table};
+use sibia_bench::{fig_archs, header, Table};
 
 /// Paper totals with the SBR (input/hybrid bars are close on sparse nets).
 fn paper(net: &str) -> f64 {
@@ -28,13 +28,7 @@ fn main() {
     ]);
     // One (arch × network) grid over the worker pool with a shared
     // decomposition cache (see fig10).
-    let archs = [
-        ArchSpec::bit_fusion(),
-        ArchSpec::hnpu(),
-        ArchSpec::sibia_no_sbr(),
-        ArchSpec::sibia_input_skip(),
-        ArchSpec::sibia_hybrid(),
-    ];
+    let archs = fig_archs();
     let nets = zoo::sparse_benchmarks();
     let grid = ParallelEngine::new().simulate_grid(&Simulator::new(1), &archs, &nets, &[1]);
     for (ni, net) in nets.iter().enumerate() {

@@ -98,11 +98,12 @@ fn main() {
     println!("conventional slices degrade rapidly (paper: 45.0%p Albert-MNLI accuracy");
     println!("collapse with unbalanced I_H x W_H; <2%p loss with the SBR):\n");
     let mut t = Table::new(&["candidates", "signed wrong-rate", "conventional wrong-rate"]);
-    for c in [8usize, 4, 2, 1] {
-        let sc = MaxPoolScenario::votenet_32to1(c);
-        let sbr = sc.run(SliceRepr::Signed);
-        let conv = sc.run(SliceRepr::Conventional);
-        t.row(&[&c, &pct(sbr.wrong_rate()), &pct(conv.wrong_rate())]);
+    let counts = [8usize, 4, 2, 1];
+    let sc = MaxPoolScenario::votenet_32to1(1);
+    let signed = sc.run_candidates(SliceRepr::Signed, &counts);
+    let conventional = sc.run_candidates(SliceRepr::Conventional, &counts);
+    for ((c, sbr), conv) in counts.iter().zip(&signed).zip(&conventional) {
+        t.row(&[c, &pct(sbr.wrong_rate()), &pct(conv.wrong_rate())]);
     }
     t.print();
     println!("\n(wrong-pool rate is the upstream driver of DNN accuracy loss; absolute");

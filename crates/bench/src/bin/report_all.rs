@@ -10,6 +10,10 @@ use sibia::nn::zoo::{self, GlueTask};
 use sibia::prelude::*;
 use sibia::speculate::scenario::MaxPoolScenario;
 use sibia::speculate::SliceRepr;
+use sibia_bench::{fig_archs, fig_networks};
+
+/// Index of Sibia's hybrid-skipping core in [`fig_archs`].
+const HYBRID: usize = 4;
 
 fn main() -> std::io::Result<()> {
     let mut md = String::new();
@@ -47,20 +51,22 @@ fn main() -> std::io::Result<()> {
         "VoteNet" => 2.42,
         _ => f64::NAN,
     };
-    for net in zoo::dense_benchmarks()
-        .into_iter()
-        .chain(zoo::sparse_benchmarks())
-    {
-        let run = |spec: ArchSpec| Accelerator::from_spec(spec).with_seed(1).run_network(&net);
-        let bf = run(ArchSpec::bit_fusion());
+    // One grid for the whole table: each network is synthesized once, its
+    // layers measured under both slice representations, and the five
+    // variants share those statistics.
+    let archs = fig_archs();
+    let nets = fig_networks();
+    let grid = ParallelEngine::new().simulate_grid(&Simulator::new(1), &archs, &nets, &[1]);
+    for (n, net) in nets.iter().enumerate() {
+        let speedup = |arch: usize| grid.get(arch, n, 0).speedup_over(grid.get(0, n, 0));
         writeln!(
             w,
             "| {} | {:.2}x | {:.2}x | {:.2}x | {:.2}x | {:.2}x |",
             net.name(),
-            run(ArchSpec::hnpu()).speedup_over(&bf),
-            run(ArchSpec::sibia_no_sbr()).speedup_over(&bf),
-            run(ArchSpec::sibia_input_skip()).speedup_over(&bf),
-            run(ArchSpec::sibia_hybrid()).speedup_over(&bf),
+            speedup(1),
+            speedup(2),
+            speedup(3),
+            speedup(HYBRID),
             paper(net.name()),
         )
         .unwrap();
@@ -70,13 +76,16 @@ fn main() -> std::io::Result<()> {
     writeln!(w, "\n## Max-pool speculation success (Fig. 2, 32-to-1)\n").unwrap();
     writeln!(w, "| candidates | signed (SBR) | conventional |").unwrap();
     writeln!(w, "|---|---|---|").unwrap();
-    for c in [1usize, 4, 8] {
-        let sc = MaxPoolScenario::votenet_32to1(c);
+    let candidates = [1usize, 4, 8];
+    let scenario = MaxPoolScenario::votenet_32to1(1);
+    let signed = scenario.run_candidates(SliceRepr::Signed, &candidates);
+    let conventional = scenario.run_candidates(SliceRepr::Conventional, &candidates);
+    for ((c, sbr), conv) in candidates.iter().zip(&signed).zip(&conventional) {
         writeln!(
             w,
             "| {c} | {:.1}% | {:.1}% |",
-            sc.run(SliceRepr::Signed).success_rate * 100.0,
-            sc.run(SliceRepr::Conventional).success_rate * 100.0
+            sbr.success_rate * 100.0,
+            conv.success_rate * 100.0
         )
         .unwrap();
     }
@@ -126,13 +135,17 @@ fn main() -> std::io::Result<()> {
     fs::write("results/REPORT.md", md)?;
     println!("wrote results/REPORT.md");
 
-    // Per-layer CSV traces for external plotting.
+    // Per-layer CSV traces for external plotting, from the grid's hybrid
+    // cells.
     for (file, net) in [
         ("results/layers_resnet18.csv", zoo::resnet18()),
         ("results/layers_albert_qqp.csv", zoo::albert(GlueTask::Qqp)),
     ] {
-        let r = Accelerator::sibia().with_seed(1).run_network(&net);
-        fs::write(file, sibia::sim::trace::network_csv(&r))?;
+        let n = nets
+            .iter()
+            .position(|candidate| *candidate == net)
+            .expect("a Fig. 10/11 network");
+        fs::write(file, sibia::sim::trace::network_csv(grid.get(HYBRID, n, 0)))?;
         println!("wrote {file}");
     }
     Ok(())

@@ -9,6 +9,29 @@
 
 use std::fmt::Display;
 
+use sibia_nn::{zoo, Network};
+use sibia_sim::ArchSpec;
+
+/// The five core variants of Fig. 10 and Fig. 11, in figure order:
+/// Bit-fusion, HNPU, Sibia without the SBR, input skipping, hybrid skipping.
+pub fn fig_archs() -> [ArchSpec; 5] {
+    [
+        ArchSpec::bit_fusion(),
+        ArchSpec::hnpu(),
+        ArchSpec::sibia_no_sbr(),
+        ArchSpec::sibia_input_skip(),
+        ArchSpec::sibia_hybrid(),
+    ]
+}
+
+/// The Fig. 10 (dense) then Fig. 11 (sparse) benchmark networks.
+pub fn fig_networks() -> Vec<Network> {
+    zoo::dense_benchmarks()
+        .into_iter()
+        .chain(zoo::sparse_benchmarks())
+        .collect()
+}
+
 /// Prints an experiment header.
 pub fn header(id: &str, title: &str) {
     println!("╔═══════════════════════════════════════════════════════════════════╗");

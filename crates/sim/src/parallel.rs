@@ -9,18 +9,22 @@
 //! * jobs are claimed from a shared atomic counter, so workers stay busy
 //!   regardless of per-cell cost skew;
 //! * a job is a **(network, seed) row** spanning every architecture, not a
-//!   single cell: the worker decomposes the row's layers once per slice
-//!   representation (via `Simulator::decompose_network`) and feeds the same
-//!   `Arc<LayerDecomp>`s to every architecture in the row
-//!   (`Simulator::simulate_network_from_decomps`), so the planes' statistics
-//!   stay cache-resident instead of being re-derived per cell through the
-//!   [`DecompCache`] miss path;
+//!   single cell: the worker makes one `Simulator::decompose_network` call
+//!   for the distinct slice representations its architectures need. That
+//!   call synthesizes each layer once, measures the codes under every one
+//!   of those representations and drops them before the next layer, so a
+//!   worker holds one layer's codes at a time. The same
+//!   `Arc<LayerDecomp>`s then feed every architecture in the row
+//!   (`Simulator::simulate_network_from_decomps`);
 //! * every worker writes each result into the cell's own slot, so the
 //!   output order is the deterministic row-major (arch, network, seed)
 //!   order no matter which worker ran which row;
-//! * all workers still share one [`DecompCache`], so rows that repeat a
-//!   layer shape (or later grids against a long-lived cache) skip synthesis
-//!   and decomposition entirely.
+//! * all workers share one [`DecompCache`], but only its decomposition
+//!   level: rows that repeat a layer (the Albert GLUE variants share
+//!   identical layers) or later grids against a long-lived cache skip
+//!   synthesis and measurement for every decomposition they find. Grids
+//!   neither read nor fill the cache's tensor level, which serves only the
+//!   single-network path.
 //!
 //! Determinism does not stop at ordering: because each layer's RNG stream
 //! is derived from `(seed, layer_index)` (see `sibia_nn::SynthSource::
@@ -38,7 +42,7 @@ use sibia_nn::Network;
 
 use crate::cache::DecompCache;
 use crate::perf::{NetworkResult, Simulator};
-use crate::spec::ArchSpec;
+use crate::spec::{ArchSpec, Repr};
 
 /// One completed grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,15 +250,16 @@ impl ParallelEngine {
                 }
             }
 
-            // One decomposition per representation the pending architectures
-            // need — at most one per `Repr` variant per row.
-            let mut decomps = Vec::new();
+            // One decomposition call for the representations the pending
+            // architectures need: each layer is synthesized once and measured
+            // under all of them.
+            let mut reprs: Vec<Repr> = Vec::new();
             for &arch_index in &pending {
-                let repr = archs[arch_index].repr;
-                if !decomps.iter().any(|(r, _)| *r == repr) {
-                    decomps.push((repr, cell_sim.decompose_network(net, repr, cache)));
+                if !reprs.contains(&archs[arch_index].repr) {
+                    reprs.push(archs[arch_index].repr);
                 }
             }
+            let decomps = cell_sim.decompose_network(net, &reprs, cache);
 
             for &arch_index in &pending {
                 let arch = &archs[arch_index];
@@ -262,11 +267,11 @@ impl ParallelEngine {
                 span.attr("arch", &arch.name);
                 span.attr("network", net.name());
                 span.attr("seed", cell_sim.seed);
-                let row_decomps = &decomps
+                let repr_index = reprs
                     .iter()
-                    .find(|(r, _)| *r == arch.repr)
-                    .expect("repr decomposed above")
-                    .1;
+                    .position(|&r| r == arch.repr)
+                    .expect("repr decomposed above");
+                let row_decomps = &decomps[repr_index];
                 let result = cell_sim.simulate_network_from_decomps(arch, net, None, row_decomps);
                 if let Some(store) = store {
                     let key = crate::stored::network_key(&cell_sim, arch, net.name());

@@ -245,10 +245,10 @@ impl Simulator {
 
     /// [`Self::simulate_network_scaled`] against a shared decomposition
     /// cache. Sweeps that run one network through several architecture
-    /// variants (fig10/fig11 run five) should share one cache: synthesis
-    /// and decomposition are keyed by `(layer, seed, repr)` and therefore
-    /// paid once per representation instead of once per variant. The result
-    /// is bit-identical with and without the cache.
+    /// variants (fig10/fig11 run five) should share one cache: synthesis is
+    /// keyed by `(layer, seed)` and decomposition additionally by `repr`, so
+    /// each is paid once instead of once per variant. The result is
+    /// bit-identical with and without the cache.
     ///
     /// # Panics
     ///
@@ -266,28 +266,46 @@ impl Simulator {
         })
     }
 
-    /// Decomposes (or recalls) every layer of `net` under `repr` — the
-    /// cache-resident working set a grid row shares across the architecture
-    /// variants that use the same representation.
+    /// Decomposes (or recalls) every layer of `net` under each of `reprs`
+    /// and returns one vector of per-layer decompositions per entry of
+    /// `reprs` — the working set a grid row shares across its architecture
+    /// variants.
+    ///
+    /// A layer is synthesized at most once, however many representations
+    /// miss: the codes are measured under every missing `repr` and dropped
+    /// before the next layer. Only the decompositions enter `cache`; its
+    /// tensor level is neither read nor filled, so a whole-network walk
+    /// holds one layer's codes at a time.
     pub fn decompose_network(
         &self,
         net: &Network,
-        repr: Repr,
+        reprs: &[Repr],
         cache: &DecompCache,
-    ) -> Vec<Arc<LayerDecomp>> {
-        net.layers()
+    ) -> Vec<Vec<Arc<LayerDecomp>>> {
+        let mut decomps: Vec<Vec<Arc<LayerDecomp>>> = reprs
             .iter()
-            .enumerate()
-            .map(|(i, l)| self.decompose_layer(l, i, repr, cache))
-            .collect()
+            .map(|_| Vec::with_capacity(net.layers().len()))
+            .collect();
+        for (i, layer) in net.layers().iter().enumerate() {
+            let mut codes = None;
+            for (&repr, per_repr) in reprs.iter().zip(&mut decomps) {
+                per_repr.push(
+                    cache.decomp(layer, self.seed, i, self.sample_cap, repr, || {
+                        let codes = codes.get_or_insert_with(|| self.synthesize(layer, i));
+                        Self::measure(layer, codes, repr)
+                    }),
+                );
+            }
+        }
+        decomps
     }
 
     /// [`Self::simulate_network_cached`] from pre-computed per-layer
     /// decompositions (see [`Self::decompose_network`]): identical spans and
     /// result assembly, so the output is byte-identical to the cached path.
-    /// The batched grid uses this to decompose a (network, seed) row once
-    /// per representation and keep the planes' statistics cache-resident
-    /// while every architecture in the row consumes them.
+    /// The grid decomposes a (network, seed) row once under every
+    /// representation its architectures need and feeds each architecture in
+    /// the row from those statistics.
     ///
     /// # Panics
     ///
@@ -361,18 +379,15 @@ impl Simulator {
         cache: &DecompCache,
     ) -> Arc<LayerTensors> {
         cache.tensors(layer, self.seed, layer_index, self.sample_cap, || {
-            let mut src = SynthSource::for_layer(self.seed, layer_index);
-            let inputs = src.activations(layer, self.sample_cap);
-            let weights = src.weights(layer, self.sample_cap);
-            LayerTensors {
-                input_codes: inputs.codes().data().to_vec(),
-                weight_codes: weights.codes().data().to_vec(),
-            }
+            self.synthesize(layer, layer_index)
         })
     }
 
     /// Measures (or recalls) the slice-decomposition statistics of one
-    /// layer under `repr`.
+    /// layer under `repr`. A miss synthesizes through
+    /// [`Self::synthesize_layer`], so the layer's codes stay memoized for
+    /// the other representation: the single-network path relies on this
+    /// when two representations of one layer arrive in separate calls.
     pub fn decompose_layer(
         &self,
         layer: &Layer,
@@ -381,28 +396,43 @@ impl Simulator {
         cache: &DecompCache,
     ) -> Arc<LayerDecomp> {
         cache.decomp(layer, self.seed, layer_index, self.sample_cap, repr, || {
-            let tensors = self.synthesize_layer(layer, layer_index, cache);
-            let (ki, kw) = match repr {
-                Repr::Sbr => (
-                    layer.input_precision().sbr_slices(),
-                    layer.weight_precision().sbr_slices(),
-                ),
-                Repr::Conventional => (
-                    layer.input_precision().conv_slices(),
-                    layer.weight_precision().conv_slices(),
-                ),
-            };
-            LayerDecomp {
-                ki,
-                kw,
-                input: OperandStats::measure(&tensors.input_codes, layer.input_precision(), repr),
-                weight: OperandStats::measure(
-                    &tensors.weight_codes,
-                    layer.weight_precision(),
-                    repr,
-                ),
-            }
+            Self::measure(
+                layer,
+                &self.synthesize_layer(layer, layer_index, cache),
+                repr,
+            )
         })
+    }
+
+    /// The operand codes of one layer, drawn from its own RNG stream.
+    fn synthesize(&self, layer: &Layer, layer_index: usize) -> LayerTensors {
+        let mut src = SynthSource::for_layer(self.seed, layer_index);
+        let inputs = src.activations(layer, self.sample_cap);
+        let weights = src.weights(layer, self.sample_cap);
+        LayerTensors {
+            input_codes: inputs.codes().data().to_vec(),
+            weight_codes: weights.codes().data().to_vec(),
+        }
+    }
+
+    /// The decomposition statistics of one layer's codes under `repr`.
+    fn measure(layer: &Layer, tensors: &LayerTensors, repr: Repr) -> LayerDecomp {
+        let (ki, kw) = match repr {
+            Repr::Sbr => (
+                layer.input_precision().sbr_slices(),
+                layer.weight_precision().sbr_slices(),
+            ),
+            Repr::Conventional => (
+                layer.input_precision().conv_slices(),
+                layer.weight_precision().conv_slices(),
+            ),
+        };
+        LayerDecomp {
+            ki,
+            kw,
+            input: OperandStats::measure(&tensors.input_codes, layer.input_precision(), repr),
+            weight: OperandStats::measure(&tensors.weight_codes, layer.weight_precision(), repr),
+        }
     }
 
     /// Non-zero fraction per slice order at the architecture's skip

@@ -111,6 +111,61 @@ fn shared_cache_does_not_perturb_results() {
 }
 
 #[test]
+fn grid_rows_cache_decompositions_but_no_tensors() {
+    // A row synthesizes each layer once, measures the codes under every
+    // representation its architectures need, and drops them: the cache
+    // keeps the decompositions only.
+    let sim = small_sim();
+    let net = &nets()[0];
+    let archs = [ArchSpec::hnpu(), ArchSpec::sibia_hybrid()];
+    assert_ne!(archs[0].repr, archs[1].repr, "one arch per representation");
+    let cache = DecompCache::new();
+    ParallelEngine::with_threads(2).simulate_grid_cached(
+        &sim,
+        &archs,
+        std::slice::from_ref(net),
+        &[1],
+        &cache,
+    );
+    assert_eq!(cache.tensor_entries(), 0);
+    assert_eq!(cache.decomp_entries(), 2 * net.layers().len());
+}
+
+#[test]
+fn grid_over_a_prewarmed_cache_equals_the_cold_grid() {
+    // The single-network path leaves every layer's codes and one
+    // representation's decompositions in the cache. A grid over that cache
+    // recalls the decompositions it finds, synthesizes for the ones it
+    // misses, and must match a cold grid cell for cell without touching the
+    // tensors.
+    let sim = small_sim();
+    let archs = archs();
+    let nets = nets();
+    let seeds = [1u64, 2];
+    let cache = DecompCache::new();
+    let mut warm_sim = sim;
+    warm_sim.seed = seeds[0];
+    warm_sim.simulate_network_cached(&ArchSpec::sibia_hybrid(), &nets[0], None, &cache);
+    let layers = nets[0].layers().len();
+    assert_eq!(
+        (cache.tensor_entries(), cache.decomp_entries()),
+        (layers, layers)
+    );
+    let engine = ParallelEngine::with_threads(2);
+    let warm = engine.simulate_grid_cached(&sim, &archs, &nets, &seeds, &cache);
+    let cold = engine.simulate_grid(&sim, &archs, &nets, &seeds);
+    assert_eq!(warm.cells().len(), cold.cells().len());
+    for (w, c) in warm.cells().iter().zip(cold.cells()) {
+        assert_eq!(
+            w, c,
+            "arch={} net={} seed={}",
+            c.arch_index, c.network_index, c.seed
+        );
+    }
+    assert_eq!(cache.tensor_entries(), layers, "the grid added no tensors");
+}
+
+#[test]
 fn zero_and_overflow_thread_counts_clamp_and_still_simulate() {
     // Regression: `with_threads(0)` used to panic; it now clamps to one
     // worker, and absurd counts clamp to `MAX_THREADS`, both producing the

@@ -61,6 +61,18 @@ impl MaxPoolScenario {
 
     /// Runs the scenario under one representation.
     pub fn run(&self, repr: SliceRepr) -> PoolStats {
+        self.run_candidates(repr, &[self.pool.candidates])[0]
+    }
+
+    /// Runs the scenario under one representation once per candidate count,
+    /// in the order given; `self.pool.candidates` is not used. The inputs
+    /// and dot products do not depend on the candidate count, so they are
+    /// synthesized and computed once and every count pools the same outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every count is in `1..=self.pool.group`.
+    pub fn run_candidates(&self, repr: SliceRepr, candidates: &[usize]) -> Vec<PoolStats> {
         let spec = Speculator::new(repr, self.input_kept, self.weight_kept);
         let mut src = SynthSource::new(self.seed);
         let n_outputs = self.windows * self.pool.group;
@@ -107,7 +119,10 @@ impl MaxPoolScenario {
                 true_vals.push(Speculator::exact_dot(&xs, &ws));
             }
         }
-        pool::evaluate(self.pool, &spec_vals, &true_vals)
+        candidates
+            .iter()
+            .map(|&c| pool::evaluate(PoolConfig::new(self.pool.group, c), &spec_vals, &true_vals))
+            .collect()
     }
 }
 
@@ -222,6 +237,27 @@ mod tests {
             conv.argmax_agreement
         );
         assert!(sbr.argmax_agreement > 0.8, "{sbr}");
+    }
+
+    #[test]
+    fn run_candidates_matches_one_run_per_count() {
+        let base = MaxPoolScenario {
+            windows: 64,
+            ..MaxPoolScenario::votenet_32to1(1)
+        };
+        let counts = [1, 2, 4, 8];
+        for repr in [SliceRepr::Signed, SliceRepr::Conventional] {
+            let all = base.run_candidates(repr, &counts);
+            assert_eq!(all.len(), counts.len());
+            for (&c, stats) in counts.iter().zip(&all) {
+                let one = MaxPoolScenario {
+                    pool: PoolConfig::new(32, c),
+                    ..base
+                }
+                .run(repr);
+                assert_eq!(*stats, one, "{repr:?} candidates {c}");
+            }
+        }
     }
 
     #[test]

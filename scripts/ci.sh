@@ -28,6 +28,21 @@ if SIBIA_FORCE_KERNEL=nonsense ./target/release/sibia-cli networks 2>/dev/null; 
   echo "unknown kernel tier was silently accepted"; exit 1
 fi
 
+echo "==> science smoke test"
+# report_all, run in an empty directory, must write exactly the committed
+# results/ files. The golden suite (report_all's files, the seed-1 fig grid
+# and the committed results/ against the benchmark's expected.json digests)
+# runs explicitly so a workspace test filter can never silently skip it.
+science_dir="$(mktemp -d)"
+report_all="$PWD/target/release/report_all"
+(cd "$science_dir" && "$report_all" >/dev/null)
+for f in REPORT.md layers_resnet18.csv layers_albert_qqp.csv; do
+  cmp "results/$f" "$science_dir/results/$f" \
+    || { echo "report_all wrote a different results/$f"; exit 1; }
+done
+rm -rf "$science_dir"
+cargo test -q -p sibia-bench --test golden
+
 echo "==> obs smoke test"
 # A traced simulate must emit a Perfetto-loadable Chrome trace_event JSONL
 # profile with at least one span per layer; trace-check validates both.
