@@ -17,7 +17,7 @@
 //!
 //! * **Joining** — added mid-sweep (CLI `--join` or [`super::super::Fleet`]
 //!   API); dispatchable immediately (stealing pulls work to it), promoted
-//!   to Active by its first completed cell or successful probe.
+//!   to Active by its first completed row or successful probe.
 //! * **Active** — the steady state.
 //! * **Draining** — asked to leave: takes no new work, its home queue is
 //!   drained and resharded across survivors, in-flight dispatches finish.
@@ -99,7 +99,7 @@ pub struct Member {
     pub pool: Arc<ClientPool>,
     /// This backend's circuit breaker.
     pub breaker: Mutex<CircuitBreaker>,
-    /// Cells currently homed here (front = owner, back = thieves).
+    /// Rows currently homed here (front = owner, back = thieves).
     pub queue: StealQueue,
     state: AtomicU8,
     /// Set once by an explicit leave: a left member is never resurrected
@@ -107,11 +107,12 @@ pub struct Member {
     left: AtomicBool,
     /// Cells this member completed (won the board race).
     pub completed: AtomicU64,
-    /// Cells this member executed after stealing them from another queue.
+    /// Cells of the rows this member executed after stealing them from
+    /// another queue.
     pub stolen: AtomicU64,
-    /// Hedge duplicates placed on this member.
+    /// Cells of the hedge duplicates placed on this member.
     pub hedged: AtomicU64,
-    /// Dispatches currently executing against this backend.
+    /// Row dispatches currently executing against this backend.
     pub inflight: AtomicU64,
 }
 

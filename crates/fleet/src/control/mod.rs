@@ -7,7 +7,8 @@
 //! dynamic scheduler while leaving the *output* contract untouched: the
 //! merged sweep document stays byte-identical to a direct
 //! `simulate_grid`, because everything here only changes **which backend
-//! computes a cell and when**, never what a cell computes.
+//! computes a `(network, seed)` row and when**, never what a cell
+//! computes.
 //!
 //! | module | what it provides |
 //! |---|---|
@@ -22,8 +23,8 @@ pub mod membership;
 pub mod stealing;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, SlowProxy};
-pub use hedging::{Completion, CompletionBoard, HedgeConfig, InFlightTable};
+pub use hedging::{Completion, CompletionBoard, HedgeConfig, HedgeWindow, InFlightTable};
 pub use membership::{
     Member, MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent,
 };
-pub use stealing::{pick_victim, CellJob, StealQueue};
+pub use stealing::{pick_victim, RowJob, StealQueue};

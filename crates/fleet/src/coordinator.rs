@@ -1,60 +1,71 @@
 //! The sweep coordinator: shard, dispatch, steal, hedge, fail over, merge.
 //!
 //! A [`Fleet`] owns a dynamic roster of `sibia-serve` backends (the
-//! [`crate::control`] plane) and runs a sweep grid across them as
-//! independent per-cell `simulate` requests:
+//! [`crate::control`] plane) and runs a sweep grid across them one
+//! `(network, seed)` row at a time: each row goes out as one `sweep`
+//! request carrying every arch of the grid, so a backend synthesizes the
+//! row's network once for all of them, exactly as the in-process grid
+//! engine does.
 //!
-//! 1. every `(arch, network, seed)` cell is assigned a *home* backend by
-//!    the deterministic FNV shard ([`crate::shard`]) over the members
-//!    dispatchable at sweep start, and queued on that member's
+//! 1. every row is assigned a *home* backend over the members dispatchable
+//!    at sweep start: the member that completed the row in this fleet's
+//!    previous sweep, whose store holds its cells (such a row is *pinned*
+//!    and queued first), or else the deterministic shard
+//!    ([`crate::shard`]); it is queued on that member's
 //!    [`crate::control::StealQueue`];
 //! 2. per-member dispatch workers drain their home queue front-first over
 //!    pooled connections with a per-request deadline (`timeout_ms` on the
-//!    wire); an **idle** worker steals from the back of the deepest
-//!    dispatchable queue instead of sleeping, so a straggler cannot
-//!    serialize the tail of a sweep;
+//!    wire); an **idle** worker steals an unpinned row from the back of
+//!    the deepest dispatchable queue instead of sleeping, so a straggler
+//!    cannot serialize the tail of a sweep;
 //! 3. `overloaded` / `deadline_exceeded` answers retry the **same**
 //!    backend after a deterministic-jitter backoff ([`crate::backoff`]) —
 //!    the backend is healthy, just busy;
 //! 4. transport faults and server-side faults (`internal`,
 //!    `shutting_down`) trip the member's circuit breaker
 //!    ([`crate::breaker`]), mark it Dead, reshard its queue across the
-//!    survivors, and **fail the cell over** to the next dispatchable
+//!    survivors, and **fail the row over** to the next dispatchable
 //!    member;
 //! 5. deterministic rejections (`bad_request`, `unknown_arch`,
 //!    `unknown_network`) abort the whole sweep — every backend would
 //!    reject the same way, so retrying anywhere is futile;
-//! 6. a cell in flight longer than the windowed-p99 hedge deadline gets a
-//!    duplicate raced on a second member; the first completion wins the
-//!    cell on the [`CompletionBoard`], the loser's socket is cancelled,
-//!    and a loser that answers anyway is deduped (counted, not written);
+//! 6. a row in flight longer than the windowed-p99 hedge deadline (a
+//!    window of row dispatch latencies) gets a duplicate raced on a second
+//!    member; the first completion wins each of the row's cells on the
+//!    [`CompletionBoard`], the loser's socket is cancelled, and a loser
+//!    that answers anyway is deduped (counted, not written);
 //! 7. members can join and leave mid-sweep — planned
 //!    ([`FleetConfig::membership_plan`]), requested ([`Fleet::join`] /
 //!    [`Fleet::leave`]), or forced by failure — with a departing member's
 //!    queue drained and resharded across the survivors;
-//! 8. completed cells land on the completion board indexed by flat grid
-//!    position, and the merged document is emitted in row-major
+//! 8. a row's answer lands cell by cell on the completion board indexed by
+//!    flat grid position, and the merged document is emitted in row-major
 //!    (arch, network, seed) order.
+//!
+//! [`SweepStats`] counts in cells throughout: a row attempt, steal, hedge,
+//! retry or failover counts the grid's arch count.
 //!
 //! ## Why the merge is still byte-identical
 //!
-//! The server's `simulate` handler computes each cell with the same
-//! `Simulator` configuration the grid engine gives a cell (same seed
-//! override, same default sample cap) and serializes it with the *pure*
-//! [`sibia_serve::protocol::network_result_to_json`]; the canonical JSON
-//! layer makes `parse ∘ serialize` the identity on canonical text, so the
-//! `result` payload the coordinator reads back is byte-for-byte what
-//! `grid_to_json` would have embedded for that cell. Everything the
+//! The server's `sweep` handler computes a row with the same grid engine
+//! and `Simulator` configuration a direct grid gives it (same seed
+//! override, same default sample cap) and serializes it with
+//! [`sibia_serve::protocol::grid_to_json`], whose per-cell `result` is the
+//! *pure* [`sibia_serve::protocol::network_result_to_json`]. The canonical
+//! JSON layer makes `parse ∘ serialize` the identity on canonical text, so
+//! each `result` the coordinator reads back is byte-for-byte what
+//! `grid_to_json` embeds for that cell in the whole grid. Everything the
 //! control plane does — stealing, hedging, joins, leaves, breaker-driven
-//! reshards — only changes **which backend computes a cell and when**,
-//! never the cell's bytes; hedge twins are first-writer-wins deduped on
-//! the board, and the merge reads the slots back in flat order.
+//! reshards — only changes **which backend computes a row and when**,
+//! never a cell's bytes; hedge twins are first-writer-wins deduped per
+//! cell on the board, and the merge reads the slots back in flat order.
 //! Reassembling therefore reproduces `grid_to_json(simulate_grid(…))`
 //! exactly — regardless of backend count, membership churn, steals,
 //! hedges, retries, or completion order. The integration suite pins this
 //! against live servers, including seeded chaos schedules (mid-sweep
 //! kill + join + stalls).
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,14 +73,15 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sibia_obs::{registry, tracer, Counter, Histogram, Json, TraceContext};
+use sibia_serve::server::DEFAULT_SAMPLE_CAP;
 use sibia_serve::{Client, ClientError, ErrorCode, ServeError};
 
 use crate::backoff::BackoffPolicy;
 use crate::control::{
-    pick_victim, CellJob, Completion, CompletionBoard, HedgeConfig, InFlightTable, Member,
-    MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent,
+    pick_victim, Completion, CompletionBoard, HedgeConfig, HedgeWindow, InFlightTable, Member,
+    MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent, RowJob,
 };
-use crate::shard::backend_for_cell;
+use crate::shard::backend_for_row;
 
 /// How a sweep can fail, from the caller's point of view.
 #[derive(Debug)]
@@ -78,19 +90,18 @@ pub enum FleetError {
     NoEndpoints,
     /// `archs`, `networks`, or `seeds` was empty.
     EmptyGrid,
-    /// A backend deterministically rejected a cell (`bad_request`,
+    /// A backend deterministically rejected a row (`bad_request`,
     /// `unknown_arch`, `unknown_network`): every backend would answer the
     /// same, so the sweep aborts instead of retrying.
     Rejected(ServeError),
-    /// One cell exhausted its attempt budget across all backends.
-    CellFailed {
-        /// Architecture name of the failed cell.
-        arch: String,
-        /// Network name of the failed cell.
+    /// One `(network, seed)` row exhausted its attempt budget across all
+    /// backends.
+    RowFailed {
+        /// Network name of the failed row.
         network: String,
-        /// Seed of the failed cell.
+        /// Seed of the failed row.
         seed: u64,
-        /// Total dispatch attempts spent on the cell.
+        /// Total dispatch attempts spent on the row.
         attempts: u32,
         /// The last error observed, for the log.
         last_error: String,
@@ -103,17 +114,21 @@ impl std::fmt::Display for FleetError {
             FleetError::NoEndpoints => write!(f, "fleet has no endpoints"),
             FleetError::EmptyGrid => write!(f, "sweep grid is empty"),
             FleetError::Rejected(e) => {
-                write!(f, "backend rejected sweep [{}]: {}", e.code.as_str(), e.message)
+                write!(
+                    f,
+                    "backend rejected sweep [{}]: {}",
+                    e.code.as_str(),
+                    e.message
+                )
             }
-            FleetError::CellFailed {
-                arch,
+            FleetError::RowFailed {
                 network,
                 seed,
                 attempts,
                 last_error,
             } => write!(
                 f,
-                "cell ({arch}, {network}, seed {seed}) failed after {attempts} attempts: {last_error}"
+                "row ({network}, seed {seed}) failed after {attempts} attempts: {last_error}"
             ),
         }
     }
@@ -138,7 +153,7 @@ pub struct FleetConfig {
     pub request_timeout: Duration,
     /// Retry budget *per backend* for back-off-able answers
     /// (`overloaded`, `deadline_exceeded`); the total attempt budget of a
-    /// cell is `max_attempts_per_backend × roster size`.
+    /// row is `max_attempts_per_backend × roster size`.
     pub max_attempts_per_backend: u32,
     /// Retry delay policy (deterministic jitter).
     pub backoff: BackoffPolicy,
@@ -149,7 +164,7 @@ pub struct FleetConfig {
     /// Health-probe (`ping`) period; probes feed the breakers and
     /// resurrect Dead-but-reachable members.
     pub probe_interval: Duration,
-    /// Work stealing: idle workers pull cells from the deepest
+    /// Work stealing: idle workers pull rows from the deepest
     /// dispatchable queue instead of sleeping.
     pub steal: bool,
     /// Hedged-dispatch policy (windowed-p99 deadline, duplication).
@@ -184,7 +199,6 @@ impl FleetConfig {
     }
 }
 
-/// The [`MemberConfig`] projection of a [`FleetConfig`].
 /// Schedule debugging: set `SIBIA_FLEET_DEBUG=1` to get a per-event log
 /// of dispatches, steals, hedges, and wins on stderr, stamped with
 /// milliseconds since the sweep started.
@@ -205,6 +219,7 @@ macro_rules! sched_debug {
     };
 }
 
+/// The [`MemberConfig`] projection of a [`FleetConfig`].
 fn member_config(config: &FleetConfig) -> MemberConfig {
     MemberConfig {
         connect_timeout: config.connect_timeout,
@@ -220,6 +235,10 @@ fn member_config(config: &FleetConfig) -> MemberConfig {
 }
 
 /// What one sweep did, beyond the result document.
+///
+/// Every count is in cells. The unit of dispatch is a `(network, seed)`
+/// row carrying every arch of the grid, so one row attempt, retry, steal,
+/// hedge or failover counts the grid's arch count.
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Grid cells dispatched.
@@ -227,40 +246,44 @@ pub struct SweepStats {
     /// Roster size at merge time (initial endpoints + joins; Dead and
     /// departed members keep their slots).
     pub backends: usize,
-    /// Total dispatch attempts (incl. retries, failovers, hedges).
+    /// Cells of every dispatch attempt (incl. retries, failovers, hedges).
     pub attempts: u64,
-    /// Same-backend retries after `overloaded`/`deadline_exceeded`.
+    /// Cells of same-backend retries after `overloaded`/`deadline_exceeded`.
     pub retries: u64,
-    /// Cells re-dispatched to a different backend.
+    /// Cells of rows re-dispatched to a different backend.
     pub failovers: u64,
-    /// Cells pulled off another member's queue by an idle worker.
+    /// Cells of rows pulled off another member's queue by an idle worker.
     pub steals: u64,
-    /// Hedge duplicates issued for overdue cells.
+    /// Cells of hedge duplicates issued for overdue rows.
     pub hedges: u64,
     /// Cells won by their hedge duplicate (the original lost the race).
     pub hedge_wins: u64,
-    /// Duplicate completions discarded by the board (never written).
+    /// Duplicate cell completions discarded by the board (never written).
     pub hedge_duplicates: u64,
     /// Members that joined mid-sweep.
     pub joins: u64,
     /// Members that left mid-sweep (explicit leaves, not failures).
     pub leaves: u64,
-    /// Queued cells moved to a survivor when a member died or drained.
+    /// Cells of queued rows moved to a survivor when a member died or
+    /// drained.
     pub resharded_cells: u64,
     /// Cells completed per member (by stable roster index).
     pub per_backend_cells: Vec<u64>,
-    /// Stolen cells executed per member (by stable roster index).
+    /// Cells of stolen rows executed per member (by stable roster index).
     pub per_backend_stolen: Vec<u64>,
-    /// Hedge duplicates placed per member (by stable roster index).
+    /// Cells of hedge duplicates placed per member (by stable roster
+    /// index).
     pub per_backend_hedged: Vec<u64>,
     /// Final `(endpoint, state)` of every roster member, in index order.
     pub membership: Vec<(String, String)>,
-    /// End-to-end latency of every completed cell (dispatch to slot),
-    /// unsorted.
+    /// End-to-end latency of every completed cell, unsorted: its row's
+    /// dispatch latency (first dispatch to answer), so the cells of one
+    /// row share one latency.
     pub cell_latencies: Vec<Duration>,
 }
 
 /// Cached handles to the `fleet.*` instruments in the global registry.
+/// The work counters count cells, like [`SweepStats`].
 struct FleetMetrics {
     cells_total: Arc<Counter>,
     dispatch_total: Arc<Counter>,
@@ -315,26 +338,49 @@ impl FleetMetrics {
 /// one process never mint the same id.
 static SWEEP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// A row as the store sees it: `(network, seed, resolved sample cap)`.
+type RowKey = (String, u64, usize);
+
 /// What one dispatch attempt concluded.
 enum Attempt {
-    /// The cell's canonical result payload.
-    Done(Json),
+    /// The row's canonical per-cell result payloads, in arch order.
+    Done(Vec<Json>),
     /// Back off and retry the same backend (`true` = overloaded,
     /// `false` = deadline).
     Retry(bool),
     /// Deterministic rejection: abort the sweep.
     Reject(ServeError),
-    /// Transport or server fault: trip the breaker, move the cell.
+    /// Transport or server fault: trip the breaker, move the row.
     Fault(String),
 }
 
-/// How [`Fleet::drive_cell`] left a job.
+/// How [`Fleet::drive_row`] left a job.
 enum Verdict {
     /// Nothing more to do for this copy (won, deduped, cancelled, or the
     /// sweep aborted).
     Settled,
-    /// The member cannot finish this cell: move it elsewhere.
+    /// The member cannot finish this row: move it elsewhere.
     Failover(String),
+}
+
+/// Splits a row's `sweep` answer — the `grid_to_json` document of one
+/// network and one seed — into its per-arch `result` payloads, in arch
+/// order. `None` when the answer is not that shape.
+fn row_results(doc: &Json, archs: usize) -> Option<Vec<Json>> {
+    let cells = doc.get("cells")?.as_array()?;
+    if cells.len() != archs {
+        return None;
+    }
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            if cell.get("arch_index")?.as_u64()? != i as u64 {
+                return None;
+            }
+            cell.get("result").cloned()
+        })
+        .collect()
 }
 
 /// Shared per-sweep state, borrowed by the worker scope.
@@ -346,10 +392,15 @@ struct SweepState<'a> {
     /// This sweep's propagated trace id: rides every dispatched request's
     /// envelope, so backend spans are pullable (`spans` verb) under it.
     trace_id: &'a str,
-    /// First-writer-wins result slots + the hedge-deadline window.
+    /// First-writer-wins per-cell result slots.
     board: CompletionBoard,
-    /// Cells currently executing, for the hedge monitor and cancellation.
+    /// Row dispatch latencies feeding the hedge deadline.
+    window: HedgeWindow,
+    /// Rows currently executing, for the hedge monitor and cancellation.
     inflight: InFlightTable,
+    /// The member that won each row's cells, by row index: the next
+    /// sweep's pinned homes.
+    completers: Mutex<Vec<Option<usize>>>,
     fatal: Mutex<Option<FleetError>>,
     abort: AtomicBool,
     attempts: AtomicU64,
@@ -374,7 +425,52 @@ struct SweepState<'a> {
     started: Instant,
 }
 
-impl SweepState<'_> {
+impl<'a> SweepState<'a> {
+    fn new(
+        archs: &'a [String],
+        networks: &'a [String],
+        seeds: &'a [u64],
+        sample_cap: Option<usize>,
+        trace_id: &'a str,
+    ) -> Self {
+        let rows = networks.len() * seeds.len();
+        Self {
+            archs,
+            networks,
+            seeds,
+            sample_cap,
+            trace_id,
+            board: CompletionBoard::new(archs.len() * rows),
+            window: HedgeWindow::new(rows),
+            inflight: InFlightTable::new(),
+            completers: Mutex::new(vec![None; rows]),
+            fatal: Mutex::new(None),
+            abort: AtomicBool::new(false),
+            attempts: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            hedges: AtomicU64::new(0),
+            hedge_wins: AtomicU64::new(0),
+            joins: AtomicU64::new(0),
+            leaves: AtomicU64::new(0),
+            resharded: AtomicU64::new(0),
+            latencies: Mutex::new(Vec::with_capacity(archs.len() * rows)),
+            last_cell: Mutex::new(None),
+            probe_cancel: Mutex::new(None),
+            started: Instant::now(),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.networks.len() * self.seeds.len()
+    }
+
+    /// Cells per row, the unit every [`SweepStats`] count is kept in.
+    fn row_cells(&self) -> u64 {
+        self.archs.len() as u64
+    }
+
     fn cell_coords(&self, flat: usize) -> (&str, &str, u64) {
         let per_arch = self.networks.len() * self.seeds.len();
         (
@@ -382,6 +478,23 @@ impl SweepState<'_> {
             &self.networks[(flat / self.seeds.len()) % self.networks.len()],
             self.seeds[flat % self.seeds.len()],
         )
+    }
+
+    fn row_coords(&self, row: usize) -> (&str, u64) {
+        (
+            &self.networks[row / self.seeds.len()],
+            self.seeds[row % self.seeds.len()],
+        )
+    }
+
+    /// The flat cell index of `arch_index` in `row`: the grid is row-major
+    /// (arch, network, seed), so one row's cells sit a row count apart.
+    fn flat(&self, arch_index: usize, row: usize) -> usize {
+        arch_index * self.rows() + row
+    }
+
+    fn row_complete(&self, row: usize) -> bool {
+        (0..self.archs.len()).all(|a| self.board.is_complete(self.flat(a, row)))
     }
 
     fn done(&self) -> bool {
@@ -418,6 +531,10 @@ pub struct Fleet {
     /// Trace id of the most recently started sweep (see
     /// [`Fleet::last_trace_id`]).
     last_trace_id: Mutex<Option<String>>,
+    /// The roster index of the member that completed each row of the
+    /// previous sweep. Only the last sweep's rows are kept, so this is
+    /// bounded by one sweep.
+    homes: Mutex<HashMap<RowKey, usize>>,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -431,7 +548,7 @@ impl std::fmt::Debug for Fleet {
 impl Fleet {
     /// Builds a coordinator over the configured endpoints. No connection
     /// is dialed yet — backends may come up later; the breakers and the
-    /// per-cell retry budget absorb a slow start.
+    /// per-row retry budget absorb a slow start.
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
         if config.endpoints.is_empty() {
             return Err(FleetError::NoEndpoints);
@@ -446,6 +563,7 @@ impl Fleet {
             metrics: FleetMetrics::new(),
             commands: Mutex::new(Vec::new()),
             last_trace_id: Mutex::new(None),
+            homes: Mutex::new(HashMap::new()),
         })
     }
 
@@ -553,37 +671,14 @@ impl Fleet {
         }
         let trace_id = format!("fs{}", SWEEP_SEQ.fetch_add(1, Ordering::Relaxed) + 1);
         *self.last_trace_id.lock().expect("trace id lock") = Some(trace_id.clone());
-        let cells = archs.len() * networks.len() * seeds.len();
+        let state = SweepState::new(archs, networks, seeds, sample_cap, &trace_id);
+        let cells = archs.len() * state.rows();
         let mut sweep_span = tracer().span("fleet.sweep");
         sweep_span.attr("trace_id", &trace_id);
         sweep_span.attr("cells", cells);
+        sweep_span.attr("rows", state.rows());
         sweep_span.attr("backends", self.membership.len());
         self.metrics.cells_total.add(cells as u64);
-
-        let state = SweepState {
-            archs,
-            networks,
-            seeds,
-            sample_cap,
-            trace_id: &trace_id,
-            board: CompletionBoard::new(cells),
-            inflight: InFlightTable::new(),
-            fatal: Mutex::new(None),
-            abort: AtomicBool::new(false),
-            attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
-            leaves: AtomicU64::new(0),
-            resharded: AtomicU64::new(0),
-            latencies: Mutex::new(Vec::with_capacity(cells)),
-            last_cell: Mutex::new(None),
-            probe_cancel: Mutex::new(None),
-            started: Instant::now(),
-        };
 
         // Membership requests made between sweeps apply before sharding.
         let pending: Vec<MembershipAction> =
@@ -592,17 +687,14 @@ impl Fleet {
             self.apply_membership(action, &state);
         }
 
-        // Shard every cell onto its home member among the ones that can
-        // take work right now; later joins pick cells up by stealing.
+        // Home every row among the members that can take work right now;
+        // later joins pick rows up by stealing.
         let initial = self.membership.dispatchable();
         if initial.is_empty() {
             return Err(FleetError::NoEndpoints);
         }
-        for flat in 0..cells {
-            let (arch, network, seed) = state.cell_coords(flat);
-            let home = backend_for_cell(arch, network, seed, initial.len());
-            initial[home].queue.push_back(CellJob::new(flat));
-        }
+        let cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
+        self.place_rows(&initial, cap, &state);
 
         // Per-member baselines, so one Fleet can run many sweeps and the
         // stats still report this sweep's deltas.
@@ -668,17 +760,17 @@ impl Fleet {
                     }
                 }
 
-                if let Some(deadline) = state.board.deadline(&self.config.hedge) {
-                    for (flat, busy) in state.inflight.overdue(deadline) {
-                        if state.board.is_complete(flat) {
+                if let Some(deadline) = state.window.deadline(&self.config.hedge) {
+                    for (row, busy) in state.inflight.overdue(deadline) {
+                        if state.row_complete(row) {
                             continue;
                         }
                         sched_debug!(
                             state,
-                            "overdue cell {flat} (deadline {:.1}ms, busy {busy:?})",
+                            "overdue row {row} (deadline {:.1}ms, busy {busy:?})",
                             deadline.as_secs_f64() * 1e3
                         );
-                        self.hedge_cell(flat, &busy, &state);
+                        self.hedge_row(row, &busy, &state);
                     }
                 }
 
@@ -697,6 +789,18 @@ impl Fleet {
             }
             self.write_status(&state);
         });
+
+        // This sweep's completers become the next sweep's pinned homes,
+        // replacing the previous sweep's.
+        let completers = std::mem::take(&mut *state.completers.lock().expect("completers lock"));
+        *self.homes.lock().expect("homes lock") = completers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(row, member)| {
+                let (network, seed) = state.row_coords(row);
+                Some(((network.to_owned(), seed, cap), member?))
+            })
+            .collect();
 
         if let Some(err) = state.fatal.lock().expect("fatal lock").take() {
             return Err(err);
@@ -785,6 +889,31 @@ impl Fleet {
             .map(|(json, _)| json)
     }
 
+    /// Queues every row on its home among `initial`: the member that
+    /// completed it last sweep, while that member is dispatchable, or else
+    /// the row's shard. Pinned rows go first, so each queue's back end —
+    /// where thieves look — holds fresh rows while any are left.
+    fn place_rows(&self, initial: &[Arc<Member>], cap: usize, state: &SweepState<'_>) {
+        let homes = self.homes.lock().expect("homes lock");
+        let mut fresh = Vec::new();
+        for row in 0..state.rows() {
+            let (network, seed) = state.row_coords(row);
+            let pinned = homes
+                .get(&(network.to_owned(), seed, cap))
+                .and_then(|&index| initial.iter().find(|m| m.index == index));
+            match pinned {
+                Some(member) => member.queue.push_back(RowJob {
+                    pinned: true,
+                    ..RowJob::new(row)
+                }),
+                None => fresh.push((row, backend_for_row(network, seed, initial.len()))),
+            }
+        }
+        for (row, home) in fresh {
+            initial[home].queue.push_back(RowJob::new(row));
+        }
+    }
+
     fn worker_loop(&self, member: Arc<Member>, state: &SweepState<'_>) {
         loop {
             if state.done() {
@@ -799,13 +928,13 @@ impl Fleet {
                     job.attempts += 1;
                     self.failover(member.index, job, "member out of rotation", state);
                 } else {
-                    self.run_cell(&member, job, state);
+                    self.run_row(&member, job, state);
                 }
                 continue;
             }
             if self.config.steal && member.state().is_dispatchable() {
                 if let Some(job) = self.steal_job(&member, state) {
-                    self.run_cell(&member, job, state);
+                    self.run_row(&member, job, state);
                     continue;
                 }
             }
@@ -815,39 +944,40 @@ impl Fleet {
 
     /// An idle worker's steal: pull from the back of the deepest
     /// dispatchable queue that is not our own.
-    fn steal_job(&self, thief: &Member, state: &SweepState<'_>) -> Option<CellJob> {
+    fn steal_job(&self, thief: &Member, state: &SweepState<'_>) -> Option<RowJob> {
         let members = self.membership.snapshot();
         let victim = pick_victim(&members, thief.index)?;
         let job = victim.queue.steal_back()?;
         sched_debug!(
             state,
-            "steal: member {} took cell {} from member {}",
+            "steal: member {} took row {} from member {}",
             thief.index,
-            job.flat,
+            job.row,
             victim.index
         );
-        thief.stolen.fetch_add(1, Ordering::SeqCst);
-        state.steals.fetch_add(1, Ordering::Relaxed);
-        self.metrics.steal_total.inc();
+        let cells = state.row_cells();
+        thief.stolen.fetch_add(cells, Ordering::SeqCst);
+        state.steals.fetch_add(cells, Ordering::Relaxed);
+        self.metrics.steal_total.add(cells);
         let mut span = tracer().span("fleet.steal");
         span.attr("trace_id", state.trace_id);
         span.attr("thief", thief.index);
         span.attr("victim", victim.index);
-        span.attr("cell", job.flat);
+        span.attr("row", job.row);
         drop(span);
         Some(job)
     }
 
     /// Executes one job on `member`: register in flight, drive it to a
     /// settled outcome, then fail over if the member couldn't finish it.
-    fn run_cell(&self, member: &Arc<Member>, mut job: CellJob, state: &SweepState<'_>) {
-        if state.board.is_complete(job.flat) {
+    fn run_row(&self, member: &Arc<Member>, mut job: RowJob, state: &SweepState<'_>) {
+        if state.row_complete(job.row) {
             // A hedge loser popped after its twin already won: drop unrun.
             return;
         }
         if !member.breaker_available() {
             // The skip consumes attempt budget: when every breaker is open
-            // the cell bounces at most `budget` times and then fails,
+            // the row bounces at most `budget` times and then fails,
             // instead of ping-ponging between dead backends forever.
             job.attempts += 1;
             self.failover(member.index, job, "circuit breaker open", state);
@@ -855,50 +985,51 @@ impl Fleet {
         }
         sched_debug!(
             state,
-            "run: cell {} on member {} (attempts {}, hedge {})",
-            job.flat,
+            "run: row {} on member {} (attempts {}, hedge {})",
+            job.row,
             member.index,
             job.attempts,
             job.hedge
         );
-        state.inflight.register(job.flat, member.index);
+        state.inflight.register(job.row, member.index);
         member.inflight.fetch_add(1, Ordering::SeqCst);
-        let verdict = self.drive_cell(member, &mut job, state);
+        let verdict = self.drive_row(member, &mut job, state);
         member.inflight.fetch_sub(1, Ordering::SeqCst);
         // Deregister *before* failing over, so the budget-exhausted check
         // in `failover` counts only the *other* copies still in flight.
-        state.inflight.deregister(job.flat, member.index);
+        state.inflight.deregister(job.row, member.index);
         if let Verdict::Failover(why) = verdict {
             self.failover(member.index, job, &why, state);
         }
     }
 
-    /// Drives one cell on `member` until it completes, is out-raced by its
+    /// Drives one row on `member` until it completes, is out-raced by its
     /// hedge twin, retries out its same-backend budget, or aborts the
     /// sweep.
-    fn drive_cell(&self, member: &Member, job: &mut CellJob, state: &SweepState<'_>) -> Verdict {
+    fn drive_row(&self, member: &Member, job: &mut RowJob, state: &SweepState<'_>) -> Verdict {
         let started = Instant::now();
+        let cells = state.row_cells();
         let mut local_attempt = 0u32;
         loop {
-            if state.done() || state.board.is_complete(job.flat) {
+            if state.done() || state.row_complete(job.row) {
                 return Verdict::Settled;
             }
             job.attempts += 1;
-            state.attempts.fetch_add(1, Ordering::Relaxed);
-            self.metrics.dispatch_total.inc();
+            state.attempts.fetch_add(cells, Ordering::Relaxed);
+            self.metrics.dispatch_total.add(cells);
             let attempt_start = Instant::now();
             let outcome = {
                 let mut span = tracer().span("fleet.dispatch");
                 span.attr("trace_id", state.trace_id);
                 span.attr("backend", member.index);
-                span.attr("cell", job.flat);
+                span.attr("row", job.row);
                 span.attr("attempt", job.attempts);
                 span.attr("hedge", u64::from(job.hedge));
-                self.attempt_cell(member, job.flat, span.id(), state)
+                self.attempt_row(member, job.row, span.id(), state)
             };
             self.metrics.attempt_us.record(attempt_start.elapsed());
             match outcome {
-                Attempt::Done(result) => {
+                Attempt::Done(results) => {
                     member
                         .breaker
                         .lock()
@@ -910,43 +1041,24 @@ impl Fleet {
                     let latency = started.elapsed();
                     sched_debug!(
                         state,
-                        "done: cell {} on member {} in {:.1}ms (hedge {})",
-                        job.flat,
+                        "done: row {} on member {} in {:.1}ms (hedge {})",
+                        job.row,
                         member.index,
                         latency.as_secs_f64() * 1e3,
                         job.hedge
                     );
-                    match state.board.complete(job.flat, result, latency) {
-                        Completion::Win => {
-                            member.completed.fetch_add(1, Ordering::SeqCst);
-                            self.metrics.cell_us.record(latency);
-                            state.latencies.lock().expect("latency lock").push(latency);
-                            if job.hedge {
-                                state.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                self.metrics.hedge_win_total.inc();
-                            }
-                            let (arch, network, seed) = state.cell_coords(job.flat);
-                            *state.last_cell.lock().expect("last cell lock") =
-                                Some(format!("{arch}/{network}/{seed}"));
-                            // Unblock the losing copy right now instead of
-                            // letting it ride out the straggler.
-                            state.inflight.cancel_others(job.flat, member.index);
-                        }
-                        Completion::Duplicate => {
-                            self.metrics.hedge_duplicate_total.inc();
-                        }
-                    }
+                    self.settle_row(member, job, results, latency, state);
                     return Verdict::Settled;
                 }
                 Attempt::Retry(overloaded) => {
-                    // Healthy-but-busy: the breaker is NOT fed, the cell
+                    // Healthy-but-busy: the breaker is NOT fed, the row
                     // stays on its backend, and the retry waits out a
                     // deterministic-jitter backoff.
                     if overloaded {
-                        self.metrics.overloaded_total.inc();
+                        self.metrics.overloaded_total.add(cells);
                     }
-                    state.retries.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.retry_total.inc();
+                    state.retries.fetch_add(cells, Ordering::Relaxed);
+                    self.metrics.retry_total.add(cells);
                     local_attempt += 1;
                     if local_attempt >= self.config.max_attempts_per_backend {
                         return Verdict::Failover(
@@ -958,13 +1070,10 @@ impl Fleet {
                             .to_owned(),
                         );
                     }
-                    let delay = self
-                        .config
-                        .backoff
-                        .delay(job.flat as u64, local_attempt - 1);
+                    let delay = self.config.backoff.delay(job.row as u64, local_attempt - 1);
                     let mut span = tracer().span("fleet.retry");
                     span.attr("backend", member.index);
-                    span.attr("cell", job.flat);
+                    span.attr("row", job.row);
                     span.attr("delay_us", delay.as_micros());
                     drop(span);
                     state.sleep(delay);
@@ -974,10 +1083,10 @@ impl Fleet {
                     return Verdict::Settled;
                 }
                 Attempt::Fault(message) => {
-                    if state.board.is_complete(job.flat) {
+                    if state.row_complete(job.row) {
                         // Our socket was shut down by the winning twin;
                         // the backend did nothing wrong, so the breaker
-                        // is not fed and the cell needs no failover.
+                        // is not fed and the row needs no failover.
                         return Verdict::Settled;
                     }
                     let newly_opened = member
@@ -995,11 +1104,59 @@ impl Fleet {
         }
     }
 
-    /// One wire round trip for one cell against one member.
-    fn attempt_cell(
+    /// Lands a row's answer on the board, cell by cell. A copy that won at
+    /// least one cell records the row's latency for every cell it won,
+    /// feeds the hedge window once, becomes the row's completer, and
+    /// cancels its twin.
+    fn settle_row(
         &self,
         member: &Member,
-        flat: usize,
+        job: &RowJob,
+        results: Vec<Json>,
+        latency: Duration,
+        state: &SweepState<'_>,
+    ) {
+        let mut won = 0u64;
+        for (arch_index, result) in results.into_iter().enumerate() {
+            match state
+                .board
+                .complete(state.flat(arch_index, job.row), result)
+            {
+                Completion::Win => won += 1,
+                Completion::Duplicate => self.metrics.hedge_duplicate_total.inc(),
+            }
+        }
+        if won == 0 {
+            return;
+        }
+        member.completed.fetch_add(won, Ordering::SeqCst);
+        state.window.record(latency);
+        for _ in 0..won {
+            self.metrics.cell_us.record(latency);
+        }
+        state
+            .latencies
+            .lock()
+            .expect("latency lock")
+            .extend(std::iter::repeat(latency).take(won as usize));
+        if job.hedge {
+            state.hedge_wins.fetch_add(won, Ordering::Relaxed);
+            self.metrics.hedge_win_total.add(won);
+        }
+        state.completers.lock().expect("completers lock")[job.row] = Some(member.index);
+        let (arch, network, seed) = state.cell_coords(state.flat(state.archs.len() - 1, job.row));
+        *state.last_cell.lock().expect("last cell lock") = Some(format!("{arch}/{network}/{seed}"));
+        // Unblock the losing copy right now instead of letting it ride out
+        // the straggler.
+        state.inflight.cancel_others(job.row, member.index);
+    }
+
+    /// One wire round trip for one row against one member: a `sweep`
+    /// request of every arch over the row's network and seed.
+    fn attempt_row(
+        &self,
+        member: &Member,
+        row: usize,
         dispatch_span: Option<u64>,
         state: &SweepState<'_>,
     ) -> Attempt {
@@ -1010,14 +1167,17 @@ impl Fleet {
         // Park a cancel handle so a winning hedge twin can cut this call
         // short; detached the moment the call returns on its own.
         if let Ok(handle) = client.cancel_handle() {
-            state.inflight.attach_cancel(flat, member.index, handle);
+            state.inflight.attach_cancel(row, member.index, handle);
         }
-        let (arch, network, seed) = state.cell_coords(flat);
+        let (network, seed) = state.row_coords(row);
         let mut fields = vec![
-            ("kind", Json::from("simulate")),
-            ("arch", Json::from(arch)),
-            ("network", Json::from(network)),
-            ("seed", Json::from(seed)),
+            ("kind", Json::from("sweep")),
+            (
+                "archs",
+                Json::Array(state.archs.iter().map(|a| Json::from(a.as_str())).collect()),
+            ),
+            ("networks", Json::Array(vec![Json::from(network)])),
+            ("seeds", Json::Array(vec![Json::from(seed)])),
             (
                 "timeout_ms",
                 Json::from(
@@ -1039,12 +1199,15 @@ impl Fleet {
             fields.push(("trace", ctx.to_json()));
         }
         let outcome = client.call(Json::obj(fields));
-        state.inflight.detach_cancel(flat, member.index);
+        state.inflight.detach_cancel(row, member.index);
         match outcome {
-            Ok(result) => {
-                member.pool.checkin(client);
-                Attempt::Done(result)
-            }
+            Ok(doc) => match row_results(&doc, state.archs.len()) {
+                Some(results) => {
+                    member.pool.checkin(client);
+                    Attempt::Done(results)
+                }
+                None => Attempt::Fault("protocol: malformed sweep answer".to_owned()),
+            },
             Err(ClientError::Overloaded(_)) => {
                 // The connection is fine — the admission queue was full.
                 member.pool.checkin(client);
@@ -1071,22 +1234,21 @@ impl Fleet {
         }
     }
 
-    /// Moves a cell to the next dispatchable member (or the next roster
+    /// Moves a row to the next dispatchable member (or the next roster
     /// slot outright when nobody qualifies — the attempt cap, not the
-    /// roster state, is what finally fails a cell).
-    fn failover(&self, from: usize, job: CellJob, why: &str, state: &SweepState<'_>) {
+    /// roster state, is what finally fails a row).
+    fn failover(&self, from: usize, job: RowJob, why: &str, state: &SweepState<'_>) {
         let members = self.membership.snapshot();
         let n = members.len().max(1);
         let budget = self.config.max_attempts_per_backend * n as u32;
         if job.attempts >= budget {
-            // A hedge twin may still be computing this cell; the sweep is
-            // only lost when the slot is empty AND nobody is on it.
-            if state.board.is_complete(job.flat) || state.inflight.live(job.flat) > 0 {
+            // A hedge twin may still be computing this row; the sweep is
+            // only lost when the row is unfinished AND nobody is on it.
+            if state.row_complete(job.row) || state.inflight.live(job.row) > 0 {
                 return;
             }
-            let (arch, network, seed) = state.cell_coords(job.flat);
-            state.fail(FleetError::CellFailed {
-                arch: arch.to_owned(),
+            let (network, seed) = state.row_coords(job.row);
+            state.fail(FleetError::RowFailed {
                 network: network.to_owned(),
                 seed,
                 attempts: job.attempts,
@@ -1094,12 +1256,13 @@ impl Fleet {
             });
             return;
         }
-        state.failovers.fetch_add(1, Ordering::Relaxed);
-        self.metrics.failover_total.inc();
+        let cells = state.row_cells();
+        state.failovers.fetch_add(cells, Ordering::Relaxed);
+        self.metrics.failover_total.add(cells);
         // Rotation from the next slot: prefer dispatchable members whose
         // breaker admits traffic, then any dispatchable member, then the
         // next slot outright (its worker will bounce the job back here,
-        // burning budget toward a typed CellFailed instead of a hang).
+        // burning budget toward a typed RowFailed instead of a hang).
         let mut target = None;
         for k in 1..=n {
             let candidate = &members[(from + k) % n];
@@ -1142,9 +1305,10 @@ impl Fleet {
             .set(self.membership.dispatchable().len() as i64);
     }
 
-    /// Drains `member`'s home queue and re-homes the cells across the
-    /// dispatchable survivors with the same FNV shard (over the survivor
-    /// list), so the redistribution is itself deterministic.
+    /// Drains `member`'s home queue and re-homes the rows across the
+    /// dispatchable survivors with the same shard (over the survivor
+    /// list), so the redistribution is itself deterministic. A moved row
+    /// is no longer pinned: its new home does not hold it.
     fn reshard(&self, member: &Member, state: &SweepState<'_>) {
         let jobs = member.queue.drain();
         if jobs.is_empty() {
@@ -1159,27 +1323,29 @@ impl Fleet {
         if survivors.is_empty() {
             // Nobody to take the work: put it back. The member's own
             // workers will bounce each job through `failover`, burning
-            // budget toward a typed CellFailed instead of hanging.
+            // budget toward a typed RowFailed instead of hanging.
             for job in jobs {
                 member.queue.push_back(job);
             }
             return;
         }
-        state
-            .resharded
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        self.metrics.reshard_cells_total.add(jobs.len() as u64);
+        let cells = jobs.len() as u64 * state.row_cells();
+        state.resharded.fetch_add(cells, Ordering::Relaxed);
+        self.metrics.reshard_cells_total.add(cells);
         for job in jobs {
-            let (arch, network, seed) = state.cell_coords(job.flat);
-            let target = &survivors[backend_for_cell(arch, network, seed, survivors.len())];
-            target.queue.push_back(job);
+            let (network, seed) = state.row_coords(job.row);
+            let target = &survivors[backend_for_row(network, seed, survivors.len())];
+            target.queue.push_back(RowJob {
+                pinned: false,
+                ..job
+            });
         }
     }
 
-    /// Duplicates an overdue cell onto the least-loaded dispatchable
+    /// Duplicates an overdue row onto the least-loaded dispatchable
     /// member not already working on it. The duplicate jumps its target's
-    /// queue (the cell is past the deadline by definition).
-    fn hedge_cell(&self, flat: usize, busy: &[usize], state: &SweepState<'_>) {
+    /// queue (the row is past the deadline by definition).
+    fn hedge_row(&self, row: usize, busy: &[usize], state: &SweepState<'_>) {
         let members = self.membership.snapshot();
         let target = members
             .iter()
@@ -1191,21 +1357,21 @@ impl Fleet {
             // Nowhere to hedge right now; the next monitor tick retries.
             return;
         };
-        // Mark before pushing: the monitor must never double-hedge a cell
+        // Mark before pushing: the monitor must never double-hedge a row
         // it sees overdue on two consecutive ticks.
-        state.inflight.mark_hedged(flat);
-        target.hedged.fetch_add(1, Ordering::SeqCst);
-        state.hedges.fetch_add(1, Ordering::Relaxed);
-        self.metrics.hedge_total.inc();
+        state.inflight.mark_hedged(row);
+        let cells = state.row_cells();
+        target.hedged.fetch_add(cells, Ordering::SeqCst);
+        state.hedges.fetch_add(cells, Ordering::Relaxed);
+        self.metrics.hedge_total.add(cells);
         let mut span = tracer().span("fleet.hedge");
         span.attr("trace_id", state.trace_id);
-        span.attr("cell", flat);
+        span.attr("row", row);
         span.attr("target", target.index);
         drop(span);
-        target.queue.push_front(CellJob {
-            flat,
-            attempts: 0,
+        target.queue.push_front(RowJob {
             hedge: true,
+            ..RowJob::new(row)
         });
     }
 
@@ -1250,7 +1416,9 @@ impl Fleet {
     }
 
     /// Atomically rewrites the status file (tmp + rename) with a roster
-    /// snapshot, when [`FleetConfig::status_path`] is set.
+    /// snapshot, when [`FleetConfig::status_path`] is set. A member's
+    /// `queued` and `inflight` count rows; `completed`, `stolen` and
+    /// `hedged` count cells, like the progress object.
     fn write_status(&self, state: &SweepState<'_>) {
         let Some(path) = &self.config.status_path else {
             return;
@@ -1405,43 +1573,12 @@ mod tests {
         ));
     }
 
-    fn bare_state<'a>(
-        archs: &'a [String],
-        networks: &'a [String],
-        seeds: &'a [u64],
-    ) -> SweepState<'a> {
-        SweepState {
-            archs,
-            networks,
-            seeds,
-            sample_cap: None,
-            trace_id: "fs-test",
-            board: CompletionBoard::new(0),
-            inflight: InFlightTable::new(),
-            fatal: Mutex::new(None),
-            abort: AtomicBool::new(false),
-            attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
-            leaves: AtomicU64::new(0),
-            resharded: AtomicU64::new(0),
-            latencies: Mutex::new(Vec::new()),
-            probe_cancel: Mutex::new(None),
-            started: Instant::now(),
-            last_cell: Mutex::new(None),
-        }
-    }
-
     #[test]
     fn cell_coords_walk_the_grid_row_major() {
         let archs = vec!["a".to_string(), "b".to_string()];
         let networks = vec!["x".to_string(), "y".to_string()];
         let seeds = vec![1u64, 2];
-        let state = bare_state(&archs, &networks, &seeds);
+        let state = SweepState::new(&archs, &networks, &seeds, None, "fs-test");
         let mut flat = 0;
         for a in ["a", "b"] {
             for n in ["x", "y"] {
@@ -1451,12 +1588,20 @@ mod tests {
                 }
             }
         }
+        // A row's cells sit one row count apart, at its (network, seed).
+        for row in 0..state.rows() {
+            let (network, seed) = state.row_coords(row);
+            for (arch_index, arch) in archs.iter().enumerate() {
+                let cell = state.cell_coords(state.flat(arch_index, row));
+                assert_eq!(cell, (arch.as_str(), network, seed));
+            }
+        }
     }
 
     #[test]
-    fn all_endpoints_dead_fails_with_cell_failed_not_a_hang() {
-        // Two unreachable backends: the cell must burn its budget and the
-        // sweep must return CellFailed (never deadlock).
+    fn all_endpoints_dead_fails_with_row_failed_not_a_hang() {
+        // Two unreachable backends: the row must burn its budget and the
+        // sweep must return RowFailed (never deadlock).
         let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let l2 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let (a1, a2) = (l1.local_addr().unwrap(), l2.local_addr().unwrap());
@@ -1467,8 +1612,8 @@ mod tests {
         config.probe_interval = Duration::from_secs(30); // stay out of the way
         let fleet = Fleet::new(config).unwrap();
         match fleet.sweep(&["sibia".into()], &["dgcnn".into()], &[1], Some(64)) {
-            Err(FleetError::CellFailed { attempts, .. }) => assert!(attempts >= 2),
-            other => panic!("expected CellFailed, got {other:?}"),
+            Err(FleetError::RowFailed { attempts, .. }) => assert!(attempts >= 2),
+            other => panic!("expected RowFailed, got {other:?}"),
         }
     }
 

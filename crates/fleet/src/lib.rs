@@ -1,15 +1,17 @@
 //! # sibia-fleet — dynamically scheduled multi-backend sweep coordination
 //!
 //! The first horizontal-scaling layer of the Sibia stack: a std-only
-//! coordinator that takes a sweep grid, shards its cells across a dynamic
-//! roster of `sibia-serve` backends, and merges the answers into a
-//! document **byte-identical** to a direct [`sibia_sim::ParallelEngine`]
-//! grid run — regardless of backend count, membership churn, failures,
-//! steals, hedges, retries, or completion order.
+//! coordinator that takes a sweep grid, shards its `(network, seed)` rows
+//! across a dynamic roster of `sibia-serve` backends — one `sweep` request
+//! per row, carrying every arch, so each backend synthesizes a row's
+//! network once — and merges the answers into a document
+//! **byte-identical** to a direct [`sibia_sim::ParallelEngine`] grid run —
+//! regardless of backend count, membership churn, failures, steals,
+//! hedges, retries, or completion order.
 //!
 //! | module | what it provides |
 //! |---|---|
-//! | [`shard`] | deterministic FNV-1a cell → backend assignment |
+//! | [`shard`] | deterministic, finalized FNV-1a row → backend assignment |
 //! | [`backoff`] | bounded exponential backoff with deterministic jitter (SynthRng, no `rand`) |
 //! | [`breaker`] | per-backend Closed/Open/HalfOpen circuit breaker |
 //! | [`pool`] | per-backend blocking connection pool over [`sibia_serve::Client`] |
@@ -19,12 +21,12 @@
 //!
 //! ## Failure policy in one paragraph
 //!
-//! `overloaded` and `deadline_exceeded` mean *healthy but busy*: the cell
+//! `overloaded` and `deadline_exceeded` mean *healthy but busy*: the row
 //! retries the **same** backend after a deterministic-jitter backoff and
 //! the circuit breaker is not touched. Transport faults and server faults
 //! (`internal`, `shutting_down`) mean *backend in trouble*: the breaker
 //! records the failure, a newly opened breaker marks the member Dead and
-//! reshards its queue, and the cell **fails over** to the next
+//! reshards its queue, and the row **fails over** to the next
 //! dispatchable member. Deterministic rejections (`bad_request`,
 //! `unknown_arch`, `unknown_network`) abort the whole sweep — every
 //! backend would answer identically, so retrying anywhere is futile. A
@@ -34,17 +36,21 @@
 //!
 //! ## Scheduling policy in one paragraph
 //!
-//! Every cell starts on its FNV-sharded home queue. Idle workers steal
-//! from the back of the deepest dispatchable queue
+//! The unit of dispatch is the `(network, seed)` row. A row starts on the
+//! member that completed it in the fleet's previous sweep, whose store
+//! answers it, if that member is still dispatchable; such a row is pinned
+//! there. Every other row starts on its sharded home queue. Idle workers
+//! steal unpinned rows from the back of the deepest dispatchable queue
 //! ([`control::stealing`]), so a straggler sheds its backlog instead of
-//! serializing the sweep's tail. A cell in flight past the windowed-p99
-//! hedge deadline ([`control::hedging`]) is duplicated onto the
-//! least-loaded other member; the first completion wins the cell on the
-//! [`control::CompletionBoard`], the loser's socket is cancelled via
-//! [`sibia_serve::CancelHandle`], and a loser that answers anyway is
-//! deduped — never double-written. Members join and leave mid-sweep
-//! ([`control::membership`]); a departing member's queue is drained and
-//! resharded across the survivors.
+//! serializing the sweep's tail. A row in flight past the windowed-p99
+//! hedge deadline ([`control::hedging`], a window of row latencies) is
+//! duplicated onto the least-loaded other member; the first completion
+//! wins each cell on the [`control::CompletionBoard`], the loser's socket
+//! is cancelled via [`sibia_serve::CancelHandle`], and a loser that
+//! answers anyway is deduped — never double-written. Members join and
+//! leave mid-sweep ([`control::membership`]); a departing member's queue
+//! is drained and resharded across the survivors. [`SweepStats`] and the
+//! `fleet.*` work counters count cells: a row counts its arch count.
 //!
 //! Everything is observable through the global [`sibia_obs`] registry
 //! (`fleet.*` counters and histograms — `fleet.failover_total`,
@@ -68,5 +74,5 @@ pub use control::{
 };
 pub use coordinator::{Fleet, FleetConfig, FleetError, SweepStats};
 pub use pool::ClientPool;
-pub use shard::{backend_for_cell, cell_key};
+pub use shard::{backend_for_row, row_key};
 pub use telemetry::{backend_pid, merge_chrome_trace, COORDINATOR_PID};

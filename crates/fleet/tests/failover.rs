@@ -8,11 +8,18 @@
 //! `fleet.failover_total >= 1` (and the per-sweep failover count), the
 //! overload test pins the retry path, and the store test shows re-runs are
 //! warm hits.
+//!
+//! The fleet dispatches one `sweep` request per `(network, seed)` row. The
+//! row contract tests pin what that buys against store-backed backends,
+//! read from each daemon's own `metrics` (sibling tests share the
+//! process-global registry): a cold sweep computes each row exactly once,
+//! a warm sweep after steals is all store hits, and a cold daemon with a
+//! warm peer answers every cell from the peer.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sibia_fleet::{Fleet, FleetConfig, FleetError};
@@ -21,12 +28,14 @@ use sibia_obs::registry;
 use sibia_serve::protocol::{arch_by_name, error_response, grid_to_json, ErrorCode, ServeError};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::Client;
-use sibia_sim::{ParallelEngine, Simulator};
+use sibia_sim::{DecompCache, ParallelEngine, Simulator};
 
 const ARCHS: [&str; 2] = ["sibia", "bitfusion"];
 const NETWORKS: [&str; 1] = ["dgcnn"];
 const SEEDS: [u64; 3] = [1, 2, 3];
 const SAMPLE_CAP: usize = 512;
+/// The paper's five architectures, by protocol name.
+const FIG_ARCHS: [&str; 5] = ["bitfusion", "hnpu", "no-sbr", "input-skip", "sibia"];
 
 fn start_server() -> Server {
     Server::start(ServeConfig {
@@ -43,14 +52,20 @@ fn owned(names: &[&str]) -> Vec<String> {
 
 /// The ground truth: the direct library grid, serialized canonically.
 fn direct_grid_bytes(seeds: &[u64]) -> String {
-    let specs: Vec<_> = ARCHS.iter().map(|a| arch_by_name(a).unwrap()).collect();
-    let networks: Vec<_> = NETWORKS
+    grid_bytes(&ARCHS, &NETWORKS, seeds, &DecompCache::new())
+}
+
+/// The direct library grid of `archs × networks × seeds` against `cache`.
+fn grid_bytes(archs: &[&str], networks: &[&str], seeds: &[u64], cache: &DecompCache) -> String {
+    let specs: Vec<_> = archs.iter().map(|a| arch_by_name(a).unwrap()).collect();
+    let networks: Vec<_> = networks
         .iter()
         .map(|n| sibia_nn::zoo::by_name(n).unwrap())
         .collect();
     let mut sim = Simulator::new(seeds[0]);
     sim.sample_cap = SAMPLE_CAP;
-    let grid = ParallelEngine::with_threads(1).simulate_grid(&sim, &specs, &networks, seeds);
+    let grid =
+        ParallelEngine::with_threads(1).simulate_grid_cached(&sim, &specs, &networks, seeds, cache);
     grid_to_json(&grid).to_string()
 }
 
@@ -173,13 +188,12 @@ fn crashing_backend_fails_over_and_keeps_bytes_identical() {
     let crash_addr = spawn_crash_backend();
     let endpoints = vec![healthy.addr().to_string(), crash_addr.to_string()];
 
-    // Seeds chosen so the FNV shard homes at least one cell on each
-    // backend (pinned below) — the crash backend's cells MUST fail over.
+    // Seeds chosen so the shard homes at least one row on each backend
+    // (pinned below) — the crash backend's rows MUST fail over.
     let seeds: Vec<u64> = (1..=6).collect();
-    let homes: std::collections::BTreeSet<usize> = ARCHS
+    let homes: std::collections::BTreeSet<usize> = seeds
         .iter()
-        .flat_map(|a| seeds.iter().map(move |&s| (a, s)))
-        .map(|(a, s)| sibia_fleet::backend_for_cell(a, NETWORKS[0], s, 2))
+        .map(|&s| sibia_fleet::backend_for_row(NETWORKS[0], s, 2))
         .collect();
     assert_eq!(homes.len(), 2, "grid must span both backends");
 
@@ -192,7 +206,7 @@ fn crashing_backend_fails_over_and_keeps_bytes_identical() {
     assert_eq!(json.to_string(), direct_grid_bytes(&seeds));
     assert!(
         stats.failovers >= 1,
-        "cells homed on the crash backend must fail over (stats: {stats:?})"
+        "rows homed on the crash backend must fail over (stats: {stats:?})"
     );
     assert!(
         registry().counter("fleet.failover_total").get() - failovers_before >= 1,
@@ -205,34 +219,39 @@ fn crashing_backend_fails_over_and_keeps_bytes_identical() {
 }
 
 /// A backend that answers every request with a well-formed `overloaded`
-/// error (echoing the request id, as the client requires), forever.
+/// error (echoing the request id, as the client requires), forever. Each
+/// connection is served on its own thread, as a real daemon would: the
+/// fleet pools several connections per backend, and one left unserved
+/// would wait out the whole request timeout.
 fn spawn_overloaded_backend() -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind overloaded backend");
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         for stream in listener.incoming().flatten() {
-            let mut writer = stream.try_clone().expect("clone stream");
-            let mut reader = BufReader::new(stream);
-            loop {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone stream");
+                let mut reader = BufReader::new(stream);
+                loop {
+                    let mut line = String::new();
+                    match reader.read_line(&mut line) {
+                        Ok(0) | Err(_) => break,
+                        Ok(_) => {}
+                    }
+                    let id = Json::parse(line.trim_end())
+                        .ok()
+                        .and_then(|v| v.get("id").cloned());
+                    let mut reply = error_response(
+                        id.as_ref(),
+                        None,
+                        &ServeError::new(ErrorCode::Overloaded, "synthetic overload"),
+                    )
+                    .to_string();
+                    reply.push('\n');
+                    if writer.write_all(reply.as_bytes()).is_err() {
+                        break;
+                    }
                 }
-                let id = Json::parse(line.trim_end())
-                    .ok()
-                    .and_then(|v| v.get("id").cloned());
-                let mut reply = error_response(
-                    id.as_ref(),
-                    None,
-                    &ServeError::new(ErrorCode::Overloaded, "synthetic overload"),
-                )
-                .to_string();
-                reply.push('\n');
-                if writer.write_all(reply.as_bytes()).is_err() {
-                    break;
-                }
-            }
+            });
         }
     });
     addr
@@ -245,11 +264,21 @@ fn overloaded_backend_is_retried_then_failed_over_with_identical_bytes() {
     let endpoints = vec![healthy.addr().to_string(), busy_addr.to_string()];
 
     let seeds: Vec<u64> = (1..=6).collect();
-    let fleet = Fleet::new(fleet_config(endpoints)).unwrap();
+    let config = fleet_config(endpoints);
+    let request_timeout = config.request_timeout;
+    let fleet = Fleet::new(config).unwrap();
+    let started = std::time::Instant::now();
     let (json, stats) = fleet
         .sweep_with_stats(&owned(&ARCHS), &owned(&NETWORKS), &seeds, Some(SAMPLE_CAP))
         .expect("sweep must route around the overloaded backend");
+    let elapsed = started.elapsed();
 
+    // Overloaded answers come back at once: no dispatch may sit out a
+    // request timeout waiting for one.
+    assert!(
+        elapsed < request_timeout / 6,
+        "sweep took {elapsed:?} against a {request_timeout:?} request timeout"
+    );
     assert_eq!(json.to_string(), direct_grid_bytes(&seeds));
     assert!(
         stats.retries >= 1,
@@ -257,7 +286,7 @@ fn overloaded_backend_is_retried_then_failed_over_with_identical_bytes() {
     );
     assert!(
         stats.failovers >= 1,
-        "an always-overloaded backend must eventually lose its cells"
+        "an always-overloaded backend must eventually lose its rows"
     );
     assert_eq!(stats.per_backend_cells[0], stats.cells as u64);
     assert!(registry().counter("fleet.overloaded_total").get() >= 1);
@@ -316,8 +345,8 @@ fn store_backed_backends_serve_the_second_sweep_warm() {
     assert_eq!(cold, warm, "warm sweep must be byte-identical to cold");
     assert_eq!(cold, direct_grid_bytes(&SEEDS));
 
-    // The deterministic shard sends each cell to the same backend both
-    // times, so the second sweep is served from the stores.
+    // The second sweep homes each row on the backend that completed it,
+    // so it is served from the stores.
     let mut total_hits = 0;
     for server in &servers {
         let mut client = Client::connect(server.addr()).expect("connect");
@@ -447,11 +476,11 @@ fn planned_join_steals_work_for_the_new_member() {
     let spare = start_server();
     let p0 = SlowProxy::start(s0.addr()).expect("proxy");
     let p1 = SlowProxy::start(s1.addr()).expect("proxy");
-    // 24 cells at ≥40 ms each over 4 workers: the sweep cannot finish
-    // before the 100 ms join, however fast the machine.
+    // 24 rows at ≥40 ms each over 4 workers: rows are still queued well
+    // past the 100 ms join, however fast the machine.
     p0.set_delay(Duration::from_millis(40));
     p1.set_delay(Duration::from_millis(40));
-    let seeds: Vec<u64> = (1..=12).collect();
+    let seeds: Vec<u64> = (1..=24).collect();
     let mut config = fleet_config(vec![p0.addr().to_string(), p1.addr().to_string()]);
     config.membership_plan = vec![PlannedEvent {
         at: Duration::from_millis(100),
@@ -467,7 +496,7 @@ fn planned_join_steals_work_for_the_new_member() {
     assert_eq!(stats.backends, 3, "the joined member gets a roster slot");
     assert!(
         stats.per_backend_cells[2] > 0,
-        "the joined member must complete stolen cells: {stats:?}"
+        "the joined member must complete stolen rows: {stats:?}"
     );
     assert!(stats.steals >= 1, "joins take work by stealing: {stats:?}");
     assert_eq!(stats.membership[2].0, spare.addr().to_string());
@@ -479,7 +508,7 @@ fn planned_join_steals_work_for_the_new_member() {
     p1.stop();
 }
 
-/// A member drained out mid-sweep (planned leave) hands its queued cells
+/// A member drained out mid-sweep (planned leave) hands its queued rows
 /// to the survivors and ends the sweep out of rotation.
 #[test]
 fn planned_leave_reshards_the_queue_and_drains_out() {
@@ -521,7 +550,7 @@ fn planned_leave_reshards_the_queue_and_drains_out() {
     p1.stop();
 }
 
-/// A stalled backend's in-flight cells are rescued by hedged dispatch:
+/// A stalled backend's in-flight rows are rescued by hedged dispatch:
 /// the duplicate wins on the healthy backend, the straggling copy is
 /// cancelled, and the straggler is never blamed (its breaker stays shut,
 /// its membership stays Active).
@@ -548,7 +577,7 @@ fn hedged_dispatch_rescues_a_stalled_backend() {
         .expect("sweep with a stalled backend");
 
     assert_eq!(json.to_string(), direct_grid_bytes(&seeds));
-    assert!(stats.hedges >= 1, "overdue cells must be hedged: {stats:?}");
+    assert!(stats.hedges >= 1, "overdue rows must be hedged: {stats:?}");
     assert!(
         stats.hedge_wins >= 1,
         "the duplicate must win at least one race: {stats:?}"
@@ -565,4 +594,194 @@ fn hedged_dispatch_rescues_a_stalled_backend() {
     stalled.shutdown();
     healthy.shutdown();
     proxy.stop();
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("sibia-fleet-rows-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
+    p
+}
+
+/// A store-backed daemon with one worker and one engine thread.
+fn start_store_server(dir: &Path, peers: Vec<String>) -> Server {
+    Server::start(ServeConfig {
+        workers: 1,
+        engine_threads: 1,
+        store_dir: Some(dir.to_path_buf()),
+        peers,
+        ..ServeConfig::default()
+    })
+    .expect("bind")
+}
+
+/// Counters summed over daemons, each read from the daemon's own `metrics`
+/// verb (the process-global registry is shared with sibling tests).
+#[derive(Debug, Default, Clone, Copy)]
+struct Counts {
+    cache_misses: u64,
+    store_hits: u64,
+    store_probes: u64,
+    peer_hits: u64,
+}
+
+fn counts(servers: &[&Server]) -> Counts {
+    let mut sum = Counts::default();
+    for server in servers {
+        let metrics = Client::connect(server.addr())
+            .expect("connect")
+            .metrics()
+            .expect("metrics");
+        let at = |path: &[&str]| {
+            path.iter()
+                .try_fold(&metrics, |v, k| v.get(k))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+        };
+        sum.cache_misses += at(&["cache", "misses"]);
+        sum.store_hits += at(&["store", "hits"]);
+        sum.store_probes += at(&["store", "hits"]) + at(&["store", "misses"]);
+        sum.peer_hits += at(&["registry", "counters", "serve.peer.hits"]);
+    }
+    sum
+}
+
+/// Each row is computed once: a cold sweep costs the backends exactly the
+/// decomposition misses of one in-process grid, and probes each cell's
+/// store key once.
+#[test]
+fn a_cold_sweep_computes_each_row_once() {
+    let dirs = [temp_dir("once-b0"), temp_dir("once-b1")];
+    let servers: Vec<Server> = dirs
+        .iter()
+        .map(|d| start_store_server(d, Vec::new()))
+        .collect();
+    let backends: Vec<&Server> = servers.iter().collect();
+    // dgcnn and resnet18 share no layer, so the in-process grid's single
+    // cache has no cross-row hit that split backends would miss.
+    let networks = ["dgcnn", "resnet18"];
+    let seeds = [1u64, 2];
+    let mut config = fleet_config(servers.iter().map(|s| s.addr().to_string()).collect());
+    config.steal = false;
+    config.hedge.enabled = false;
+    let fleet = Fleet::new(config).unwrap();
+
+    let before = counts(&backends);
+    let (json, stats) = fleet
+        .sweep_with_stats(
+            &owned(&FIG_ARCHS),
+            &owned(&networks),
+            &seeds,
+            Some(SAMPLE_CAP),
+        )
+        .expect("cold sweep");
+    let after = counts(&backends);
+
+    let cache = DecompCache::new();
+    assert_eq!(
+        json.to_string(),
+        grid_bytes(&FIG_ARCHS, &networks, &seeds, &cache)
+    );
+    assert_eq!(
+        after.cache_misses - before.cache_misses,
+        cache.misses(),
+        "the backends must synthesize and measure each row once"
+    );
+    assert_eq!(stats.attempts, stats.cells as u64, "{stats:?}");
+    assert_eq!(after.store_probes - before.store_probes, stats.attempts);
+    for s in servers {
+        s.shutdown();
+    }
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// A warm sweep is all store hits even after the cold sweep stole rows:
+/// each row is homed on the member that completed it, and such a pinned
+/// row is never stolen.
+#[test]
+fn a_warm_sweep_after_steals_is_all_store_hits() {
+    use sibia_fleet::SlowProxy;
+
+    let dirs = [temp_dir("steal-b0"), temp_dir("steal-b1")];
+    let servers: Vec<Server> = dirs
+        .iter()
+        .map(|d| start_store_server(d, Vec::new()))
+        .collect();
+    let backends: Vec<&Server> = servers.iter().collect();
+    let proxy = SlowProxy::start(servers[1].addr()).expect("proxy");
+    proxy.set_delay(Duration::from_millis(500));
+    let mut config = fleet_config(vec![
+        servers[0].addr().to_string(),
+        proxy.addr().to_string(),
+    ]);
+    // Stealing, not hedging, is what moves rows off the slow member.
+    config.hedge.enabled = false;
+    let fleet = Fleet::new(config).unwrap();
+    let seeds: Vec<u64> = (1..=6).collect();
+
+    let (cold, cold_stats) = fleet
+        .sweep_with_stats(&owned(&ARCHS), &owned(&NETWORKS), &seeds, Some(SAMPLE_CAP))
+        .expect("cold sweep");
+    assert!(
+        cold_stats.steals >= 1,
+        "the slow member's rows must be stolen: {cold_stats:?}"
+    );
+    proxy.set_delay(Duration::ZERO);
+    let before = counts(&backends);
+    let (warm, warm_stats) = fleet
+        .sweep_with_stats(&owned(&ARCHS), &owned(&NETWORKS), &seeds, Some(SAMPLE_CAP))
+        .expect("warm sweep");
+    let after = counts(&backends);
+
+    assert_eq!(cold.to_string(), direct_grid_bytes(&seeds));
+    assert_eq!(warm.to_string(), cold.to_string());
+    assert_eq!(
+        after.store_hits - before.store_hits,
+        warm_stats.cells as u64,
+        "every warm cell must be a store hit: {warm_stats:?}"
+    );
+    for s in servers {
+        s.shutdown();
+    }
+    proxy.stop();
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Peer warm start through a fleet sweep: a cold daemon whose peer holds
+/// the grid answers every cell from the peer, byte-identically, and
+/// computes nothing.
+#[test]
+fn a_cold_daemon_answers_a_fleet_sweep_from_its_warm_peer() {
+    let dirs = [temp_dir("peer-warm"), temp_dir("peer-cold")];
+    let warm = start_store_server(&dirs[0], Vec::new());
+    let warm_fleet = Fleet::new(fleet_config(vec![warm.addr().to_string()])).unwrap();
+    fleet_sweep_bytes(&warm_fleet, &SEEDS);
+    let cold = start_store_server(&dirs[1], vec![warm.addr().to_string()]);
+    let fleet = Fleet::new(fleet_config(vec![cold.addr().to_string()])).unwrap();
+
+    let before = counts(&[&cold]);
+    let (json, stats) = fleet
+        .sweep_with_stats(&owned(&ARCHS), &owned(&NETWORKS), &SEEDS, Some(SAMPLE_CAP))
+        .expect("peer-warmed sweep");
+    let after = counts(&[&cold]);
+
+    assert_eq!(json.to_string(), direct_grid_bytes(&SEEDS));
+    assert_eq!(
+        after.peer_hits - before.peer_hits,
+        stats.cells as u64,
+        "every cell must come from the peer: {stats:?}"
+    );
+    assert_eq!(
+        after.cache_misses, before.cache_misses,
+        "nothing recomputed"
+    );
+    warm.shutdown();
+    cold.shutdown();
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

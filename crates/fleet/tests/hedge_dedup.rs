@@ -74,8 +74,7 @@ fn racing_twins_write_the_store_once_and_keep_merge_order() {
                         // schedule itself replays exactly.
                         let mut rng = SynthRng::for_stream(race_seed, (flat as u64) << 1 | twin);
                         std::thread::sleep(Duration::from_micros(rng.next_u64() % 3000));
-                        let latency = Duration::from_micros(100 + rng.next_u64() % 900);
-                        match board.complete(flat, cell_value(flat), latency) {
+                        match board.complete(flat, cell_value(flat)) {
                             Completion::Win => {
                                 // The write-back is gated on winning — this
                                 // is the exact pattern the coordinator and

@@ -52,10 +52,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sibia_nn::zoo;
+use sibia_nn::{zoo, Network};
 use sibia_obs::json::Json;
 use sibia_obs::{Sampler, SamplerSource, Telemetry, Tracer};
-use sibia_sim::{DecompCache, GridCell, ParallelEngine, Simulator};
+use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
 use sibia_store::Store;
 
 use crate::metrics::{GaugeSample, PhaseTimings, ServeMetrics};
@@ -422,6 +422,39 @@ fn peer_warm_start(
     None
 }
 
+/// A sweep's peer warm start: every cell missing from the local store is
+/// looked up on the peers ([`peer_warm_start`]) and a hit is written back,
+/// so the grid's store read-through then answers it without simulating.
+/// Archs and networks come as `(protocol name, resolved)` pairs. Only
+/// called with peers configured; without them a sweep probes each cell's
+/// key once, in the grid.
+fn warm_from_peers<'a>(
+    shared: &Shared,
+    store: &Store,
+    sim: &Simulator,
+    archs: impl Iterator<Item = (&'a str, &'a ArchSpec)>,
+    nets: impl Iterator<Item = (&'a str, &'a Network)> + Clone,
+    seeds: &[u64],
+) {
+    for (arch, spec) in archs {
+        for (network, net) in nets.clone() {
+            for &seed in seeds {
+                let mut cell_sim = *sim;
+                cell_sim.seed = seed;
+                if sibia_sim::try_stored(&cell_sim, spec, net, store).is_some() {
+                    continue;
+                }
+                if let Some(fetched) =
+                    peer_warm_start(shared, arch, network, seed, cell_sim.sample_cap)
+                {
+                    let key = sibia_sim::network_key(&cell_sim, spec, net.name());
+                    sibia_sim::stored::put_best_effort(store, &key, &fetched);
+                }
+            }
+        }
+    }
+}
+
 /// Executes one work request against the shared cache/engine. `progress`
 /// is present only for streamed sweeps: the worker-side emitter that turns
 /// completed cells into wire frames.
@@ -515,6 +548,13 @@ pub(crate) fn execute(
                 .collect::<Result<Vec<_>, _>>()?;
             let mut sim = Simulator::new(seeds[0]);
             sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
+            if let Some(store) = &shared.store {
+                if !shared.peers.is_empty() {
+                    let archs = archs.iter().map(String::as_str).zip(&specs);
+                    let nets = networks.iter().map(String::as_str).zip(&nets);
+                    warm_from_peers(shared, store, &sim, archs, nets, seeds);
+                }
+            }
             // Streamed: the observer turns each completed cell into one
             // wire frame. The grid itself — and therefore the final
             // response line — is byte-identical with or without it.

@@ -16,13 +16,13 @@
 //!
 //! The tensor level serves only the single-network path
 //! (`Simulator::decompose_layer`, behind `simulate_network_cached`): serve's
-//! `simulate` requests and fleet-dispatched cells, where the two
-//! representations of one `(layer, seed)` arrive in separate calls and share
-//! a synthesis through it. Grid rows never touch it:
-//! `Simulator::decompose_network` synthesizes each layer once in its own
-//! loop, measures the codes under every representation the row needs, and
-//! inserts only the decompositions, so a worker holds one layer's codes at a
-//! time and a serve `sweep` fills only the decomposition level.
+//! `simulate` requests, where the two representations of one
+//! `(layer, seed)` arrive in separate calls and share a synthesis through
+//! it. Grid rows never touch it: `Simulator::decompose_network` synthesizes
+//! each layer once in its own loop, measures the codes under every
+//! representation the row needs, and inserts only the decompositions, so a
+//! worker holds one layer's codes at a time and a serve `sweep` (a fleet
+//! dispatches one per row) fills only the decomposition level.
 //!
 //! A [`LayerDecomp`] stores **integer counts, never fractions**: every
 //! simulated quantity is derived from the counts with exactly the divisions

@@ -7,7 +7,9 @@
 //! thread-pool crate):
 //!
 //! * jobs are claimed from a shared atomic counter, so workers stay busy
-//!   regardless of per-cell cost skew;
+//!   regardless of per-cell cost skew; a grid that needs only one worker
+//!   runs it on the calling thread, so a single row (a fleet's unit of
+//!   dispatch) spawns no thread and its spans nest under the caller's;
 //! * a job is a **(network, seed) row** spanning every architecture, not a
 //!   single cell: the worker makes one `Simulator::decompose_network` call
 //!   for the distinct slice representations its architectures need. That
@@ -292,52 +294,60 @@ impl ParallelEngine {
             }
         };
 
+        let workers = self.threads.min(rows);
         let mut grid_span = sibia_obs::tracer().span("sim.grid");
         grid_span.attr("archs", archs.len());
         grid_span.attr("networks", networks.len());
         grid_span.attr("seeds", seeds.len());
         grid_span.attr("cells", cell_count);
-        grid_span.attr("threads", self.threads.min(rows));
+        grid_span.attr("threads", workers);
 
-        std::thread::scope(|scope| {
-            for worker_index in 0..self.threads.min(rows) {
-                let next = &next;
-                let run_row = &run_row;
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    let mut busy = Duration::ZERO;
-                    let mut cells_run = 0u64;
-                    loop {
-                        let row = next.fetch_add(1, Ordering::Relaxed);
-                        if row >= rows {
-                            break;
-                        }
-                        let claimed = Instant::now();
-                        run_row(row);
-                        busy += claimed.elapsed();
-                        cells_run += archs.len() as u64;
-                    }
-                    // Per-worker accounting in the process-wide registry.
-                    // There is no work stealing to report — workers claim
-                    // cells from a shared counter — so busy vs idle time
-                    // plus the claimed-cell count captures the skew.
-                    let total = started.elapsed();
-                    let registry = sibia_obs::registry();
-                    // Aggregate cells-completed counter: the telemetry
-                    // sampler turns its deltas into a fleet-comparable
-                    // cells/s rate without summing per-worker series.
-                    registry.counter("sim.engine.cells").add(cells_run);
-                    let prefix = format!("sim.engine.worker.{worker_index}");
-                    registry.counter(&format!("{prefix}.cells")).add(cells_run);
-                    registry
-                        .counter(&format!("{prefix}.busy_us"))
-                        .add(busy.as_micros() as u64);
-                    registry
-                        .counter(&format!("{prefix}.idle_us"))
-                        .add(total.saturating_sub(busy).as_micros() as u64);
-                });
+        let run_worker = |worker_index: usize| {
+            let started = Instant::now();
+            let mut busy = Duration::ZERO;
+            let mut cells_run = 0u64;
+            loop {
+                let row = next.fetch_add(1, Ordering::Relaxed);
+                if row >= rows {
+                    break;
+                }
+                let claimed = Instant::now();
+                run_row(row);
+                busy += claimed.elapsed();
+                cells_run += archs.len() as u64;
             }
-        });
+            // Per-worker accounting in the process-wide registry. There is
+            // no work stealing to report — workers claim rows from a
+            // shared counter — so busy vs idle time plus the claimed-cell
+            // count captures the skew.
+            let total = started.elapsed();
+            let registry = sibia_obs::registry();
+            // Aggregate cells-completed counter: the telemetry sampler
+            // turns its deltas into a fleet-comparable cells/s rate
+            // without summing per-worker series.
+            registry.counter("sim.engine.cells").add(cells_run);
+            let prefix = format!("sim.engine.worker.{worker_index}");
+            registry.counter(&format!("{prefix}.cells")).add(cells_run);
+            registry
+                .counter(&format!("{prefix}.busy_us"))
+                .add(busy.as_micros() as u64);
+            registry
+                .counter(&format!("{prefix}.idle_us"))
+                .add(total.saturating_sub(busy).as_micros() as u64);
+        };
+        if workers == 1 {
+            // A grid that needs one worker (one row, or a one-thread
+            // engine) runs on the calling thread: it spawns nothing, and
+            // its spans nest under the caller's open span.
+            run_worker(0);
+        } else {
+            std::thread::scope(|scope| {
+                for worker_index in 0..workers {
+                    let run_worker = &run_worker;
+                    scope.spawn(move || run_worker(worker_index));
+                }
+            });
+        }
 
         let cells = slots
             .into_iter()

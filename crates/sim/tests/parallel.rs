@@ -294,3 +294,51 @@ fn layer_order_does_not_change_layer_tensors() {
         assert_eq!(alone, whole.layers[i], "layer {i}");
     }
 }
+
+#[test]
+fn a_one_worker_grid_runs_on_the_calling_thread() {
+    // One row needs one worker: the engine runs it inline, so the row's
+    // spans nest under the caller's open span (a serve request's, when a
+    // fleet dispatches the row) and the worker's accounting still lands
+    // under `sim.engine.worker.0`.
+    const SEED: u64 = 9_001; // no other test here uses it
+    let tracer = sibia_obs::tracer();
+    let worker_cells = sibia_obs::registry().counter("sim.engine.worker.0.cells");
+    let before = worker_cells.get();
+    let archs = archs();
+    let net = &nets()[0];
+    tracer.enable();
+    let caller = tracer.span("test.caller");
+    let caller_id = caller.id().expect("an enabled tracer records");
+    ParallelEngine::with_threads(4).simulate_grid(
+        &small_sim(),
+        &archs,
+        std::slice::from_ref(net),
+        &[SEED],
+    );
+    drop(caller);
+    tracer.disable();
+
+    let seed = SEED.to_string();
+    let records = tracer.records();
+    let parent_of: std::collections::HashMap<u64, Option<u64>> =
+        records.iter().map(|r| (r.id, r.parent)).collect();
+    let row_spans: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "sim.network" && r.attr("seed") == Some(seed.as_str()))
+        .collect();
+    assert_eq!(row_spans.len(), archs.len());
+    for span in row_spans {
+        let mut ancestor = span.parent;
+        while ancestor.is_some_and(|id| id != caller_id) {
+            ancestor = ancestor.and_then(|id| parent_of.get(&id).copied().flatten());
+        }
+        assert_eq!(
+            ancestor,
+            Some(caller_id),
+            "sim.network for {:?} must nest under the caller",
+            span.attr("arch")
+        );
+    }
+    assert!(worker_cells.get() >= before + archs.len() as u64);
+}
