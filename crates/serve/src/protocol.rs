@@ -891,6 +891,63 @@ mod tests {
         assert!(encode_stats(&[1000], 7, None).is_err());
     }
 
+    /// One fixed `encode` input: near-zero values of both signs and the
+    /// 7-bit extremes; 64 zeros, i.e. 16 zero sub-words in every plane, so
+    /// the DMU's 4-bit RLE index saturates and flushes a padding entry; a
+    /// non-zero sub-word; 60 zeros, one sub-word short of saturating; then
+    /// a strided tail. The two runs pin the saturation point exactly.
+    fn pinned_encode_values() -> Vec<i32> {
+        let mut values = vec![-63, -8, -7, -1, 0, 1, 7, 8, 63, 21, -21, 5];
+        values.extend([0; 64]);
+        values.extend([3, -3, 9, -9]);
+        values.extend([0; 60]);
+        values.extend((-15..=15).map(|v| v * 4 % 63));
+        values
+    }
+
+    #[test]
+    fn encode_stats_text_is_pinned() {
+        // The full reply text, so any drift in a plane count or in the
+        // member order of `encode` shows here. The benchmark cannot catch
+        // such a drift: it checks daemon replies against this same function.
+        let plane = |zero_slices: u32, zero_subwords: u32, rle_entries: u32| {
+            format!(
+                "{{\"len\":171,\"zero_slices\":{zero_slices},\"subwords\":43,\
+                 \"zero_subwords\":{zero_subwords},\"rle_entries\":{rle_entries}}}"
+            )
+        };
+        let bits7 = format!(
+            "{{\"values\":171,\"bits\":7,\"full_zero_values\":126,\
+             \"sbr\":[{},{}],\"conventional\":[{},{}],\
+             \"gsbr\":{{\"width\":3,\"orders\":3,\"zero_digits\":[158,136,143]}}}}",
+            plane(142, 31, 13),
+            plane(135, 31, 13),
+            plane(132, 31, 13),
+            plane(135, 32, 12),
+        );
+        let bits16 = format!(
+            "{{\"values\":171,\"bits\":16,\"full_zero_values\":126,\
+             \"sbr\":[{},{},{},{},{}],\"conventional\":[{},{},{},{}],\
+             \"gsbr\":{{\"width\":3,\"orders\":8,\
+             \"zero_digits\":[158,136,143,171,171,171,171,171]}}}}",
+            plane(142, 31, 13),
+            plane(135, 31, 13),
+            plane(171, 43, 2),
+            plane(171, 43, 2),
+            plane(171, 43, 2),
+            plane(132, 31, 13),
+            plane(135, 32, 12),
+            plane(149, 36, 8),
+            plane(149, 36, 8),
+        );
+        for (bits, expected) in [(7u8, bits7), (16, bits16)] {
+            let text = encode_stats(&pinned_encode_values(), bits, Some(3))
+                .unwrap()
+                .to_string();
+            assert_eq!(text, expected, "bits {bits}");
+        }
+    }
+
     #[test]
     fn network_result_serialization_is_deterministic() {
         use sibia_sim::Simulator;
