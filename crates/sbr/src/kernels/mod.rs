@@ -2,14 +2,18 @@
 //!
 //! The performance simulator's hot loops are (a) the zero-structure
 //! measurements of slice planes — zero digits, zero sub-words, RLE entry
-//! counts — and (b) the i32 → digit-plane decompositions feeding them. This
-//! module provides each of those operations at four implementation **tiers**:
+//! counts, all three read from the raw digits in one pass by
+//! [`KernelOps::plane_counts`] — and (b) the i32 → digit-plane
+//! decompositions feeding them. [`KernelOps::zero_digit_count`] and
+//! [`KernelOps::zero_subword_count`] serve callers that need no RLE count
+//! at a fraction of the one-pass cost. This module provides each of those
+//! five kernels at four implementation **tiers**:
 //!
 //! * [`KernelTier::Scalar`] — one digit at a time; the reference the other
 //!   tiers are property-tested against, and the honest "pre-optimization"
 //!   baseline the engine benchmark compares to;
 //! * [`KernelTier::Swar`] — portable SIMD-within-a-register over `u64`
-//!   words (the PR-1 kernels), the fallback on every non-x86 target;
+//!   words, the fallback on every non-x86 target;
 //! * [`KernelTier::Sse2`] / [`KernelTier::Avx2`] — `core::arch::x86_64`
 //!   implementations processing 16 / 32 digits per instruction.
 //!
@@ -17,7 +21,8 @@
 //! `is_x86_feature_detected!` and exposed as a dispatch table of function
 //! pointers ([`KernelOps`], via [`active`]). Every tier computes
 //! byte-identical results — `tests/kernel_tiers.rs` pins all four against
-//! the scalar reference on awkward lengths and every digit value — so the
+//! the scalar reference on awkward lengths and every digit value, and every
+//! count kernel against independent per-digit references — so the
 //! selection changes wall-clock time, never simulation output.
 //!
 //! # Forcing a tier
@@ -31,7 +36,7 @@
 //! the calling thread only.
 //!
 //! Each tier registers call counters in the process-wide observability
-//! registry (`sbr.kernels.<tier>.{counts,pack,decompose}`) and the selected
+//! registry (`sbr.kernels.<tier>.{counts,decompose}`) and the selected
 //! tier index is published as the `sbr.kernels.tier` gauge, so a trace or
 //! metrics dump always records which kernels produced it.
 
@@ -151,12 +156,22 @@ pub struct PlaneCounts {
     pub rle_entries: usize,
 }
 
+impl PlaneCounts {
+    /// Zero sub-word fraction, with the same empty-plane convention as
+    /// [`crate::subword::zero_subword_fraction`].
+    pub fn zero_subword_fraction(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.zero_subwords as f64 / self.subwords as f64
+        }
+    }
+}
+
 /// Per-tier call counters in the process-wide observability registry.
 struct TierCounters {
-    /// Zero/sub-word/RLE counting calls (raw planes and packed words).
+    /// Zero/sub-word/RLE counting calls.
     counts: Arc<Counter>,
-    /// Nibble-packing calls.
-    pack: Arc<Counter>,
     /// i32 → digit-plane decomposition calls.
     decompose: Arc<Counter>,
 }
@@ -167,7 +182,6 @@ impl TierCounters {
         let name = |op: &str| format!("sbr.kernels.{}.{op}", tier.name());
         Self {
             counts: registry.counter(&name("counts")),
-            pack: registry.counter(&name("pack")),
             decompose: registry.counter(&name("decompose")),
         }
     }
@@ -185,10 +199,6 @@ pub struct KernelOps {
     zero_digit_count: fn(&[i8]) -> usize,
     zero_subword_count: fn(&[i8]) -> usize,
     plane_counts: fn(&[i8], u8) -> PlaneCounts,
-    pack_words: fn(&[i8], &mut [u64]),
-    nonzero_slice_count_words: fn(&[u64]) -> usize,
-    nonzero_subword_count_words: fn(&[u64]) -> usize,
-    rle_entry_count_words: fn(&[u64], usize, u8) -> usize,
     sbr_planes: fn(&[i32], Precision) -> Vec<Vec<i8>>,
     conv_planes: fn(&[i32], Precision) -> Vec<Vec<i8>>,
 }
@@ -202,22 +212,21 @@ impl fmt::Debug for KernelOps {
 }
 
 impl KernelOps {
-    /// Number of zero digits in an unpacked plane.
+    /// Number of zero digits in a plane.
     pub fn zero_digit_count(&self, plane: &[i8]) -> usize {
         self.counters.counts.add(1);
         (self.zero_digit_count)(plane)
     }
 
     /// Number of zero sub-words (groups of four digits, tail zero-padded)
-    /// in an unpacked plane.
+    /// in a plane.
     pub fn zero_subword_count(&self, plane: &[i8]) -> usize {
         self.counters.counts.add(1);
         (self.zero_subword_count)(plane)
     }
 
-    /// All zero-structure counts of an unpacked plane — zero digits, zero
-    /// sub-words, and RLE entries at `index_bits` — in one pass, without
-    /// packing.
+    /// All zero-structure counts of a plane — zero digits, zero sub-words,
+    /// and RLE entries at `index_bits` — in one pass.
     ///
     /// # Panics
     ///
@@ -225,32 +234,6 @@ impl KernelOps {
     pub fn plane_counts(&self, plane: &[i8], index_bits: u8) -> PlaneCounts {
         self.counters.counts.add(1);
         (self.plane_counts)(plane, index_bits)
-    }
-
-    /// Packs a digit plane sixteen low nibbles to a `u64`, the
-    /// [`crate::PackedPlane`] layout. `words` must hold
-    /// `plane.len().div_ceil(16)` zeroed words.
-    pub fn pack_words(&self, plane: &[i8], words: &mut [u64]) {
-        self.counters.pack.add(1);
-        (self.pack_words)(plane, words)
-    }
-
-    /// Number of non-zero nibbles in packed words (tail nibbles are zero).
-    pub fn nonzero_slice_count_words(&self, words: &[u64]) -> usize {
-        self.counters.counts.add(1);
-        (self.nonzero_slice_count_words)(words)
-    }
-
-    /// Number of non-zero sub-words (u16 lanes) in packed words.
-    pub fn nonzero_subword_count_words(&self, words: &[u64]) -> usize {
-        self.counters.counts.add(1);
-        (self.nonzero_subword_count_words)(words)
-    }
-
-    /// RLE entry count over the first `subwords` u16 lanes of packed words.
-    pub fn rle_entry_count_words(&self, words: &[u64], subwords: usize, index_bits: u8) -> usize {
-        self.counters.counts.add(1);
-        (self.rle_entry_count_words)(words, subwords, index_bits)
     }
 
     /// SBR decomposition of a tensor into per-order digit planes
@@ -285,10 +268,6 @@ fn build_ops(tier: KernelTier) -> KernelOps {
             zero_digit_count: scalar::zero_digit_count,
             zero_subword_count: scalar::zero_subword_count,
             plane_counts: scalar::plane_counts,
-            pack_words: scalar::pack_words,
-            nonzero_slice_count_words: scalar::nonzero_slice_count_words,
-            nonzero_subword_count_words: scalar::nonzero_subword_count_words,
-            rle_entry_count_words: scalar::rle_entry_count_words,
             sbr_planes: scalar::sbr_planes,
             conv_planes: scalar::conv_planes,
         },
@@ -298,10 +277,6 @@ fn build_ops(tier: KernelTier) -> KernelOps {
             zero_digit_count: swar::zero_digit_count,
             zero_subword_count: swar::zero_subword_count,
             plane_counts: swar::plane_counts,
-            pack_words: swar::pack_words,
-            nonzero_slice_count_words: swar::nonzero_slice_count_words,
-            nonzero_subword_count_words: swar::nonzero_subword_count_words,
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: swar::sbr_planes,
             conv_planes: swar::conv_planes,
         },
@@ -312,13 +287,6 @@ fn build_ops(tier: KernelTier) -> KernelOps {
             zero_digit_count: x86::zero_digit_count_sse2,
             zero_subword_count: x86::zero_subword_count_sse2,
             plane_counts: x86::plane_counts_sse2,
-            pack_words: x86::pack_words_sse2,
-            nonzero_slice_count_words: x86::nonzero_slice_count_words_sse2,
-            nonzero_subword_count_words: x86::nonzero_subword_count_words_sse2,
-            // The RLE lane walk is sequential; every wide tier shares the
-            // SWAR walk over packed words (raw-plane RLE counting is the
-            // vectorized path — see `plane_counts`).
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: x86::sbr_planes_sse2,
             conv_planes: x86::conv_planes_sse2,
         },
@@ -329,10 +297,6 @@ fn build_ops(tier: KernelTier) -> KernelOps {
             zero_digit_count: x86::zero_digit_count_avx2,
             zero_subword_count: x86::zero_subword_count_avx2,
             plane_counts: x86::plane_counts_avx2,
-            pack_words: x86::pack_words_avx2,
-            nonzero_slice_count_words: x86::nonzero_slice_count_words_avx2,
-            nonzero_subword_count_words: x86::nonzero_subword_count_words_avx2,
-            rle_entry_count_words: swar::rle_entry_count_words,
             sbr_planes: x86::sbr_planes_avx2,
             conv_planes: x86::conv_planes_avx2,
         },
@@ -461,7 +425,7 @@ pub(crate) mod detail {
     use super::PlaneCounts;
 
     /// Low bit of every nibble lane.
-    pub(crate) const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
+    const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 
     /// One-pass [`PlaneCounts`] from a tier's 64-digit mask primitive:
     /// `mask64` returns bit `i` set iff digit `i` of its 64-digit chunk is

@@ -58,56 +58,6 @@ pub(super) fn plane_counts(plane: &[i8], index_bits: u8) -> PlaneCounts {
     }
 }
 
-pub(super) fn pack_words(plane: &[i8], words: &mut [u64]) {
-    for (i, &s) in plane.iter().enumerate() {
-        words[i / 16] |= u64::from((s as u8) & 0xF) << (4 * (i % 16));
-    }
-}
-
-pub(super) fn nonzero_slice_count_words(words: &[u64]) -> usize {
-    words
-        .iter()
-        .map(|&w| (0..16).filter(|&i| (w >> (4 * i)) & 0xF != 0).count())
-        .sum()
-}
-
-pub(super) fn nonzero_subword_count_words(words: &[u64]) -> usize {
-    words
-        .iter()
-        .map(|&w| (0..4).filter(|&j| (w >> (16 * j)) & 0xFFFF != 0).count())
-        .sum()
-}
-
-pub(super) fn rle_entry_count_words(words: &[u64], subwords: usize, index_bits: u8) -> usize {
-    assert!(
-        (1..=15).contains(&index_bits),
-        "index bits must be in [1, 15], got {index_bits}"
-    );
-    let cycle = 1usize << index_bits;
-    let mut entries = 0usize;
-    let mut run = 0usize;
-    let mut done = 0usize;
-    'words: for &w in words {
-        for lane in 0..4 {
-            if done == subwords {
-                break 'words;
-            }
-            if (w >> (16 * lane)) & 0xFFFF == 0 {
-                run += 1;
-                if run == cycle {
-                    entries += 1;
-                    run = 0;
-                }
-            } else {
-                entries += 1;
-                run = 0;
-            }
-            done += 1;
-        }
-    }
-    entries
-}
-
 /// The `SbrSlices::try_encode` greedy digit recurrence, written straight
 /// into per-order planes. Byte-identical to `crate::sbr::planes` including
 /// the out-of-range panic message.

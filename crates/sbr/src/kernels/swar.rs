@@ -1,11 +1,10 @@
 //! Portable SWAR tier: SIMD-within-a-register over `u64` words.
 //!
-//! These are the PR-1 kernels, relocated here so every tier lives behind
-//! the same dispatch table. Raw-plane counting works from a per-digit
-//! non-zero bitmap — 64 digits to a `u64`, built eight bytes at a time with
-//! the carry trick and compressed with a movemask multiply — fed to the
-//! shared drivers in [`super::detail`]. Packed-word counting folds nibble
-//! and sub-word masks exactly as `PackedPlane` always has.
+//! The portable fallback on every non-x86 target, behind the same dispatch
+//! table as the other tiers. Counting works from per-byte non-zero masks,
+//! eight digits to a `u64`, built with the carry trick. For the one-pass
+//! [`PlaneCounts`], a movemask multiply compresses them into the 64-digit
+//! bitmap the shared drivers in [`super::detail`] consume.
 //!
 //! Decomposition has no data-parallel trick at word width that beats the
 //! compiler on the scalar recurrence, so this tier shares the scalar
@@ -15,29 +14,8 @@ pub(super) use super::scalar::{conv_planes, sbr_planes};
 
 use crate::subword::SUBWORD_LANES;
 
-use super::detail::{self, NIBBLE_LO};
+use super::detail;
 use super::PlaneCounts;
-
-/// Sub-words (u16 lanes) per packed `u64` word.
-const SUBWORDS_PER_WORD: usize = 16 / SUBWORD_LANES;
-
-/// Low bit of every u16 lane.
-const U16_LO: u64 = 0x0001_0001_0001_0001;
-
-/// Per-nibble non-zero mask: bit `4i` of the result is set iff nibble `i`
-/// of `w` is non-zero. Exact — the intra-nibble shifts cannot leak bits
-/// across lanes into bit 0.
-#[inline]
-fn nonzero_nibble_mask(w: u64) -> u64 {
-    (w | (w >> 1) | (w >> 2) | (w >> 3)) & NIBBLE_LO
-}
-
-/// Per-sub-word non-zero mask from a nibble mask: bit `16j` is set iff any
-/// of sub-word `j`'s four nibble bits is set.
-#[inline]
-fn nonzero_subword_mask(nibble_mask: u64) -> u64 {
-    (nibble_mask | (nibble_mask >> 4) | (nibble_mask >> 8) | (nibble_mask >> 12)) & U16_LO
-}
 
 /// Per-byte non-zero mask: bit 7 of each byte lane of the result is set iff
 /// that byte of `x` is non-zero. `(x & 0x7F…) + 0x7F…` carries into bit 7
@@ -80,7 +58,7 @@ fn nonzero_mask64(chunk: &[i8]) -> u64 {
     out
 }
 
-/// Number of zero digits in an unpacked plane, eight bytes per step.
+/// Number of zero digits in a plane, eight bytes per step.
 pub(super) fn zero_digit_count(plane: &[i8]) -> usize {
     let chunks = plane.chunks_exact(8);
     let tail = chunks.remainder();
@@ -90,8 +68,8 @@ pub(super) fn zero_digit_count(plane: &[i8]) -> usize {
     (plane.len() - tail.len()) - nonzero + tail.iter().filter(|&&s| s == 0).count()
 }
 
-/// Number of zero sub-words (groups of four digits, tail zero-padded) in an
-/// unpacked plane, without materialising `SubWord`s.
+/// Number of zero sub-words (groups of four digits, tail zero-padded) in a
+/// plane, without materialising `SubWord`s.
 pub(super) fn zero_subword_count(plane: &[i8]) -> usize {
     let chunks = plane.chunks_exact(8);
     let tail = chunks.remainder();
@@ -109,88 +87,4 @@ pub(super) fn zero_subword_count(plane: &[i8]) -> usize {
 
 pub(super) fn plane_counts(plane: &[i8], index_bits: u8) -> PlaneCounts {
     detail::plane_counts_with(plane, index_bits, nonzero_mask64)
-}
-
-/// Packs sixteen digits per `u64` with three mask-and-fold compaction
-/// steps per eight-digit half instead of a per-digit shift loop.
-pub(super) fn pack_words(plane: &[i8], words: &mut [u64]) {
-    #[inline]
-    fn compact8(w: u64) -> u64 {
-        // Keep each byte's low nibble, then halve the stride three times:
-        // bytes → nibble pairs → quads → one contiguous 32-bit octet.
-        let x = w & 0x0F0F_0F0F_0F0F_0F0F;
-        let x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-        let x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-        (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF
-    }
-    let mut chunks = plane.chunks_exact(16);
-    let mut w = 0usize;
-    for chunk in &mut chunks {
-        let lo = compact8(bytes_of(&chunk[..8]));
-        let hi = compact8(bytes_of(&chunk[8..]));
-        words[w] = lo | (hi << 32);
-        w += 1;
-    }
-    for (i, &s) in chunks.remainder().iter().enumerate() {
-        words[w] |= u64::from((s as u8) & 0xF) << (4 * i);
-    }
-}
-
-pub(super) fn nonzero_slice_count_words(words: &[u64]) -> usize {
-    words
-        .iter()
-        .map(|&w| nonzero_nibble_mask(w).count_ones() as usize)
-        .sum()
-}
-
-pub(super) fn nonzero_subword_count_words(words: &[u64]) -> usize {
-    words
-        .iter()
-        .map(|&w| nonzero_subword_mask(nonzero_nibble_mask(w)).count_ones() as usize)
-        .sum()
-}
-
-/// RLE entry count over packed words: the lane walk is inherently
-/// sequential, but an all-zero word advances the run four lanes at a time
-/// with one divide. Shared by the x86 tiers (raw-plane RLE counting via
-/// [`plane_counts`] is their vectorized path).
-pub(super) fn rle_entry_count_words(words: &[u64], subwords: usize, index_bits: u8) -> usize {
-    assert!(
-        (1..=15).contains(&index_bits),
-        "index bits must be in [1, 15], got {index_bits}"
-    );
-    // A saturated run plus its flushing zero consume `cycle` zeros and
-    // emit one padding entry.
-    let cycle = 1usize << index_bits;
-    let mut entries = 0usize;
-    let mut run = 0usize;
-    let mut done = 0usize;
-    for &w in words {
-        let lanes = (subwords - done).min(SUBWORDS_PER_WORD);
-        if lanes == 0 {
-            break;
-        }
-        let nz = nonzero_subword_mask(nonzero_nibble_mask(w));
-        if nz == 0 {
-            // All lanes zero: advance the run in bulk.
-            run += lanes;
-            entries += run / cycle;
-            run %= cycle;
-        } else {
-            for lane in 0..lanes {
-                if (nz >> (16 * lane)) & 1 == 0 {
-                    run += 1;
-                    if run == cycle {
-                        entries += 1;
-                        run = 0;
-                    }
-                } else {
-                    entries += 1;
-                    run = 0;
-                }
-            }
-        }
-        done += lanes;
-    }
-    entries
 }

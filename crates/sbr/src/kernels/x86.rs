@@ -3,11 +3,10 @@
 //! Counting works from per-digit zero masks produced by `cmpeq` +
 //! `movemask` — 16 or 32 digits per compare — either consumed directly
 //! (zero counts) or widened to the 64-digit bitmap the shared drivers in
-//! [`super::detail`] consume (one-pass [`PlaneCounts`]). Packing compacts
-//! nibbles with a shift/or/`packus` sequence instead of a per-digit loop,
-//! and decomposition runs the SBR digit recurrence on 4 or 8 `i32` lanes
-//! at a time, narrowing each digit vector to bytes with saturating packs
-//! (digits span `[-8, 15]`, so the packs never actually saturate).
+//! [`super::detail`] consume (one-pass [`PlaneCounts`]). Decomposition
+//! runs the SBR digit recurrence on 4 or 8 `i32` lanes at a time,
+//! narrowing each digit vector to bytes with saturating packs (digits span
+//! `[-8, 15]`, so the packs never actually saturate).
 //!
 //! Every function is byte-identical to the scalar tier, including the
 //! out-of-range panic: the vectorized range scan (`v > max | -max > v`)
@@ -141,164 +140,6 @@ unsafe fn plane_counts_sse2_impl(plane: &[i8], index_bits: u8) -> PlaneCounts {
 #[target_feature(enable = "avx2,popcnt")]
 unsafe fn plane_counts_avx2_impl(plane: &[i8], index_bits: u8) -> PlaneCounts {
     detail::plane_counts_with(plane, index_bits, |c| unsafe { nonzero_mask64_avx2(c) })
-}
-
-// ----------------------------------------------------------------- pack --
-
-unsafe fn pack_words_sse2_impl(plane: &[i8], words: &mut [u64]) {
-    let low_nib = _mm_set1_epi8(0x0F);
-    let low_byte = _mm_set1_epi16(0x00FF);
-    let zero = _mm_setzero_si128();
-    let mut chunks = plane.chunks_exact(16);
-    let mut w = 0usize;
-    for c in &mut chunks {
-        let v = _mm_and_si128(_mm_loadu_si128(c.as_ptr() as *const __m128i), low_nib);
-        // Per u16 lane: nibble of the even byte | nibble of the odd byte
-        // << 4 — one packed byte — then packus drops the high (zero) byte.
-        let odd = _mm_srli_epi16::<8>(v);
-        let comb = _mm_or_si128(_mm_and_si128(v, low_byte), _mm_slli_epi16::<4>(odd));
-        words[w] = _mm_cvtsi128_si64(_mm_packus_epi16(comb, zero)) as u64;
-        w += 1;
-    }
-    for (i, &s) in chunks.remainder().iter().enumerate() {
-        words[w] |= u64::from((s as u8) & 0xF) << (4 * i);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn pack_words_avx2_impl(plane: &[i8], words: &mut [u64]) {
-    let low_nib = _mm256_set1_epi8(0x0F);
-    let low_byte = _mm256_set1_epi16(0x00FF);
-    let zero = _mm256_setzero_si256();
-    let mut chunks = plane.chunks_exact(32);
-    let mut w = 0usize;
-    for c in &mut chunks {
-        let v = _mm256_and_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), low_nib);
-        let odd = _mm256_srli_epi16::<8>(v);
-        let comb = _mm256_or_si256(_mm256_and_si256(v, low_byte), _mm256_slli_epi16::<4>(odd));
-        let packed = _mm256_packus_epi16(comb, zero);
-        // packus works within 128-bit lanes: digits 0..=15 end up in lane
-        // 0's low quadword, digits 16..=31 in lane 1's (index 2).
-        words[w] = _mm256_extract_epi64::<0>(packed) as u64;
-        words[w + 1] = _mm256_extract_epi64::<2>(packed) as u64;
-        w += 2;
-    }
-    for (i, &s) in chunks.remainder().iter().enumerate() {
-        words[w + i / 16] |= u64::from((s as u8) & 0xF) << (4 * (i % 16));
-    }
-}
-
-// --------------------------------------------------------- packed words --
-
-/// Per-nibble non-zero mask of two packed words at once (bit `4i` of each
-/// 64-bit lane), exactly the SWAR fold — `srli_epi64` shifts each lane
-/// like a `u64`.
-#[inline]
-unsafe fn nibble_mask_m128(v: __m128i) -> __m128i {
-    let folded = _mm_or_si128(
-        _mm_or_si128(v, _mm_srli_epi64::<1>(v)),
-        _mm_or_si128(_mm_srli_epi64::<2>(v), _mm_srli_epi64::<3>(v)),
-    );
-    _mm_and_si128(folded, _mm_set1_epi8(0x11))
-}
-
-#[inline]
-unsafe fn popcount_m128(m: __m128i) -> usize {
-    (_mm_cvtsi128_si64(m) as u64).count_ones() as usize
-        + (_mm_cvtsi128_si64(_mm_unpackhi_epi64(m, m)) as u64).count_ones() as usize
-}
-
-unsafe fn nonzero_slice_count_words_sse2_impl(words: &[u64]) -> usize {
-    let mut chunks = words.chunks_exact(2);
-    let mut count = 0usize;
-    for c in &mut chunks {
-        let v = _mm_loadu_si128(c.as_ptr() as *const __m128i);
-        count += popcount_m128(nibble_mask_m128(v));
-    }
-    for &w in chunks.remainder() {
-        count += ((w | (w >> 1) | (w >> 2) | (w >> 3)) & detail::NIBBLE_LO).count_ones() as usize;
-    }
-    count
-}
-
-unsafe fn nonzero_subword_count_words_sse2_impl(words: &[u64]) -> usize {
-    let u16_lo = _mm_set1_epi16(0x0001);
-    let mut chunks = words.chunks_exact(2);
-    let mut count = 0usize;
-    for c in &mut chunks {
-        let m = nibble_mask_m128(_mm_loadu_si128(c.as_ptr() as *const __m128i));
-        let s = _mm_and_si128(
-            _mm_or_si128(
-                _mm_or_si128(m, _mm_srli_epi64::<4>(m)),
-                _mm_or_si128(_mm_srli_epi64::<8>(m), _mm_srli_epi64::<12>(m)),
-            ),
-            u16_lo,
-        );
-        count += popcount_m128(s);
-    }
-    for &w in chunks.remainder() {
-        let m = (w | (w >> 1) | (w >> 2) | (w >> 3)) & detail::NIBBLE_LO;
-        count +=
-            ((m | (m >> 4) | (m >> 8) | (m >> 12)) & 0x0001_0001_0001_0001).count_ones() as usize;
-    }
-    count
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn nibble_mask_m256(v: __m256i) -> __m256i {
-    let folded = _mm256_or_si256(
-        _mm256_or_si256(v, _mm256_srli_epi64::<1>(v)),
-        _mm256_or_si256(_mm256_srli_epi64::<2>(v), _mm256_srli_epi64::<3>(v)),
-    );
-    _mm256_and_si256(folded, _mm256_set1_epi8(0x11))
-}
-
-#[inline]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn popcount_m256(m: __m256i) -> usize {
-    (_mm256_extract_epi64::<0>(m) as u64).count_ones() as usize
-        + (_mm256_extract_epi64::<1>(m) as u64).count_ones() as usize
-        + (_mm256_extract_epi64::<2>(m) as u64).count_ones() as usize
-        + (_mm256_extract_epi64::<3>(m) as u64).count_ones() as usize
-}
-
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn nonzero_slice_count_words_avx2_impl(words: &[u64]) -> usize {
-    let mut chunks = words.chunks_exact(4);
-    let mut count = 0usize;
-    for c in &mut chunks {
-        let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-        count += popcount_m256(nibble_mask_m256(v));
-    }
-    for &w in chunks.remainder() {
-        count += ((w | (w >> 1) | (w >> 2) | (w >> 3)) & detail::NIBBLE_LO).count_ones() as usize;
-    }
-    count
-}
-
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn nonzero_subword_count_words_avx2_impl(words: &[u64]) -> usize {
-    let u16_lo = _mm256_set1_epi16(0x0001);
-    let mut chunks = words.chunks_exact(4);
-    let mut count = 0usize;
-    for c in &mut chunks {
-        let m = nibble_mask_m256(_mm256_loadu_si256(c.as_ptr() as *const __m256i));
-        let s = _mm256_and_si256(
-            _mm256_or_si256(
-                _mm256_or_si256(m, _mm256_srli_epi64::<4>(m)),
-                _mm256_or_si256(_mm256_srli_epi64::<8>(m), _mm256_srli_epi64::<12>(m)),
-            ),
-            u16_lo,
-        );
-        count += popcount_m256(s);
-    }
-    for &w in chunks.remainder() {
-        let m = (w | (w >> 1) | (w >> 2) | (w >> 3)) & detail::NIBBLE_LO;
-        count +=
-            ((m | (m >> 4) | (m >> 8) | (m >> 12)) & 0x0001_0001_0001_0001).count_ones() as usize;
-    }
-    count
 }
 
 // -------------------------------------------------------- decomposition --
@@ -500,15 +341,6 @@ pub(super) fn zero_subword_count_sse2(plane: &[i8]) -> usize {
 pub(super) fn plane_counts_sse2(plane: &[i8], index_bits: u8) -> PlaneCounts {
     unsafe { plane_counts_sse2_impl(plane, index_bits) }
 }
-pub(super) fn pack_words_sse2(plane: &[i8], words: &mut [u64]) {
-    unsafe { pack_words_sse2_impl(plane, words) }
-}
-pub(super) fn nonzero_slice_count_words_sse2(words: &[u64]) -> usize {
-    unsafe { nonzero_slice_count_words_sse2_impl(words) }
-}
-pub(super) fn nonzero_subword_count_words_sse2(words: &[u64]) -> usize {
-    unsafe { nonzero_subword_count_words_sse2_impl(words) }
-}
 pub(super) fn sbr_planes_sse2(values: &[i32], precision: Precision) -> Vec<Vec<i8>> {
     unsafe { sbr_planes_sse2_impl(values, precision) }
 }
@@ -524,15 +356,6 @@ pub(super) fn zero_subword_count_avx2(plane: &[i8]) -> usize {
 }
 pub(super) fn plane_counts_avx2(plane: &[i8], index_bits: u8) -> PlaneCounts {
     unsafe { plane_counts_avx2_impl(plane, index_bits) }
-}
-pub(super) fn pack_words_avx2(plane: &[i8], words: &mut [u64]) {
-    unsafe { pack_words_avx2_impl(plane, words) }
-}
-pub(super) fn nonzero_slice_count_words_avx2(words: &[u64]) -> usize {
-    unsafe { nonzero_slice_count_words_avx2_impl(words) }
-}
-pub(super) fn nonzero_subword_count_words_avx2(words: &[u64]) -> usize {
-    unsafe { nonzero_subword_count_words_avx2_impl(words) }
 }
 pub(super) fn sbr_planes_avx2(values: &[i32], precision: Precision) -> Vec<Vec<i8>> {
     unsafe { sbr_planes_avx2_impl(values, precision) }

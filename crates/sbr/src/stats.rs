@@ -145,7 +145,7 @@ fn zero_fraction(plane: &[i8]) -> f64 {
     if plane.is_empty() {
         return 0.0;
     }
-    crate::packed::zero_digit_count(plane) as f64 / plane.len() as f64
+    crate::kernels::active().zero_digit_count(plane) as f64 / plane.len() as f64
 }
 
 fn zero_fraction_i32(values: &[i32]) -> f64 {

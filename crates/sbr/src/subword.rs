@@ -76,14 +76,15 @@ pub fn to_subwords(plane: &[i8]) -> Vec<SubWord> {
 /// Fraction of zero sub-words in a plane — the skippable fraction at
 /// sub-word granularity (always ≤ the per-slice zero fraction).
 ///
-/// Counts with the branch-free byte-SWAR kernel in [`crate::packed`]
-/// rather than materialising a `Vec<SubWord>`.
+/// Counts through the active kernel tier
+/// ([`crate::kernels::KernelOps::zero_subword_count`]) rather than
+/// materialising a `Vec<SubWord>`.
 pub fn zero_subword_fraction(plane: &[i8]) -> f64 {
     if plane.is_empty() {
         return 0.0;
     }
     let groups = plane.len().div_ceil(SUBWORD_LANES);
-    crate::packed::zero_subword_count_unpacked(plane) as f64 / groups as f64
+    crate::kernels::active().zero_subword_count(plane) as f64 / groups as f64
 }
 
 #[cfg(test)]

@@ -91,8 +91,7 @@
 
 use sibia_obs::json::Json;
 use sibia_obs::TraceContext;
-use sibia_sbr::packed::PackedPlane;
-use sibia_sbr::{gsbr::GenSlices, Precision};
+use sibia_sbr::{gsbr::GenSlices, kernels, Precision};
 use sibia_sim::cache::DMU_INDEX_BITS;
 use sibia_sim::ArchSpec;
 
@@ -592,20 +591,18 @@ pub fn parse_response(v: &Json) -> Result<Json, ServeError> {
 }
 
 fn plane_stats_json(planes: &[Vec<i8>]) -> Json {
+    let ops = kernels::active();
     Json::Array(
         planes
             .iter()
             .map(|p| {
-                let packed = PackedPlane::pack(p);
+                let c = ops.plane_counts(p, DMU_INDEX_BITS);
                 Json::obj(vec![
-                    ("len", Json::from(packed.len())),
-                    ("zero_slices", Json::from(packed.zero_slice_count())),
-                    ("subwords", Json::from(packed.subword_count())),
-                    ("zero_subwords", Json::from(packed.zero_subword_count())),
-                    (
-                        "rle_entries",
-                        Json::from(packed.rle_entry_count(DMU_INDEX_BITS)),
-                    ),
+                    ("len", Json::from(c.len)),
+                    ("zero_slices", Json::from(c.zero_digits)),
+                    ("subwords", Json::from(c.subwords)),
+                    ("zero_subwords", Json::from(c.zero_subwords)),
+                    ("rle_entries", Json::from(c.rle_entries)),
                 ])
             })
             .collect(),

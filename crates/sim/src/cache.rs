@@ -9,10 +9,9 @@
 //! * [`DecompCache::tensors`]-level — the quantized input/weight codes of a
 //!   layer, keyed by `(layer fingerprint, seed, layer index, sample cap)`;
 //! * [`DecompCache::decomp`]-level — a [`LayerDecomp`]: the per-order
-//!   [`PlaneStats`] (zero-slice / zero-sub-word / RLE-entry counts measured
-//!   with the runtime-dispatched kernels in `sibia_sbr::kernels`) plus
-//!   value-group counts,
-//!   keyed additionally by [`Repr`].
+//!   [`PlaneCounts`] (zero-slice / zero-sub-word / RLE-entry counts measured
+//!   in one pass by the runtime-dispatched `plane_counts` kernel) plus
+//!   value-group counts, keyed additionally by [`Repr`].
 //!
 //! The tensor level serves only the single-network path
 //! (`Simulator::decompose_layer`, behind `simulate_network_cached`): serve's
@@ -49,61 +48,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sibia_nn::Layer;
-use sibia_sbr::packed::PackedPlane;
+use sibia_sbr::kernels::PlaneCounts;
 
 use crate::spec::Repr;
-
-/// Zero-structure counts of one slice plane, measured once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlaneStats {
-    /// Slices in the plane.
-    pub len: usize,
-    /// Exactly-zero slices.
-    pub zero_slices: usize,
-    /// Sub-words the plane groups into (tail zero-padded).
-    pub subwords: usize,
-    /// All-four-zero (skippable) sub-words.
-    pub zero_subwords: usize,
-    /// Entries the DMU's RLE codec (4-bit index) emits for the plane.
-    pub rle_entries: usize,
-}
-
-impl PlaneStats {
-    /// Measures a packed plane.
-    pub fn measure(plane: &PackedPlane) -> Self {
-        Self {
-            len: plane.len(),
-            zero_slices: plane.zero_slice_count(),
-            subwords: plane.subword_count(),
-            zero_subwords: plane.zero_subword_count(),
-            rle_entries: plane.rle_entry_count(DMU_INDEX_BITS),
-        }
-    }
-
-    /// Measures an unpacked digit plane in one pass through the active
-    /// kernel tier — same counts as [`Self::measure`] (pinned by tests)
-    /// without materialising a [`PackedPlane`].
-    pub fn measure_plane(plane: &[i8]) -> Self {
-        let c = sibia_sbr::kernels::active().plane_counts(plane, DMU_INDEX_BITS);
-        Self {
-            len: c.len,
-            zero_slices: c.zero_digits,
-            subwords: c.subwords,
-            zero_subwords: c.zero_subwords,
-            rle_entries: c.rle_entries,
-        }
-    }
-
-    /// Zero sub-word fraction, with the same empty-plane convention as
-    /// `sibia_sbr::subword::zero_subword_fraction`.
-    pub fn zero_subword_fraction(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.zero_subwords as f64 / self.subwords as f64
-        }
-    }
-}
 
 /// Index width of the Sibia DMU's RLE code.
 pub const DMU_INDEX_BITS: u8 = 4;
@@ -113,8 +60,8 @@ pub const DMU_INDEX_BITS: u8 = 4;
 pub struct OperandStats {
     /// Number of sampled codes the statistics were measured on.
     pub sampled: usize,
-    /// Per-slice-order plane statistics, order 0 (LSB) first.
-    pub planes: Vec<PlaneStats>,
+    /// Per-slice-order plane counts, order 0 (LSB) first.
+    pub planes: Vec<PlaneCounts>,
     /// Groups of four adjacent *values* that are entirely zero (HNPU-style
     /// value-granular skipping; the tail group counts when its members are
     /// all zero).
@@ -130,9 +77,10 @@ impl OperandStats {
             Repr::Sbr => sibia_sbr::sbr::planes(codes, precision),
             Repr::Conventional => sibia_sbr::conv::planes(codes, precision),
         };
+        let ops = sibia_sbr::kernels::active();
         let planes = planes
             .iter()
-            .map(|p| PlaneStats::measure_plane(p))
+            .map(|p| ops.plane_counts(p, DMU_INDEX_BITS))
             .collect();
         let zero_value_groups = codes
             .chunks(4)
@@ -391,42 +339,33 @@ impl Default for DecompCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sibia_compress::RleCodec;
     use sibia_sbr::subword::{to_subwords, zero_subword_fraction};
     use sibia_sbr::Precision;
 
     #[test]
     fn plane_stats_match_scalar_definitions() {
-        let values: Vec<i32> = (-40..40).map(|v| v * 3 % 41).collect();
-        for repr in [Repr::Sbr, Repr::Conventional] {
-            let stats = OperandStats::measure(&values, Precision::BITS7, repr);
+        // The second tensor's 130-zero tail saturates the DMU's RLE index.
+        let mixed: Vec<i32> = (-40..40).map(|v| v * 3 % 41).collect();
+        let zero_run: Vec<i32> = (-63..=63).chain([0; 130]).collect();
+        for (values, repr) in [&mixed, &zero_run]
+            .into_iter()
+            .flat_map(|v| [(v, Repr::Sbr), (v, Repr::Conventional)])
+        {
+            let stats = OperandStats::measure(values, Precision::BITS7, repr);
             let planes = match repr {
-                Repr::Sbr => sibia_sbr::sbr::planes(&values, Precision::BITS7),
-                Repr::Conventional => sibia_sbr::conv::planes(&values, Precision::BITS7),
+                Repr::Sbr => sibia_sbr::sbr::planes(values, Precision::BITS7),
+                Repr::Conventional => sibia_sbr::conv::planes(values, Precision::BITS7),
             };
             for (p, s) in planes.iter().zip(&stats.planes) {
                 assert_eq!(s.len, p.len());
-                assert_eq!(s.zero_slices, p.iter().filter(|&&d| d == 0).count());
+                assert_eq!(s.zero_digits, p.iter().filter(|&&d| d == 0).count());
                 let sw = to_subwords(p);
                 assert_eq!(s.subwords, sw.len());
                 assert_eq!(s.zero_subwords, sw.iter().filter(|w| w.is_zero()).count());
                 assert_eq!(s.zero_subword_fraction(), zero_subword_fraction(p));
-            }
-        }
-    }
-
-    #[test]
-    fn measure_plane_matches_packed_measure() {
-        let values: Vec<i32> = (-63..=63).chain([0; 130]).collect();
-        for repr in [Repr::Sbr, Repr::Conventional] {
-            let planes = match repr {
-                Repr::Sbr => sibia_sbr::sbr::planes(&values, Precision::BITS7),
-                Repr::Conventional => sibia_sbr::conv::planes(&values, Precision::BITS7),
-            };
-            for p in &planes {
-                assert_eq!(
-                    PlaneStats::measure_plane(p),
-                    PlaneStats::measure(&PackedPlane::pack(p))
-                );
+                let stream = RleCodec::new(DMU_INDEX_BITS).compress(&sw);
+                assert_eq!(s.rle_entries, stream.entries().len());
             }
         }
     }

@@ -443,7 +443,7 @@ impl Simulator {
             SkipGranularity::Slice => op
                 .planes
                 .iter()
-                .map(|p| 1.0 - p.zero_slices as f64 / p.len.max(1) as f64)
+                .map(|p| 1.0 - p.zero_digits as f64 / p.len.max(1) as f64)
                 .collect(),
             SkipGranularity::SubWord => op
                 .planes

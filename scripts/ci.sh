@@ -20,10 +20,16 @@ echo "==> kernel tier forcing"
 # The workspace run above exercises native dispatch (the best tier the
 # machine supports). Re-run the kernel-sensitive suites pinned to the
 # portable SWAR tier so cross-tier byte-identity is checked even on hosts
-# where AVX2/SSE2 would otherwise mask a SWAR regression, and confirm an
-# unknown tier is a typed error, not a silent fallback.
+# where AVX2/SSE2 would otherwise mask a SWAR regression (serve's lib suite
+# holds the pinned `encode` reply text), and confirm an unknown tier is a
+# typed error, not a silent fallback. Auto-detection never picks SSE2 on
+# an AVX2 host, so x86_64 also runs the grid suite end to end on SSE2.
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sbr
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sim --test parallel
+SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-serve --lib
+if [ "$(uname -m)" = "x86_64" ]; then
+  SIBIA_FORCE_KERNEL=sse2 cargo test -q -p sibia-sim --test parallel
+fi
 if SIBIA_FORCE_KERNEL=nonsense ./target/release/sibia-cli networks 2>/dev/null; then
   echo "unknown kernel tier was silently accepted"; exit 1
 fi
