@@ -10,18 +10,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sibia_compress::RleCodec;
-use sibia_sbr::kernels::{ops_for, KernelOps, KernelTier};
+use sibia_sbr::kernels::supported_ops;
 use sibia_sbr::subword::to_subwords;
 use sibia_sbr::Precision;
-
-/// Every tier the host supports, best last.
-fn tiers() -> Vec<&'static KernelOps> {
-    KernelTier::ALL
-        .into_iter()
-        .filter(|t| t.supported())
-        .map(|t| ops_for(t).expect("supported tier"))
-        .collect()
-}
 
 /// A 64k-digit plane at roughly `zeros_in_10/10` zero fraction.
 fn plane(zeros_in_10: u64) -> Vec<i8> {
@@ -60,7 +51,7 @@ fn values() -> Vec<i32> {
 fn bench_zero_digits(c: &mut Criterion) {
     let p = plane(8);
     let mut g = c.benchmark_group("zero_digits_64k");
-    for ops in tiers() {
+    for ops in supported_ops() {
         g.bench_function(ops.tier.name(), |b| {
             b.iter(|| black_box(ops.zero_digit_count(black_box(&p))))
         });
@@ -77,7 +68,7 @@ fn bench_zero_subwords(c: &mut Criterion) {
             black_box(sw.iter().filter(|s| s.is_zero()).count())
         })
     });
-    for ops in tiers() {
+    for ops in supported_ops() {
         g.bench_function(ops.tier.name(), |b| {
             b.iter(|| black_box(ops.zero_subword_count(black_box(&p))))
         });
@@ -99,7 +90,7 @@ fn bench_plane_counts(c: &mut Criterion) {
                 black_box(codec.compress(&sw).entries().len())
             })
         });
-        for ops in tiers() {
+        for ops in supported_ops() {
             g.bench_function(format!("{}/z{zeros_in_10}", ops.tier.name()), |b| {
                 b.iter(|| black_box(ops.plane_counts(black_box(&p), 4)))
             });
@@ -111,7 +102,7 @@ fn bench_plane_counts(c: &mut Criterion) {
 fn bench_decompose(c: &mut Criterion) {
     let v = values();
     let mut g = c.benchmark_group("decompose_64k");
-    for ops in tiers() {
+    for ops in supported_ops() {
         g.bench_function(format!("sbr/{}", ops.tier.name()), |b| {
             b.iter(|| black_box(ops.sbr_planes(black_box(&v), Precision::BITS7)))
         });

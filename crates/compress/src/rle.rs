@@ -442,13 +442,8 @@ mod tests {
         // The simulator's one-pass `plane_counts` kernel must stay bit-exact
         // with this codec on every kernel tier: same entry count, same size
         // accounting, for every index width and sparsity pattern.
-        use sibia_sbr::kernels::{ops_for, KernelTier};
         use sibia_sbr::subword::to_subwords;
-        let tiers: Vec<_> = KernelTier::ALL
-            .into_iter()
-            .filter(|t| t.supported())
-            .map(|t| ops_for(t).expect("supported tier must build"))
-            .collect();
+        let tiers = sibia_sbr::kernels::supported_ops();
         let mut x = 0xDEADBEEFu64;
         for len in [0usize, 1, 4, 15, 16, 17, 64, 257, 1000] {
             for zeros_in_10 in [0u64, 3, 8, 9, 10] {

@@ -332,6 +332,15 @@ pub fn ops_for(tier: KernelTier) -> Result<&'static KernelOps, KernelError> {
     Ok(slot.get_or_init(|| build_ops(tier)))
 }
 
+/// The ops tables of every tier this machine supports, in
+/// [`KernelTier::ALL`] order, for tests and benchmarks that sweep them all.
+pub fn supported_ops() -> Vec<&'static KernelOps> {
+    KernelTier::ALL
+        .into_iter()
+        .filter_map(|t| ops_for(t).ok())
+        .collect()
+}
+
 /// Best tier this machine supports (AVX2 > SSE2 > SWAR).
 fn detect_best() -> KernelTier {
     [KernelTier::Avx2, KernelTier::Sse2]

@@ -1,25 +1,15 @@
-//! Pins every kernel tier byte-equal to the scalar reference, and every
-//! count kernel to independent per-digit references.
+//! Pins every kernel tier byte-equal to the scalar reference.
 //!
 //! The dispatch table may change which instructions run, never what they
 //! compute: these tests sweep every i8 digit value, awkward plane lengths
 //! (empty, sub-lane, exact-lane, lane±1, non-multiples of 16/32/64),
 //! all-zero and all--8 planes, and dense/sparse LCG planes through every
 //! tier the host supports, for all count kernels, RLE widths, and both
-//! decompositions at every precision.
-//!
-//! The simulator's sparsity accounting is only correct if the counts are
-//! *exactly* the scalar definitions, so the properties at the end recompute
-//! each count the slow, obvious way from the raw digit plane — zero digits,
-//! zero sub-words, the saturated-run RLE walk — and demand equality from
-//! `plane_counts`, `zero_digit_count` and `zero_subword_count` on every
-//! tier, over random planes in the full digit range `[-8, 15]` plus the
-//! uniform edge planes: all-zero, and all `-8`, the most negative digit a
-//! decomposition produces.
+//! decompositions at every precision. `packed_swar.rs` pins the counts to
+//! independent per-digit references.
 
-use proptest::prelude::*;
-use sibia_sbr::kernels::{ops_for, KernelOps, KernelTier};
-use sibia_sbr::subword::{zero_subword_fraction, SUBWORD_LANES};
+use sibia_sbr::kernels::{ops_for, supported_ops, KernelOps, KernelTier};
+use sibia_sbr::subword::zero_subword_fraction;
 use sibia_sbr::{ConvSlices, Precision, SbrSlices};
 
 /// Lengths that straddle every lane width in play (4, 8, 16, 32, 64).
@@ -27,14 +17,6 @@ const LENGTHS: [usize; 13] = [0, 1, 3, 7, 8, 15, 16, 63, 64, 65, 100, 129, 1000]
 
 /// RLE index widths: minimum, the DMU's 4, and the maximum.
 const INDEX_BITS: [u8; 4] = [1, 2, 4, 15];
-
-fn tiers() -> Vec<&'static KernelOps> {
-    KernelTier::ALL
-        .into_iter()
-        .filter(|t| t.supported())
-        .map(|t| ops_for(t).expect("supported tier must build"))
-        .collect()
-}
 
 fn scalar() -> &'static KernelOps {
     ops_for(KernelTier::Scalar).unwrap()
@@ -54,12 +36,6 @@ fn digit_planes() -> Vec<Vec<i8>> {
     let mut planes: Vec<Vec<i8>> = vec![
         (i8::MIN..=i8::MAX).collect(), // every i8 digit value
         vec![1, 0, 0, 0, 0, 0, 0, 0, 5],
-        // [0x00, 0x01] adjacencies defeat the naive `x - 0x01..` zero-byte
-        // trick; the carry-based byte mask must not.
-        vec![0, 1, 0, 1, 0, 1, 0, 1],
-        vec![1, 0, 1, 0, 1, 0, 1, 0],
-        vec![0, 0, 0, 0, 1, 1, 1, 1],
-        vec![-128, 0, 127, 0, -1, 0, 1, 0],
     ];
     for len in LENGTHS {
         planes.push(vec![0i8; len]);
@@ -90,7 +66,7 @@ fn all_tiers_count_planes_identically() {
     for plane in digit_planes() {
         let zd = reference.zero_digit_count(&plane);
         let zs = reference.zero_subword_count(&plane);
-        for ops in tiers() {
+        for ops in supported_ops() {
             assert_eq!(
                 ops.zero_digit_count(&plane),
                 zd,
@@ -167,7 +143,7 @@ fn all_tiers_decompose_sbr_identically() {
                         .collect()
                 })
                 .collect();
-            for ops in tiers() {
+            for ops in supported_ops() {
                 assert_eq!(
                     ops.sbr_planes(&values, precision),
                     expected,
@@ -198,7 +174,7 @@ fn all_tiers_decompose_conv_identically() {
                         .collect()
                 })
                 .collect();
-            for ops in tiers() {
+            for ops in supported_ops() {
                 assert_eq!(
                     ops.conv_planes(&values, precision),
                     expected,
@@ -218,7 +194,7 @@ fn all_tiers_panic_identically_on_out_of_range() {
     let max = Precision::BITS7.max_magnitude();
     let in_vector_body: Vec<i32> = (0..16).map(|i| if i == 9 { max + 1 } else { i }).collect();
     let in_tail = vec![0, 1, 2, -(max + 1)];
-    for ops in tiers() {
+    for ops in supported_ops() {
         for values in [&in_vector_body, &in_tail] {
             for decompose in [KernelOps::sbr_planes, KernelOps::conv_planes] {
                 let err = std::panic::catch_unwind(|| decompose(ops, values, Precision::BITS7))
@@ -240,134 +216,12 @@ fn all_tiers_panic_identically_on_out_of_range() {
 
 #[test]
 fn rle_width_is_validated_on_every_tier() {
-    for ops in tiers() {
+    for ops in supported_ops() {
         for bits in [0u8, 16] {
             let err = std::panic::catch_unwind(|| ops.plane_counts(&[1, 0, 2], bits))
                 .expect_err("bad index width must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("index bits"), "{}: {msg:?}", ops.tier);
-        }
-    }
-}
-
-/// Independent reference: zero digits, one `i8` at a time.
-fn ref_zero_digits(plane: &[i8]) -> usize {
-    plane.iter().filter(|&&d| d == 0).count()
-}
-
-/// Independent reference: zero sub-words over `SUBWORD_LANES`-digit groups,
-/// the tail group zero-padded (a partial group is zero iff its present
-/// digits are).
-fn ref_zero_subwords(plane: &[i8]) -> usize {
-    plane
-        .chunks(SUBWORD_LANES)
-        .filter(|g| g.iter().all(|&d| d == 0))
-        .count()
-}
-
-/// Independent reference for the DMU RLE entry count: walk the zero-padded
-/// sub-word stream; a zero sub-word extends the current run, a run
-/// saturated at `2^index_bits - 1` flushes through a padding entry, a
-/// non-zero sub-word always emits one entry, and trailing zeros are
-/// implicit except for the padding entries their saturated runs force.
-fn ref_rle_entries(plane: &[i8], index_bits: u8) -> usize {
-    let cycle = 1usize << index_bits;
-    let mut entries = 0usize;
-    let mut run = 0usize;
-    for group in plane.chunks(SUBWORD_LANES) {
-        if group.iter().all(|&d| d == 0) {
-            run += 1;
-            if run == cycle {
-                entries += 1;
-                run = 0;
-            }
-        } else {
-            entries += 1;
-            run = 0;
-        }
-    }
-    entries
-}
-
-/// Digit planes in the full digit range, weighted toward the interesting
-/// shapes: dense random, mostly-zero (long runs for the RLE walk), and the
-/// two uniform edge cases.
-fn arb_plane() -> impl Strategy<Value = Vec<i8>> {
-    prop_oneof![
-        4 => prop::collection::vec(-8i8..=15, 0..600),
-        3 => prop::collection::vec(prop_oneof![9 => Just(0i8), 1 => Just(5i8)], 0..600),
-        1 => (0usize..600).prop_map(|n| vec![0i8; n]),
-        1 => (0usize..600).prop_map(|n| vec![-8i8; n]),
-    ]
-}
-
-proptest! {
-    /// Zero digits on every tier == the digit-by-digit count, from the
-    /// one-pass counts and the dedicated kernel alike.
-    #[test]
-    fn zero_digits_match_reference(plane in arb_plane()) {
-        let expected = ref_zero_digits(&plane);
-        for ops in tiers() {
-            let counts = ops.plane_counts(&plane, 4);
-            prop_assert_eq!(counts.len, plane.len());
-            prop_assert_eq!(counts.zero_digits, expected, "{}", ops.tier);
-            prop_assert_eq!(ops.zero_digit_count(&plane), expected, "{}", ops.tier);
-        }
-    }
-
-    /// Zero sub-words on every tier == the group-of-four count.
-    #[test]
-    fn zero_subwords_match_reference(plane in arb_plane()) {
-        let expected = ref_zero_subwords(&plane);
-        for ops in tiers() {
-            let counts = ops.plane_counts(&plane, 4);
-            prop_assert_eq!(counts.subwords, plane.len().div_ceil(SUBWORD_LANES));
-            prop_assert_eq!(counts.zero_subwords, expected, "{}", ops.tier);
-            prop_assert_eq!(ops.zero_subword_count(&plane), expected, "{}", ops.tier);
-        }
-    }
-
-    /// RLE entries on every tier == the run-length walk, across index
-    /// widths (narrow widths exercise run saturation, wide ones the
-    /// trailing-zero elision).
-    #[test]
-    fn rle_entries_match_reference((plane, index_bits) in (arb_plane(), 1u8..=15)) {
-        let expected = ref_rle_entries(&plane, index_bits);
-        for ops in tiers() {
-            prop_assert_eq!(
-                ops.plane_counts(&plane, index_bits).rle_entries,
-                expected,
-                "{} index_bits={}", ops.tier, index_bits
-            );
-        }
-    }
-
-    /// The all-zero plane in every length: every digit and sub-word is
-    /// zero, and the RLE code holds only the padding entries forced by
-    /// saturated runs.
-    #[test]
-    fn all_zero_planes_compress_to_padding_only(n in 0usize..600, index_bits in 1u8..=15) {
-        let plane = vec![0i8; n];
-        for ops in tiers() {
-            let counts = ops.plane_counts(&plane, index_bits);
-            prop_assert_eq!(counts.zero_digits, n);
-            prop_assert_eq!(counts.zero_subwords, counts.subwords);
-            prop_assert_eq!(counts.rle_entries, counts.subwords / (1usize << index_bits));
-        }
-    }
-
-    /// The all-`-8` plane: nothing is zero anywhere, and every sub-word
-    /// costs one RLE entry.
-    #[test]
-    fn all_minus_eight_planes_have_no_zero_structure(n in 1usize..600, index_bits in 1u8..=15) {
-        let plane = vec![-8i8; n];
-        for ops in tiers() {
-            let counts = ops.plane_counts(&plane, index_bits);
-            prop_assert_eq!(counts.zero_digits, 0);
-            prop_assert_eq!(ops.zero_digit_count(&plane), 0);
-            prop_assert_eq!(counts.zero_subwords, 0);
-            prop_assert_eq!(ops.zero_subword_count(&plane), 0);
-            prop_assert_eq!(counts.rle_entries, counts.subwords);
         }
     }
 }

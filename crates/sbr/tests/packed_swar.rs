@@ -1,17 +1,20 @@
-//! Property tests pinning the SWAR kernels in `sbr::packed` to independent
-//! scalar per-`i8` references.
+//! Property tests pinning the count kernels to independent scalar per-`i8`
+//! references on every supported tier.
 //!
-//! The packed plane answers three questions — zero slices, zero sub-words,
-//! RLE entry count — with branch-free word arithmetic; the simulator's
-//! sparsity accounting is only correct if those answers are *exactly* the
-//! scalar definitions. Each property below recomputes the count the slow,
-//! obvious way from the raw digit plane and demands equality, over random
-//! planes in the full packable digit range `[-8, 15]` plus the adversarial
-//! uniform planes (all-zero, all `-8` — the digit whose nibble pattern
-//! `1000` has no set low bits beyond bit 3).
+//! The kernels answer three questions about a digit plane — zero slices,
+//! zero sub-words, RLE entry count — with branch-free arithmetic on packed
+//! digit words (the SWAR tier reads eight digits to a `u64` through a
+//! carry-based byte mask; SSE2 and AVX2 read a vector at a time). The
+//! simulator's sparsity accounting is only correct if those answers are
+//! *exactly* the scalar definitions. Each property below recomputes the
+//! count the slow, obvious way from the raw digit plane and demands
+//! equality from `plane_counts`, `zero_digit_count` and `zero_subword_count`,
+//! over random planes in the full digit range `[-8, 15]` plus the
+//! adversarial uniform planes (all-zero, and all `-8`, the most negative
+//! digit a decomposition produces).
 
 use proptest::prelude::*;
-use sibia_sbr::packed::{zero_digit_count, zero_subword_count_unpacked, PackedPlane};
+use sibia_sbr::kernels::supported_ops;
 use sibia_sbr::subword::SUBWORD_LANES;
 
 /// Scalar reference: zero digits, one `i8` at a time.
@@ -53,9 +56,9 @@ fn ref_rle_entries(plane: &[i8], index_bits: u8) -> usize {
     entries
 }
 
-/// Digit planes in the packable range, weighted toward the interesting
-/// shapes: dense random, mostly-zero (long runs for the RLE path), and the
-/// two uniform edge cases from the pack-losslessness argument.
+/// Digit planes in the full digit range, weighted toward the interesting
+/// shapes: dense random, mostly-zero (long runs for the RLE walk), and the
+/// two uniform edge cases.
 fn arb_plane() -> impl Strategy<Value = Vec<i8>> {
     prop_oneof![
         4 => prop::collection::vec(-8i8..=15, 0..600),
@@ -66,63 +69,72 @@ fn arb_plane() -> impl Strategy<Value = Vec<i8>> {
 }
 
 proptest! {
-    /// Packed zero-slice count == scalar digit-by-digit count; the two
-    /// byte-mask helpers agree too.
+    /// Zero slices on every tier == the digit-by-digit count, from the
+    /// one-pass counts and the dedicated kernel alike.
     #[test]
     fn packed_zero_slices_match_scalar(plane in arb_plane()) {
-        let packed = PackedPlane::pack(&plane);
         let expected = ref_zero_slices(&plane);
-        prop_assert_eq!(packed.len(), plane.len());
-        prop_assert_eq!(packed.zero_slice_count(), expected);
-        prop_assert_eq!(packed.nonzero_slice_count(), plane.len() - expected);
-        prop_assert_eq!(zero_digit_count(&plane), expected);
+        for ops in supported_ops() {
+            let counts = ops.plane_counts(&plane, 4);
+            prop_assert_eq!(counts.len, plane.len());
+            prop_assert_eq!(counts.zero_digits, expected, "{}", ops.tier);
+            prop_assert_eq!(ops.zero_digit_count(&plane), expected, "{}", ops.tier);
+        }
     }
 
-    /// Packed sub-word counts == scalar group-of-four counts.
+    /// Zero sub-words on every tier == the group-of-four count.
     #[test]
     fn packed_zero_subwords_match_scalar(plane in arb_plane()) {
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.subword_count(), plane.len().div_ceil(SUBWORD_LANES));
-        prop_assert_eq!(packed.zero_subword_count(), ref_zero_subwords(&plane));
-        prop_assert_eq!(zero_subword_count_unpacked(&plane), ref_zero_subwords(&plane));
+        let expected = ref_zero_subwords(&plane);
+        for ops in supported_ops() {
+            let counts = ops.plane_counts(&plane, 4);
+            prop_assert_eq!(counts.subwords, plane.len().div_ceil(SUBWORD_LANES));
+            prop_assert_eq!(counts.zero_subwords, expected, "{}", ops.tier);
+            prop_assert_eq!(ops.zero_subword_count(&plane), expected, "{}", ops.tier);
+        }
     }
 
-    /// Packed RLE entry count == the scalar run-length walk, across index
+    /// RLE entries on every tier == the run-length walk, across index
     /// widths (narrow widths exercise run saturation, wide ones the
     /// trailing-zero elision).
     #[test]
     fn packed_rle_entries_match_scalar((plane, index_bits) in (arb_plane(), 1u8..=15)) {
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(
-            packed.rle_entry_count(index_bits),
-            ref_rle_entries(&plane, index_bits),
-            "index_bits={}", index_bits
-        );
+        let expected = ref_rle_entries(&plane, index_bits);
+        for ops in supported_ops() {
+            prop_assert_eq!(
+                ops.plane_counts(&plane, index_bits).rle_entries,
+                expected,
+                "{} index_bits={}", ops.tier, index_bits
+            );
+        }
     }
 
-    /// The all-zero plane in every length: no slices, no sub-words, and no
-    /// RLE entries except the padding entries forced by saturated runs.
+    /// The all-zero plane in every length: every digit and sub-word is
+    /// zero, and the RLE code holds only the padding entries forced by
+    /// saturated runs.
     #[test]
     fn all_zero_planes_compress_to_padding_only(n in 0usize..600, index_bits in 1u8..=15) {
         let plane = vec![0i8; n];
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.zero_slice_count(), n);
-        prop_assert_eq!(packed.zero_subword_count(), packed.subword_count());
-        prop_assert_eq!(
-            packed.rle_entry_count(index_bits),
-            packed.subword_count() / (1usize << index_bits)
-        );
+        for ops in supported_ops() {
+            let counts = ops.plane_counts(&plane, index_bits);
+            prop_assert_eq!(counts.zero_digits, n);
+            prop_assert_eq!(counts.zero_subwords, counts.subwords);
+            prop_assert_eq!(counts.rle_entries, counts.subwords / (1usize << index_bits));
+        }
     }
 
-    /// The all-`-8` plane: its nibble pattern is `1000`, so only bit 3 is
-    /// set — a mask that would fool any fold forgetting the `>> 3` term.
-    /// Nothing is zero anywhere, and every sub-word costs one RLE entry.
+    /// The all-`-8` plane: nothing is zero anywhere, and every sub-word
+    /// costs one RLE entry.
     #[test]
     fn all_minus_eight_planes_have_no_zero_structure(n in 1usize..600, index_bits in 1u8..=15) {
         let plane = vec![-8i8; n];
-        let packed = PackedPlane::pack(&plane);
-        prop_assert_eq!(packed.zero_slice_count(), 0);
-        prop_assert_eq!(packed.zero_subword_count(), 0);
-        prop_assert_eq!(packed.rle_entry_count(index_bits), packed.subword_count());
+        for ops in supported_ops() {
+            let counts = ops.plane_counts(&plane, index_bits);
+            prop_assert_eq!(counts.zero_digits, 0);
+            prop_assert_eq!(ops.zero_digit_count(&plane), 0);
+            prop_assert_eq!(counts.zero_subwords, 0);
+            prop_assert_eq!(ops.zero_subword_count(&plane), 0);
+            prop_assert_eq!(counts.rle_entries, counts.subwords);
+        }
     }
 }
