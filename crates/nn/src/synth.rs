@@ -508,6 +508,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::layer::Layer;
+    use std::cmp::Ordering;
 
     #[test]
     fn generation_is_deterministic() {
@@ -617,6 +618,125 @@ mod tests {
                     "codes={codes:?} want={want}"
                 );
             }
+        }
+    }
+
+    /// FNV-1a (64-bit) over the little-endian bytes of `codes`.
+    fn fnv1a(codes: &[i32]) -> u64 {
+        codes
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Which calibration branch `activations` takes on `layer`: its
+    /// quantized zero count before calibration against the target count
+    /// (`Greater` rescues underflow, `Less` fills a shortfall).
+    fn calibration_branch(seed: u64, index: usize, layer: &Layer, cap: usize) -> Ordering {
+        let n = layer.kind().input_len().min(cap);
+        let data = SynthSource::for_layer(seed, index).post_activation_values_with_gain(
+            layer.activation(),
+            layer.input_sparsity(),
+            n,
+            act_outlier_gain(layer.input_precision(), layer.activation()),
+        );
+        let qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.input_precision());
+        let zeros = qt.codes().data().iter().filter(|&&c| c == 0).count();
+        zeros.cmp(&((layer.input_sparsity() * n as f64).round() as usize))
+    }
+
+    #[test]
+    fn layer_synthesis_digests_are_pinned() {
+        // One layer per synthesis branch, each on its own `for_layer`
+        // stream of seed 11: FNV-1a digests of the input and the weight
+        // codes. A drift names the branch here, where otherwise it would
+        // only change a whole-grid digest in the benchmark's golden test.
+        use Ordering::{Greater as Rescue, Less as Fill};
+        let (b7, b10, b13) = (Precision::BITS7, Precision::BITS10, Precision::BITS13);
+        let linear = |name, act, sparsity| {
+            Layer::linear(name, 8, 64, 48)
+                .with_activation(act)
+                .with_input_sparsity(sparsity)
+        };
+        // 4096 inputs and 4608 weights, sampled below both sizes; 1001 is
+        // not a multiple of the four-value calibration block.
+        let capped = |name, act, sparsity| {
+            Layer::conv2d(name, 16, 32, 3, 1, 1, 16)
+                .with_activation(act)
+                .with_input_sparsity(sparsity)
+        };
+        let relu = Activation::Relu;
+        let cases = [
+            (
+                capped("capped_relu_fill", relu, 0.5).with_precisions(b10, b7),
+                1001,
+                Some(Fill),
+                0xf8b2_3bbf_5741_c17f,
+                0x626a_61fd_7091_806c,
+            ),
+            (
+                linear("leaky_relu", Activation::LEAKY_RELU_01, 0.3),
+                4096,
+                Some(Rescue),
+                0xccc4_4a60_84ab_80c8,
+                0xb592_8211_8660_fc50,
+            ),
+            (
+                linear("elu", Activation::ELU_1, 0.2),
+                4096,
+                Some(Rescue),
+                0x8230_19cf_0612_ffeb,
+                0xa131_5143_b61f_61e9,
+            ),
+            (
+                linear("gelu_w10", Activation::Gelu, 0.119).with_precisions(b10, b10),
+                4096,
+                Some(Rescue),
+                0xd96b_a607_9481_b724,
+                0x5839_4645_2ea2_6e78,
+            ),
+            (
+                linear("identity_w13", Activation::Identity, 0.0).with_precisions(b13, b13),
+                4096,
+                Some(Rescue),
+                0x1b1c_d487_f4bb_63c4,
+                0xff04_1ca4_9381_86f5,
+            ),
+            (
+                linear("attention", Activation::Identity, 0.0)
+                    .with_input_profile(InputProfile::AttentionProb),
+                4096,
+                None,
+                0xc67f_57fd_973b_2706,
+                0x3814_cce5_6059_878b,
+            ),
+            (
+                linear("relu_rescue", relu, 0.5),
+                4096,
+                Some(Rescue),
+                0x548b_fd3f_12d4_ef7b,
+                0xc069_ede6_cdc7_dc23,
+            ),
+            (
+                capped("capped_gelu_rescue", Activation::Gelu, 0.1),
+                1001,
+                Some(Rescue),
+                0xcf56_05c1_7d6d_8f09,
+                0x4499_dda6_f993_870b,
+            ),
+        ];
+        for (index, (layer, cap, branch, inputs, weights)) in cases.into_iter().enumerate() {
+            let name = layer.name();
+            if let Some(branch) = branch {
+                assert_eq!(calibration_branch(11, index, &layer, cap), branch, "{name}");
+            }
+            let mut src = SynthSource::for_layer(11, index);
+            let acts = src.activations(&layer, cap);
+            let w = src.weights(&layer, cap);
+            assert_eq!(fnv1a(acts.codes().data()), inputs, "{name} inputs");
+            assert_eq!(fnv1a(w.codes().data()), weights, "{name} weights");
         }
     }
 
