@@ -110,50 +110,89 @@ fn weight_outlier_gain(p: Precision) -> f32 {
 
 /// Zeroes the smallest-magnitude non-zero codes until at least `want` codes
 /// are zero (or every code is). Selection is by counting rather than
-/// sorting: a magnitude histogram locates the threshold, then one forward
-/// pass zeroes every code strictly below it plus the earliest codes *at* it
-/// until the quota is met — exactly the set a stable
-/// sort-by-`unsigned_abs` followed by `take(want - zeros)` picks, in O(n)
-/// instead of O(n log n). Quantized magnitudes are tiny (≤ the precision's
-/// symmetric maximum), so the histogram is a few hundred slots at most.
+/// sorting: one pass builds a magnitude histogram, which locates the
+/// threshold, then one forward pass zeroes every code strictly below it
+/// plus the earliest codes *at* it until the quota is met — exactly the set
+/// a stable sort-by-`unsigned_abs` followed by `take(want - zeros)` picks,
+/// in O(n) instead of O(n log n). Quantized magnitudes are small (≤ the
+/// precision's symmetric maximum), so the histogram is small too.
 fn zero_smallest_codes(codes: &mut [i32], want: usize) {
     let zeros = codes.iter().filter(|&&c| c == 0).count();
     if zeros >= want {
         return;
     }
-    let need = want - zeros;
-    let max_mag = codes.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0) as usize;
-    let mut hist = vec![0usize; max_mag + 1];
+    let mut hist = Vec::new();
     for &c in codes.iter() {
-        hist[c.unsigned_abs() as usize] += 1;
+        count_into(&mut hist, c.unsigned_abs() as usize, 1);
     }
-    if need >= codes.len() - zeros {
-        // Quota exceeds the non-zero population: everything goes.
-        codes.fill(0);
-        return;
+    zero_up_to_threshold(codes, 1, want - zeros, &hist, |g| {
+        g[0].unsigned_abs() as usize
+    });
+}
+
+/// Zeroes whole blocks of four adjacent codes, the smallest block
+/// magnitude sum first and ties in block order, until `need` more codes
+/// are zero; the last block touched may be zeroed only in part, in index
+/// order. A sum histogram weighted by each block's non-zero count locates
+/// the threshold sum, as in [`zero_smallest_codes`]: exactly the blocks
+/// and codes a stable sort of the blocks by sum would pick, in O(n).
+fn zero_smallest_blocks(codes: &mut [i32], need: usize) {
+    let block_sum = |b: &[i32]| b.iter().map(|v| v.unsigned_abs() as usize).sum::<usize>();
+    let mut hist = Vec::new();
+    for b in codes.chunks(4) {
+        count_into(
+            &mut hist,
+            block_sum(b),
+            b.iter().filter(|&&v| v != 0).count(),
+        );
     }
-    // Smallest magnitude `t` with at least `need` non-zero codes at or
-    // below it; `below` counts those strictly below.
-    let mut below = 0usize;
-    let mut threshold = max_mag;
-    for (mag, &count) in hist.iter().enumerate().skip(1) {
+    zero_up_to_threshold(codes, 4, need, &hist, block_sum);
+}
+
+/// Adds `count` to `hist[key]`, growing the histogram to fit `key`.
+fn count_into(hist: &mut Vec<usize>, key: usize, count: usize) {
+    if key >= hist.len() {
+        hist.resize(key + 1, 0);
+    }
+    hist[key] += count;
+}
+
+/// The shared forward pass of the counting selections. `hist[k]` counts the
+/// non-zero codes in groups of `group` codes whose key is `k`; key 0 holds
+/// no non-zero code. Finds the smallest key `t` with at least `need`
+/// non-zero codes at or below it, then zeroes every group keyed below `t`
+/// and the earliest non-zero codes of groups keyed `t` until `need` are
+/// zeroed. With `need` above the non-zero count every group goes.
+fn zero_up_to_threshold(
+    codes: &mut [i32],
+    group: usize,
+    need: usize,
+    hist: &[usize],
+    key: impl Fn(&[i32]) -> usize,
+) {
+    let mut below = 0;
+    let mut threshold = hist.len();
+    for (k, &count) in hist.iter().enumerate().skip(1) {
         if below + count >= need {
-            threshold = mag;
+            threshold = k;
             break;
         }
         below += count;
     }
     let mut at_threshold = need - below;
-    for c in codes.iter_mut() {
-        let mag = c.unsigned_abs() as usize;
-        if mag == 0 || mag > threshold {
+    for g in codes.chunks_mut(group) {
+        let k = key(g);
+        if k == 0 || k > threshold {
             continue;
         }
-        if mag < threshold {
+        for c in g.iter_mut().filter(|c| **c != 0) {
+            if k == threshold {
+                if at_threshold == 0 {
+                    break;
+                }
+                at_threshold -= 1;
+            }
             *c = 0;
-        } else if at_threshold > 0 {
-            *c = 0;
-            at_threshold -= 1;
         }
     }
 }
@@ -185,6 +224,13 @@ impl SynthSource {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
     }
 
+    /// Advances the stream past one [`Self::normal`] sample (its two
+    /// uniform draws) without computing it.
+    fn skip_normal(&mut self) {
+        self.rng.next_u64();
+        self.rng.next_u64();
+    }
+
     /// Generates quantized weights for `layer`, sampling at most `cap`
     /// values (a statistical sample for very large layers). Weights are
     /// Gaussian with a heavy-tail outlier component, as trained weight
@@ -211,12 +257,13 @@ impl SynthSource {
         let qt = QuantTensor::quantize(&data, Shape::new(&[n]), layer.weight_precision());
         // Ensure the exact-zero mass trained weights carry: zero the
         // smallest-magnitude codes up to the target fraction.
-        let mut codes = qt.codes().clone().into_vec();
+        let quantizer = *qt.quantizer();
+        let mut codes = qt.into_codes();
         let want = (WEIGHT_ZERO_FRACTION * n as f64) as usize;
         zero_smallest_codes(&mut codes, want);
         QuantTensor::from_codes(
             sibia_tensor::Tensor::from_vec(codes, Shape::new(&[n])),
-            *qt.quantizer(),
+            quantizer,
         )
     }
 
@@ -268,7 +315,7 @@ impl SynthSource {
         activation: Activation,
     ) -> QuantTensor {
         let quantizer = *qt.quantizer();
-        let mut codes = qt.codes().clone().into_vec();
+        let mut codes = qt.into_codes();
         let n = codes.len();
         let want = (target * n as f64).round() as usize;
         let count_zeros = |c: &[i32]| c.iter().filter(|&&v| v == 0).count();
@@ -316,26 +363,7 @@ impl SynthSource {
             }
         } else if cur < want {
             // Zero out whole blocks, smallest block magnitude first.
-            let mut need = want - cur;
-            let mut blocks: Vec<usize> = (0..n.div_ceil(4)).collect();
-            blocks.sort_by_key(|&b| {
-                codes[b * 4..(b * 4 + 4).min(n)]
-                    .iter()
-                    .map(|&v| u64::from(v.unsigned_abs()))
-                    .sum::<u64>()
-            });
-            for b in blocks {
-                if need == 0 {
-                    break;
-                }
-                #[allow(clippy::needless_range_loop)] // index spans a block boundary
-                for i in b * 4..(b * 4 + 4).min(n) {
-                    if codes[i] != 0 && need > 0 {
-                        codes[i] = 0;
-                        need -= 1;
-                    }
-                }
-            }
+            zero_smallest_blocks(&mut codes, want - cur);
         }
         QuantTensor::from_codes(
             sibia_tensor::Tensor::from_vec(codes, Shape::new(&[n])),
@@ -399,7 +427,14 @@ impl SynthSource {
                 // mixture (zero regions of a feature map are contiguous).
                 while out.len() < n {
                     let zero_block = self.rng.gen_bool(target_sparsity);
-                    let b = self.normal();
+                    // A zero block's shared factor goes unused: skip its
+                    // math but not its draws, so the stream stays aligned.
+                    let b = if zero_block {
+                        self.skip_normal();
+                        0.0
+                    } else {
+                        self.normal()
+                    };
                     for _ in 0..BLOCK.min(n - out.len()) {
                         if zero_block {
                             out.push(0.0);
@@ -596,18 +631,7 @@ mod tests {
             vec![-3, 3, -3, 3, 2, -2, 1, 0, -1],  // heavy ties
             vec![-512, 511, -1, 1, 0, 256, -256], // widest quantized range
         ];
-        // Deterministic pseudo-random code vectors in the quantized range.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for len in [17usize, 64, 257] {
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                v.push(((x >> 40) as i64 % 17 - 8) as i32);
-            }
-            cases.push(v);
-        }
+        cases.extend(pseudo_random_codes());
         for codes in &cases {
             for want in [0usize, 1, codes.len() / 3, codes.len(), codes.len() + 7] {
                 let mut counted = codes.clone();
@@ -616,6 +640,74 @@ mod tests {
                     counted,
                     reference(codes, want),
                     "codes={codes:?} want={want}"
+                );
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random code vectors in `[-8, 8]`, of lengths
+    /// 17, 64 and 257.
+    fn pseudo_random_codes() -> Vec<Vec<i32>> {
+        let mut x = 0x9e3779b97f4a7c15u64;
+        [17usize, 64, 257]
+            .into_iter()
+            .map(|len| {
+                (0..len)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((x >> 40) as i64 % 17 - 8) as i32
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_counting_selection_matches_stable_sort_reference() {
+        // The former fill of `calibrate_sparsity`: stable sort of the
+        // four-code blocks by magnitude sum, then zero non-zero codes block
+        // by block, in index order, until `need` are zeroed.
+        fn reference(codes: &[i32], mut need: usize) -> Vec<i32> {
+            let mut out = codes.to_vec();
+            let n = out.len();
+            let mut blocks: Vec<usize> = (0..n.div_ceil(4)).collect();
+            blocks.sort_by_key(|&b| {
+                out[b * 4..(b * 4 + 4).min(n)]
+                    .iter()
+                    .map(|&v| u64::from(v.unsigned_abs()))
+                    .sum::<u64>()
+            });
+            for b in blocks {
+                for c in &mut out[b * 4..(b * 4 + 4).min(n)] {
+                    if *c != 0 && need > 0 {
+                        *c = 0;
+                        need -= 1;
+                    }
+                }
+            }
+            out
+        }
+
+        let mut cases: Vec<Vec<i32>> = vec![
+            vec![],
+            vec![0; 9],                                      // all-zero blocks only
+            vec![2, -1],                                     // one partial block
+            vec![1, 2, 0, 0, 0, 0, 3, 0, -3, 0, 0, 0, 2, 1], // tied sums, partial tail
+            vec![0, 0, 0, 0, 5, -5, 1, 0, 0, 0, 0, 0, -1, 1, 1, 1, 4],
+            vec![-4095, 4095, 1, 0, 7, 7, 7, 7, -1, 0, 0, 2], // widest 13-bit sums
+        ];
+        cases.extend(pseudo_random_codes());
+        for codes in &cases {
+            let nonzero = codes.iter().filter(|&&c| c != 0).count();
+            for need in [0, 1, 2, 3, 5, nonzero / 2, nonzero, nonzero + 3] {
+                let mut counted = codes.clone();
+                zero_smallest_blocks(&mut counted, need);
+                assert_eq!(
+                    counted,
+                    reference(codes, need),
+                    "codes={codes:?} need={need}"
                 );
             }
         }

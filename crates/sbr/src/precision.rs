@@ -82,7 +82,7 @@ impl Precision {
 
     /// Whether `value` lies in the symmetric range `[-max, max]`.
     pub fn contains(&self, value: i32) -> bool {
-        value.abs() <= self.max_magnitude()
+        value.unsigned_abs() <= self.max_magnitude().unsigned_abs()
     }
 
     /// Checks `value` against the symmetric range.
@@ -182,6 +182,21 @@ mod tests {
         assert!(!p.contains(64));
         assert!(p.check(64).is_err());
         assert_eq!(p.check(-12), Ok(-12));
+    }
+
+    #[test]
+    fn every_precision_rejects_values_past_its_range() {
+        // `i32::MIN` has no positive counterpart: `abs` wraps (or panics)
+        // on it, so the check must compare unsigned magnitudes.
+        for bits in 2..=19 {
+            let p = Precision::new(bits);
+            let max = p.max_magnitude();
+            assert!(p.contains(max) && p.contains(-max), "{p}");
+            for v in [i32::MIN, i32::MAX, max + 1, -(max + 1)] {
+                assert!(!p.contains(v), "{p} accepted {v}");
+                assert!(p.check(v).is_err(), "{p} checked {v}");
+            }
+        }
     }
 
     #[test]

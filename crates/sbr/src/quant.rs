@@ -50,13 +50,7 @@ impl Quantizer {
     ///
     /// All-zero (or empty) data gets a scale of 1, mapping everything to 0.
     pub fn fit(data: &[f32], precision: Precision) -> Self {
-        let max = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        let scale = if max > 0.0 {
-            max / precision.max_magnitude() as f32
-        } else {
-            1.0
-        };
-        Self::new(scale, precision)
+        Self::new(fit_scale(data, precision), precision)
     }
 
     /// The real-unit size of one quantization step.
@@ -69,11 +63,12 @@ impl Quantizer {
         self.precision
     }
 
-    /// Quantizes one real value to a symmetric fixed-point code.
+    /// Quantizes one real value to a symmetric fixed-point code:
+    /// `x / scale` rounded half away from zero (`2.5 → 3`, `-2.5 → -3`).
+    /// NaN maps to 0; ±∞ and values beyond the symmetric range map to
+    /// ±`max_magnitude`.
     pub fn quantize(&self, x: f32) -> i32 {
-        let m = self.precision.max_magnitude();
-        let q = (x / self.scale).round() as i64;
-        q.clamp(-i64::from(m), i64::from(m)) as i32
+        round_to_code(x / self.scale, self.precision)
     }
 
     /// Reconstructs the real value of a code.
@@ -81,15 +76,50 @@ impl Quantizer {
         q as f32 * self.scale
     }
 
-    /// Quantizes a whole tensor.
+    /// Quantizes a whole tensor, value by value as [`Self::quantize`].
     pub fn quantize_all(&self, data: &[f32]) -> Vec<i32> {
-        data.iter().map(|&x| self.quantize(x)).collect()
+        // The closure owns copies of the fields: captured by reference,
+        // they are reloaded for every value and the loop does not vectorize.
+        let Self { scale, precision } = *self;
+        data.iter()
+            .map(move |&x| round_to_code(x / scale, precision))
+            .collect()
     }
 
     /// Dequantizes a whole tensor.
     pub fn dequantize_all(&self, codes: &[i32]) -> Vec<f32> {
         codes.iter().map(|&q| self.dequantize(q)).collect()
     }
+}
+
+/// The scale mapping the largest magnitude in `data` to the precision's
+/// symmetric maximum; 1 when `data` is all zero or empty.
+fn fit_scale(data: &[f32], precision: Precision) -> f32 {
+    let max = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+    if max > 0.0 {
+        max / precision.max_magnitude() as f32
+    } else {
+        1.0
+    }
+}
+
+/// The one rounding rule of both quantizers: `y` clamped to the symmetric
+/// range of `precision`, then rounded half away from zero; NaN maps to 0.
+///
+/// Equal to `(y.round() as i64).clamp(-max, max)` for every `f32`, without
+/// the libm `round` call and the saturating conversion, so a loop over it
+/// vectorizes. Clamping first changes nothing: `max` is an integer, so
+/// rounding never carries a value inside the range out of it.
+#[inline]
+fn round_to_code(y: f32, precision: Precision) -> i32 {
+    let max = precision.max_magnitude() as f32;
+    let c = if y.is_nan() { 0.0 } else { y.clamp(-max, max) };
+    // SAFETY: `c` is not NaN and |c| <= max <= 2^18 - 1 (a `Precision` has
+    // at most 19 bits), so it is finite and its truncation fits an `i32`.
+    let t: i32 = unsafe { c.to_int_unchecked() };
+    // `c - trunc(c)` is exact in `f32`.
+    let frac = c - t as f32;
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
 
 impl fmt::Display for Quantizer {
@@ -130,7 +160,8 @@ pub struct ChannelQuantizer {
 
 impl ChannelQuantizer {
     /// Fits one scale per channel; `data` is channel-major
-    /// (`channels` equal contiguous chunks).
+    /// (`channels` equal contiguous chunks). As in [`Quantizer::fit`], an
+    /// all-zero (or empty) channel gets a scale of 1.
     ///
     /// # Panics
     ///
@@ -139,16 +170,8 @@ impl ChannelQuantizer {
         assert!(channels > 0, "need at least one channel");
         assert_eq!(data.len() % channels, 0, "channels must divide the data");
         let chunk = data.len() / channels;
-        let scales = data
-            .chunks(chunk)
-            .map(|c| {
-                let max = c.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                if max > 0.0 {
-                    max / precision.max_magnitude() as f32
-                } else {
-                    1.0
-                }
-            })
+        let scales = (0..channels)
+            .map(|ch| fit_scale(&data[ch * chunk..][..chunk], precision))
             .collect();
         Self { scales, precision }
     }
@@ -172,24 +195,29 @@ impl ChannelQuantizer {
     pub fn quantize_all(&self, data: &[f32]) -> Vec<i32> {
         assert_eq!(data.len() % self.scales.len(), 0, "data/channel mismatch");
         let chunk = data.len() / self.scales.len();
-        let m = self.precision.max_magnitude();
-        data.chunks(chunk)
-            .zip(&self.scales)
-            .flat_map(|(c, &s)| {
-                c.iter().map(move |&x| {
-                    ((x / s).round() as i64).clamp(-i64::from(m), i64::from(m)) as i32
-                })
-            })
-            .collect()
+        let precision = self.precision;
+        let mut codes = Vec::with_capacity(data.len());
+        for (ch, &scale) in self.scales.iter().enumerate() {
+            let channel = &data[ch * chunk..][..chunk];
+            codes.extend(
+                channel
+                    .iter()
+                    .map(move |&x| round_to_code(x / scale, precision)),
+            );
+        }
+        codes
     }
 
     /// Dequantizes channel-major codes.
     pub fn dequantize_all(&self, codes: &[i32]) -> Vec<f32> {
         let chunk = codes.len() / self.scales.len();
-        codes
-            .chunks(chunk)
-            .zip(&self.scales)
-            .flat_map(|(c, &s)| c.iter().map(move |&q| q as f32 * s))
+        (0..self.scales.len())
+            .flat_map(|ch| {
+                let s = self.scales[ch];
+                codes[ch * chunk..][..chunk]
+                    .iter()
+                    .map(move |&q| q as f32 * s)
+            })
             .collect()
     }
 }
@@ -197,6 +225,107 @@ impl ChannelQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The former rounding expression, kept as the reference: libm
+    /// `round`, a saturating conversion, then the clamp.
+    fn reference(x: f32, scale: f32, p: Precision) -> i32 {
+        let m = i64::from(p.max_magnitude());
+        ((x / scale).round() as i64).clamp(-m, m) as i32
+    }
+
+    /// Compares `quantize` and `quantize_all` with [`reference`] on `xs`.
+    fn assert_matches_reference(xs: &[f32], scale: f32, p: Precision) {
+        let q = Quantizer::new(scale, p);
+        let all = q.quantize_all(xs);
+        assert_eq!(all.len(), xs.len());
+        for (&x, &code) in xs.iter().zip(&all) {
+            let want = reference(x, scale, p);
+            assert_eq!(q.quantize(x), want, "{p} x={x:e} ({:#010x})", x.to_bits());
+            assert_eq!(
+                code,
+                want,
+                "{p} quantize_all x={x:e} ({:#010x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_matches_reference_at_ties_and_specials() {
+        for bits in 2..=19 {
+            let p = Precision::new(bits);
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::from_bits(1), // smallest subnormal
+                f32::MAX,
+                -f32::MAX,
+            ];
+            // Every tie k + 1/2 up to one past the range, and the values one
+            // ULP either side of it, in both signs.
+            for k in 0..=p.max_magnitude() + 1 {
+                let tie = k as f32 + 0.5;
+                for x in [
+                    f32::from_bits(tie.to_bits() - 1),
+                    tie,
+                    f32::from_bits(tie.to_bits() + 1),
+                ] {
+                    xs.extend([x, -x]);
+                }
+            }
+            assert_matches_reference(&xs, 1.0, p);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bit patterns (NaNs, infinities and subnormals
+        /// included) at arbitrary positive finite scales.
+        #[test]
+        fn rounding_matches_reference_on_any_bits(
+            xs in prop::collection::vec(any::<u32>(), 0..40),
+            scale_bits in any::<u32>(),
+            bits in 2u8..=19,
+        ) {
+            let scale = f32::from_bits(scale_bits & 0x7fff_ffff);
+            prop_assume!(scale.is_finite() && scale > 0.0);
+            let xs: Vec<f32> = xs.into_iter().map(f32::from_bits).collect();
+            assert_matches_reference(&xs, scale, Precision::new(bits));
+        }
+    }
+
+    /// Every `f32` bit pattern at 4, 7, 10 and 13 bits and scale 1. Takes
+    /// about half a minute per precision in a release build:
+    /// `cargo test --release -p sibia-sbr -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn rounding_matches_reference_on_every_f32() {
+        for p in [
+            Precision::BITS4,
+            Precision::BITS7,
+            Precision::BITS10,
+            Precision::BITS13,
+        ] {
+            std::thread::scope(|scope| {
+                for half in 0..2u32 {
+                    scope.spawn(move || {
+                        let mut xs = vec![0.0f32; 1 << 16];
+                        for high in (half << 15)..((half + 1) << 15) {
+                            for (low, x) in xs.iter_mut().enumerate() {
+                                *x = f32::from_bits(high << 16 | low as u32);
+                            }
+                            assert_matches_reference(&xs, 1.0, p);
+                        }
+                    });
+                }
+            });
+        }
+    }
 
     #[test]
     fn fit_covers_extremes() {
@@ -290,6 +419,14 @@ mod tests {
             r_pc.signed.overall,
             r_pt.signed.overall
         );
+    }
+
+    #[test]
+    fn channel_quantizer_handles_empty_data() {
+        let q = ChannelQuantizer::fit(&[], 3, Precision::BITS7);
+        assert_eq!(q.scales(), &[1.0, 1.0, 1.0]);
+        assert!(q.quantize_all(&[]).is_empty());
+        assert!(q.dequantize_all(&[]).is_empty());
     }
 
     #[test]

@@ -888,6 +888,21 @@ mod tests {
         assert!(encode_stats(&[1000], 7, None).is_err());
     }
 
+    #[test]
+    fn encode_rejects_i32_min_as_bad_request() {
+        // The parser accepts any i32, and `i32::MIN` has no symmetric
+        // counterpart at any precision.
+        let e =
+            parse_request("{\"kind\":\"encode\",\"values\":[-2147483648,3],\"bits\":16}").unwrap();
+        let Request::Encode { values, bits, .. } = e.request else {
+            panic!("not an encode request: {:?}", e.request);
+        };
+        assert_eq!(values, [i32::MIN, 3]);
+        let err = encode_stats(&values, bits, Some(3)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.contains("-2147483648"), "{}", err.message);
+    }
+
     /// One fixed `encode` input: near-zero values of both signs and the
     /// 7-bit extremes; 64 zeros, i.e. 16 zero sub-words in every plane, so
     /// the DMU's 4-bit RLE index saturates and flushes a padding entry; a

@@ -82,10 +82,14 @@ impl OperandStats {
             .iter()
             .map(|p| ops.plane_counts(p, DMU_INDEX_BITS))
             .collect();
-        let zero_value_groups = codes
-            .chunks(4)
-            .filter(|g| g.iter().all(|&v| v == 0))
-            .count();
+        // Branch-free over whole groups (a group is zero iff the OR of its
+        // values is), then the tail group.
+        let groups = codes.chunks_exact(4);
+        let tail = groups.remainder();
+        let zero_value_groups = groups
+            .map(|g| usize::from(g[0] | g[1] | g[2] | g[3] == 0))
+            .sum::<usize>()
+            + usize::from(!tail.is_empty() && tail.iter().all(|&v| v == 0));
         Self {
             sampled: codes.len(),
             planes,
@@ -377,6 +381,17 @@ mod tests {
         assert_eq!(stats.zero_value_groups, 1);
         let stats = OperandStats::measure(&[1, 0, 0, 0, 0, 0], Precision::BITS7, Repr::Sbr);
         assert_eq!(stats.zero_value_groups, 1, "all-zero tail group counts");
+        // Every prefix, so every tail length, against a per-group `all`.
+        let codes = [0, 0, 0, 0, 0, -63, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0];
+        for len in 0..=codes.len() {
+            let codes = &codes[..len];
+            let want = codes
+                .chunks(4)
+                .filter(|g| g.iter().all(|&v| v == 0))
+                .count();
+            let stats = OperandStats::measure(codes, Precision::BITS7, Repr::Sbr);
+            assert_eq!(stats.zero_value_groups, want, "len {len}");
+        }
     }
 
     #[test]

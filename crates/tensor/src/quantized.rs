@@ -45,8 +45,10 @@ impl QuantTensor {
     /// precision.
     pub fn from_codes(codes: Tensor<i32>, quantizer: Quantizer) -> Self {
         let p = quantizer.precision();
+        // A branch-free fold, so the check vectorizes.
+        let largest = codes.data().iter().fold(0, |m, c| m.max(c.unsigned_abs()));
         assert!(
-            codes.data().iter().all(|&c| p.contains(c)),
+            largest <= p.max_magnitude().unsigned_abs(),
             "codes must fit the symmetric {p} range"
         );
         Self { codes, quantizer }
@@ -55,6 +57,11 @@ impl QuantTensor {
     /// The integer codes.
     pub fn codes(&self) -> &Tensor<i32> {
         &self.codes
+    }
+
+    /// Consumes the tensor, returning its codes without a copy.
+    pub fn into_codes(self) -> Vec<i32> {
+        self.codes.into_vec()
     }
 
     /// The quantizer (scale + precision).
@@ -110,5 +117,13 @@ mod tests {
     fn from_codes_validates_range() {
         let q = Quantizer::new(1.0, Precision::BITS7);
         let _ = QuantTensor::from_codes(Tensor::from_vec(vec![64], Shape::new(&[1])), q);
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric")]
+    fn from_codes_rejects_i32_min() {
+        let q = Quantizer::new(1.0, Precision::new(19));
+        let codes = Tensor::from_vec(vec![0, i32::MIN, 1], Shape::new(&[3]));
+        let _ = QuantTensor::from_codes(codes, q);
     }
 }

@@ -34,6 +34,11 @@ if SIBIA_FORCE_KERNEL=nonsense ./target/release/sibia-cli networks 2>/dev/null; 
   echo "unknown kernel tier was silently accepted"; exit 1
 fi
 
+echo "==> exhaustive quantizer sweep"
+# The vectorized quantizer against the former libm-round expression on all
+# 2^32 f32 bit patterns at 4, 7, 10 and 13 bits (about two minutes).
+cargo test --release -q -p sibia-sbr -- --ignored
+
 echo "==> science smoke test"
 # report_all, run in an empty directory, must write exactly the committed
 # results/ files. The golden suite (report_all's files, the seed-1 fig grid
