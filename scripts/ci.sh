@@ -52,6 +52,12 @@ for f in REPORT.md layers_resnet18.csv layers_albert_qqp.csv; do
     || { echo "report_all wrote a different results/$f"; exit 1; }
 done
 rm -rf "$science_dir"
+# The other two callers of the speculation scenarios print deterministic
+# tables; their stdout must match the committed copies byte for byte.
+for bin in fig02_balance fig12_output_skip; do
+  "./target/release/$bin" | cmp "results/$bin.txt" - \
+    || { echo "$bin printed something other than results/$bin.txt"; exit 1; }
+done
 cargo test -q -p sibia-bench --test golden
 
 echo "==> obs smoke test"
