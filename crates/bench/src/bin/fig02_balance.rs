@@ -36,10 +36,9 @@ fn main() {
     section("32-to-1 max-pool speculation success rate (VoteNet setting)");
     let mut t = Table::new(&["candidates", "signed (SBR)", "conventional", "paper"]);
     let counts = [1usize, 2, 4, 8];
-    let sc = MaxPoolScenario::votenet_32to1(1);
-    let signed = sc.run_candidates(SliceRepr::Signed, &counts);
-    let conventional = sc.run_candidates(SliceRepr::Conventional, &counts);
-    for ((&candidates, sbr), conv) in counts.iter().zip(&signed).zip(&conventional) {
+    let stats = MaxPoolScenario::votenet_32to1(1)
+        .run_candidates(&[SliceRepr::Signed, SliceRepr::Conventional], &counts);
+    for ((&candidates, sbr), conv) in counts.iter().zip(&stats[0]).zip(&stats[1]) {
         let paper = if candidates == 4 {
             "~95% vs 80.1%"
         } else {

@@ -99,10 +99,9 @@ fn main() {
     println!("collapse with unbalanced I_H x W_H; <2%p loss with the SBR):\n");
     let mut t = Table::new(&["candidates", "signed wrong-rate", "conventional wrong-rate"]);
     let counts = [8usize, 4, 2, 1];
-    let sc = MaxPoolScenario::votenet_32to1(1);
-    let signed = sc.run_candidates(SliceRepr::Signed, &counts);
-    let conventional = sc.run_candidates(SliceRepr::Conventional, &counts);
-    for ((c, sbr), conv) in counts.iter().zip(&signed).zip(&conventional) {
+    let stats = MaxPoolScenario::votenet_32to1(1)
+        .run_candidates(&[SliceRepr::Signed, SliceRepr::Conventional], &counts);
+    for ((c, sbr), conv) in counts.iter().zip(&stats[0]).zip(&stats[1]) {
         t.row(&[c, &pct(sbr.wrong_rate()), &pct(conv.wrong_rate())]);
     }
     t.print();

@@ -72,15 +72,53 @@ fn main() -> std::io::Result<()> {
         .unwrap();
     }
 
-    // ── Speculation (Fig. 2) ────────────────────────────────────────────
+    // Speculation and compression share nothing, so the compression
+    // section runs on a second thread beside speculation. Both start only
+    // after the grid, whose workers already keep every core busy.
+    let (speculation, compression) = std::thread::scope(|scope| {
+        let compression = scope.spawn(compression_section);
+        let speculation = speculation_section();
+        (
+            speculation,
+            compression
+                .join()
+                .expect("the compression section panicked"),
+        )
+    });
+    md.push_str(&speculation);
+    md.push_str(&compression);
+
+    fs::create_dir_all("results")?;
+    fs::write("results/REPORT.md", md)?;
+    println!("wrote results/REPORT.md");
+
+    // Per-layer CSV traces for external plotting, from the grid's hybrid
+    // cells.
+    for (file, net) in [
+        ("results/layers_resnet18.csv", zoo::resnet18()),
+        ("results/layers_albert_qqp.csv", zoo::albert(GlueTask::Qqp)),
+    ] {
+        let n = nets
+            .iter()
+            .position(|candidate| *candidate == net)
+            .expect("a Fig. 10/11 network");
+        fs::write(file, sibia::sim::trace::network_csv(grid.get(HYBRID, n, 0)))?;
+        println!("wrote {file}");
+    }
+    Ok(())
+}
+
+/// The Fig. 2 section: 32-to-1 max-pool speculation success per candidate
+/// count under both slice representations, from one synthesis.
+fn speculation_section() -> String {
+    let mut w = String::new();
     writeln!(w, "\n## Max-pool speculation success (Fig. 2, 32-to-1)\n").unwrap();
     writeln!(w, "| candidates | signed (SBR) | conventional |").unwrap();
     writeln!(w, "|---|---|---|").unwrap();
     let candidates = [1usize, 4, 8];
-    let scenario = MaxPoolScenario::votenet_32to1(1);
-    let signed = scenario.run_candidates(SliceRepr::Signed, &candidates);
-    let conventional = scenario.run_candidates(SliceRepr::Conventional, &candidates);
-    for ((c, sbr), conv) in candidates.iter().zip(&signed).zip(&conventional) {
+    let stats = MaxPoolScenario::votenet_32to1(1)
+        .run_candidates(&[SliceRepr::Signed, SliceRepr::Conventional], &candidates);
+    for ((c, sbr), conv) in candidates.iter().zip(&stats[0]).zip(&stats[1]) {
         writeln!(
             w,
             "| {c} | {:.1}% | {:.1}% |",
@@ -89,8 +127,13 @@ fn main() -> std::io::Result<()> {
         )
         .unwrap();
     }
+    w
+}
 
-    // ── Compression (Fig. 13) ───────────────────────────────────────────
+/// The Fig. 13 section: the MAC-weighted hybrid input compression ratio of
+/// four networks.
+fn compression_section() -> String {
+    let mut w = String::new();
     writeln!(w, "\n## Hybrid input compression ratio (Fig. 13)\n").unwrap();
     writeln!(w, "| network | hybrid ratio | paper |").unwrap();
     writeln!(w, "|---|---|---|").unwrap();
@@ -130,23 +173,5 @@ fn main() -> std::io::Result<()> {
         )
         .unwrap();
     }
-
-    fs::create_dir_all("results")?;
-    fs::write("results/REPORT.md", md)?;
-    println!("wrote results/REPORT.md");
-
-    // Per-layer CSV traces for external plotting, from the grid's hybrid
-    // cells.
-    for (file, net) in [
-        ("results/layers_resnet18.csv", zoo::resnet18()),
-        ("results/layers_albert_qqp.csv", zoo::albert(GlueTask::Qqp)),
-    ] {
-        let n = nets
-            .iter()
-            .position(|candidate| *candidate == net)
-            .expect("a Fig. 10/11 network");
-        fs::write(file, sibia::sim::trace::network_csv(grid.get(HYBRID, n, 0)))?;
-        println!("wrote {file}");
-    }
-    Ok(())
+    w
 }

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use sibia_sbr::conv::MsbSlices;
-use sibia_sbr::{Precision, SbrSlices};
+use sibia_sbr::Precision;
 
 /// Which slice decomposition the speculating PE operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,13 +84,36 @@ impl Speculator {
     }
 
     /// High-order reconstruction of one value under this speculator's
-    /// representation.
+    /// representation: what `decode_high(kept)` of the value's slices
+    /// returns, without encoding them.
+    ///
+    /// Both decompositions are radix 8 with `len = precision.sbr_slices()`
+    /// slices, so dropping all but the top `kept` clears the low
+    /// `s = 3·(len − min(kept, len))` bits:
+    ///
+    /// * signed digits are the magnitude's digits with the value's sign, so
+    ///   the high part is `sign(v)·((|v| >> s) << s)` — it rounds towards
+    ///   zero;
+    /// * conventional slices are the 2's-complement bit groups, so it is
+    ///   `(v >> s) << s` — it rounds towards −∞.
+    ///
+    /// Keeping no slice gives 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is outside the symmetric range of `precision`.
     pub fn high_part(&self, v: i32, precision: Precision, kept: usize) -> i64 {
-        let h = match self.repr {
-            SliceRepr::Signed => SbrSlices::encode(v, precision).decode_high(kept),
-            SliceRepr::Conventional => MsbSlices::encode(v, precision).decode_high(kept),
+        precision.check(v).expect("value outside symmetric range");
+        if kept == 0 {
+            return 0;
+        }
+        let len = precision.sbr_slices();
+        let shift = 3 * (len - kept.min(len));
+        let high = match self.repr {
+            SliceRepr::Signed => v.signum() * ((v.abs() >> shift) << shift),
+            SliceRepr::Conventional => (v >> shift) << shift,
         };
-        i64::from(h)
+        i64::from(high)
     }
 
     /// The speculative (pre-computed) dot product `Σ I_H · W_H`.
@@ -140,6 +162,8 @@ impl Speculator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sibia_sbr::conv::MsbSlices;
+    use sibia_sbr::SbrSlices;
 
     #[test]
     fn fig2_worked_example() {
@@ -216,6 +240,95 @@ mod tests {
                 Speculator::exact_dot(&xs, &ws)
             );
         }
+    }
+
+    #[test]
+    fn high_part_matches_decode_high_exhaustively() {
+        // Every value of every precision, every kept count up to one past
+        // the slice count, against decoding the encoded slices.
+        let sbr = Speculator::new(SliceRepr::Signed, 1, 1);
+        let conv = Speculator::new(SliceRepr::Conventional, 1, 1);
+        for bits in 2..=19 {
+            let p = Precision::new(bits);
+            let max = p.max_magnitude();
+            let len = p.sbr_slices();
+            for v in -max..=max {
+                let signed = SbrSlices::encode(v, p);
+                let msb = MsbSlices::encode(v, p);
+                for kept in 1..=len + 1 {
+                    assert_eq!(
+                        sbr.high_part(v, p, kept),
+                        i64::from(signed.decode_high(kept)),
+                        "signed {v} at {bits} bits, {kept} kept"
+                    );
+                    assert_eq!(
+                        conv.high_part(v, p, kept),
+                        i64::from(msb.decode_high(kept)),
+                        "conventional {v} at {bits} bits, {kept} kept"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn high_part_keeping_no_slice_is_zero() {
+        for bits in [2, 4, 7, 13] {
+            let p = Precision::new(bits);
+            let max = p.max_magnitude();
+            for repr in [SliceRepr::Signed, SliceRepr::Conventional] {
+                let s = Speculator::new(repr, 1, 1);
+                for v in -max..=max {
+                    assert_eq!(s.high_part(v, p, 0), 0, "{repr:?} {v} at {bits} bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_max_plus_one_at_7_bits() {
+        let p = Precision::BITS7;
+        let _ = Speculator::new(SliceRepr::Signed, 1, 1).high_part(p.max_magnitude() + 1, p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_minus_max_minus_one_at_7_bits() {
+        let p = Precision::BITS7;
+        let _ =
+            Speculator::new(SliceRepr::Conventional, 1, 1).high_part(-p.max_magnitude() - 1, p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_i32_min_at_7_bits() {
+        let _ = Speculator::new(SliceRepr::Signed, 1, 1).high_part(i32::MIN, Precision::BITS7, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_max_plus_one_at_13_bits() {
+        let p = Precision::BITS13;
+        let _ =
+            Speculator::new(SliceRepr::Conventional, 1, 1).high_part(p.max_magnitude() + 1, p, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_minus_max_minus_one_at_13_bits() {
+        let p = Precision::BITS13;
+        let _ = Speculator::new(SliceRepr::Signed, 1, 1).high_part(-p.max_magnitude() - 1, p, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "value outside symmetric range")]
+    fn high_part_rejects_i32_min_at_13_bits() {
+        let _ = Speculator::new(SliceRepr::Conventional, 1, 1).high_part(
+            i32::MIN,
+            Precision::BITS13,
+            2,
+        );
     }
 
     #[test]
