@@ -7,7 +7,8 @@
 //! shut down mid-sweep. The crash-backend test additionally asserts
 //! `fleet.failover_total >= 1` (and the per-sweep failover count), the
 //! overload test pins the retry path, and the store test shows re-runs are
-//! warm hits.
+//! warm hits. The straggler gate asserts that stealing and hedging beat a
+//! static schedule at least 3× when one of four backends stalls.
 //!
 //! The fleet dispatches one `sweep` request per `(network, seed)` row. The
 //! row contract tests pin what that buys against store-backed backends,
@@ -20,7 +21,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sibia_fleet::{Fleet, FleetConfig, FleetError};
 use sibia_obs::json::Json;
@@ -52,18 +53,25 @@ fn owned(names: &[&str]) -> Vec<String> {
 
 /// The ground truth: the direct library grid, serialized canonically.
 fn direct_grid_bytes(seeds: &[u64]) -> String {
-    grid_bytes(&ARCHS, &NETWORKS, seeds, &DecompCache::new())
+    grid_bytes(&ARCHS, &NETWORKS, seeds, SAMPLE_CAP, &DecompCache::new())
 }
 
-/// The direct library grid of `archs × networks × seeds` against `cache`.
-fn grid_bytes(archs: &[&str], networks: &[&str], seeds: &[u64], cache: &DecompCache) -> String {
+/// The direct library grid of `archs × networks × seeds` at `sample_cap`
+/// against `cache`.
+fn grid_bytes(
+    archs: &[&str],
+    networks: &[&str],
+    seeds: &[u64],
+    sample_cap: usize,
+    cache: &DecompCache,
+) -> String {
     let specs: Vec<_> = archs.iter().map(|a| arch_by_name(a).unwrap()).collect();
     let networks: Vec<_> = networks
         .iter()
         .map(|n| sibia_nn::zoo::by_name(n).unwrap())
         .collect();
     let mut sim = Simulator::new(seeds[0]);
-    sim.sample_cap = SAMPLE_CAP;
+    sim.sample_cap = sample_cap;
     let grid =
         ParallelEngine::with_threads(1).simulate_grid_cached(&sim, &specs, &networks, seeds, cache);
     grid_to_json(&grid).to_string()
@@ -596,6 +604,85 @@ fn hedged_dispatch_rescues_a_stalled_backend() {
     proxy.stop();
 }
 
+/// The straggler gate: four backends, one behind a 500 ms-per-request
+/// proxy, one connection each. A static schedule (no stealing, no hedging)
+/// waits out every row homed on the straggler; the default control plane
+/// moves them. Both sweeps must merge to the direct grid's bytes, and the
+/// dynamic one must finish at least 3× sooner. The static sweep runs first
+/// on cold daemons, so the dynamic one also finds warm caches, but the
+/// stall is a sleep that no cache shortens.
+#[test]
+fn dynamic_dispatch_beats_a_static_schedule_around_a_straggler() {
+    use sibia_fleet::SlowProxy;
+    const STRAGGLER_CAP: usize = 2048;
+    const MIN_SPEEDUP: f64 = 3.0;
+
+    let servers: Vec<Server> = (0..4)
+        .map(|_| {
+            Server::start(ServeConfig {
+                workers: 4,
+                engine_threads: 1,
+                ..ServeConfig::default()
+            })
+            .expect("bind ephemeral port")
+        })
+        .collect();
+    let proxy = SlowProxy::start(servers[0].addr()).expect("proxy");
+    proxy.set_delay(Duration::from_millis(500));
+    let endpoints: Vec<String> = std::iter::once(proxy.addr().to_string())
+        .chain(servers[1..].iter().map(|s| s.addr().to_string()))
+        .collect();
+    let seeds: Vec<u64> = (1..=8).collect();
+    let sweep = |dynamic: bool| {
+        let mut config = FleetConfig::new(endpoints.clone());
+        config.connections_per_backend = 1;
+        if !dynamic {
+            config.steal = false;
+            config.hedge.enabled = false;
+        }
+        let fleet = Fleet::new(config).unwrap();
+        let started = Instant::now();
+        let json = fleet
+            .sweep(
+                &owned(&ARCHS),
+                &owned(&NETWORKS),
+                &seeds,
+                Some(STRAGGLER_CAP),
+            )
+            .expect("straggler sweep");
+        (json.to_string(), started.elapsed().as_secs_f64())
+    };
+    let (static_bytes, static_wall) = sweep(false);
+    let (dynamic_bytes, dynamic_wall) = sweep(true);
+
+    let expected = grid_bytes(
+        &ARCHS,
+        &NETWORKS,
+        &seeds,
+        STRAGGLER_CAP,
+        &DecompCache::new(),
+    );
+    assert_eq!(
+        static_bytes, expected,
+        "static merge must be byte-identical"
+    );
+    assert_eq!(
+        dynamic_bytes, expected,
+        "dynamic merge must be byte-identical"
+    );
+    let speedup = static_wall / dynamic_wall;
+    println!("straggler: static {static_wall:.3}s  dynamic {dynamic_wall:.3}s  {speedup:.2}x");
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "static {static_wall:.3}s / dynamic {dynamic_wall:.3}s = {speedup:.2}x, \
+         below the {MIN_SPEEDUP}x straggler gate"
+    );
+    for s in servers {
+        s.shutdown();
+    }
+    proxy.stop();
+}
+
 fn temp_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("sibia-fleet-rows-{}-{name}", std::process::id()));
@@ -680,7 +767,7 @@ fn a_cold_sweep_computes_each_row_once() {
     let cache = DecompCache::new();
     assert_eq!(
         json.to_string(),
-        grid_bytes(&FIG_ARCHS, &networks, &seeds, &cache)
+        grid_bytes(&FIG_ARCHS, &networks, &seeds, SAMPLE_CAP, &cache)
     );
     assert_eq!(
         after.cache_misses - before.cache_misses,
