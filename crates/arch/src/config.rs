@@ -25,19 +25,6 @@ pub enum MacKind {
     Fixed8x8,
 }
 
-impl MacKind {
-    /// Radix of the slices this MAC consumes (8 for 3-magnitude-bit signed
-    /// slices, 16 for conventional 4-bit container slices, 256 for the
-    /// fixed 8-bit datapath).
-    pub fn slice_radix(&self) -> u32 {
-        match self {
-            MacKind::Signed4x4 | MacKind::SignedMagnitude4 => 8,
-            MacKind::SignExtended5x5 => 16,
-            MacKind::Fixed8x8 => 256,
-        }
-    }
-}
-
 impl fmt::Display for MacKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -121,11 +108,6 @@ impl CoreConfig {
     pub fn total_pes(&self) -> usize {
         self.pe_arrays * self.pe_cols * self.pes_per_col
     }
-
-    /// Raw slice-level MAC throughput in GOPS (2 ops per MAC per cycle).
-    pub fn peak_slice_gops(&self) -> f64 {
-        self.total_macs() as f64 * self.frequency_mhz as f64 * 1e6 * 2.0 / 1e9
-    }
 }
 
 impl fmt::Display for CoreConfig {
@@ -180,8 +162,6 @@ mod tests {
         let c = CoreConfig::sibia();
         assert_eq!(c.total_macs(), 1536);
         assert_eq!(c.total_pes(), 24);
-        // 1536 MACs × 250 MHz × 2 = 768 slice GOPS.
-        assert!((c.peak_slice_gops() - 768.0).abs() < 1e-9);
     }
 
     #[test]
@@ -203,12 +183,5 @@ mod tests {
         let chip = ChipConfig::sibia();
         assert_eq!(chip.total_macs(), 4 * 1536);
         assert_eq!(chip.dmu_cores, 2);
-    }
-
-    #[test]
-    fn mac_kinds_have_radices() {
-        assert_eq!(MacKind::Signed4x4.slice_radix(), 8);
-        assert_eq!(MacKind::SignExtended5x5.slice_radix(), 16);
-        assert_eq!(MacKind::Fixed8x8.slice_radix(), 256);
     }
 }

@@ -17,19 +17,19 @@
 //! * [`area`] — logic/RF/SRAM area model (Fig. 14 left, Fig. 3a, §IV),
 //! * [`energy`] — per-event energy model (Fig. 14 right, §II-C),
 //! * [`noc`] — Bi-NoC / Uni-NoC bandwidth models (§II-F),
+//! * [`mesh`] — the routed 2-D mesh behind the Bi-NoC (§II-F, Fig. 4),
+//! * [`buffer`] — on-core operand buffers (Fig. 8),
 //! * [`extmem`] — HyperRAM external-memory model,
 //! * [`dsm`] — the dynamic sparsity monitoring unit (§II-E).
 
 pub mod area;
 pub mod buffer;
 pub mod config;
-pub mod dmu;
 pub mod dsm;
 pub mod energy;
 pub mod extmem;
 pub mod mesh;
 pub mod noc;
-pub mod power;
 pub mod tech;
 
 pub use config::{CoreConfig, MacKind};

@@ -6,7 +6,7 @@
 //! unicast/multicast/broadcast delivery with fan-out duplication at the
 //! routers (a multicast flit traverses each link at most once).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A router coordinate on the mesh.
@@ -140,14 +140,6 @@ impl Mesh {
         self.multicast(src, &all, flits)
     }
 
-    /// The most-loaded link and its flit count (the bisection hot spot).
-    pub fn hottest_link(&self) -> Option<(Link, u64)> {
-        self.link_flits
-            .iter()
-            .max_by_key(|&(_, &f)| f)
-            .map(|(&l, &f)| (l, f))
-    }
-
     /// Total flit-hops accounted so far.
     pub fn total_flit_hops(&self) -> u64 {
         self.link_flits.values().sum()
@@ -157,30 +149,6 @@ impl Mesh {
     /// cycle: the max link load (links operate in parallel).
     pub fn drain_cycles(&self) -> u64 {
         self.link_flits.values().copied().max().unwrap_or(0)
-    }
-
-    /// Breadth-first reachability sanity check (every node reaches every
-    /// other on a mesh).
-    pub fn is_connected(&self) -> bool {
-        let start = Node::new(0, 0);
-        let mut seen = BTreeSet::new();
-        let mut q = VecDeque::from([start]);
-        seen.insert(start);
-        while let Some(n) = q.pop_front() {
-            let mut push = |x: i16, y: i16| {
-                if x >= 0 && y >= 0 && (x as u8) < self.width && (y as u8) < self.height {
-                    let m = Node::new(x as u8, y as u8);
-                    if seen.insert(m) {
-                        q.push_back(m);
-                    }
-                }
-            };
-            push(i16::from(n.x) - 1, i16::from(n.y));
-            push(i16::from(n.x) + 1, i16::from(n.y));
-            push(i16::from(n.x), i16::from(n.y) - 1);
-            push(i16::from(n.x), i16::from(n.y) + 1);
-        }
-        seen.len() == usize::from(self.width) * usize::from(self.height)
     }
 }
 
@@ -231,23 +199,6 @@ mod tests {
         // links (5 other nodes), each exactly once for 1 flit.
         assert!(cost >= 5);
         assert_eq!(m.drain_cycles(), 1);
-    }
-
-    #[test]
-    fn hottest_link_identifies_bottleneck() {
-        let mut m = Mesh::new(3, 1);
-        m.unicast(Node::new(0, 0), Node::new(2, 0), 4);
-        m.unicast(Node::new(1, 0), Node::new(2, 0), 4);
-        let ((a, b), f) = m.hottest_link().unwrap();
-        assert_eq!((a, b), (Node::new(1, 0), Node::new(2, 0)));
-        assert_eq!(f, 8);
-    }
-
-    #[test]
-    fn meshes_are_connected() {
-        assert!(Mesh::new(1, 1).is_connected());
-        assert!(Mesh::sibia_top().is_connected());
-        assert!(Mesh::new(5, 7).is_connected());
     }
 
     #[test]

@@ -2,17 +2,7 @@
 //! accelerators on the sparse (ReLU) DNN benchmarks (Bit-fusion = 1).
 
 use sibia::prelude::*;
-use sibia_bench::{fig_archs, header, Table};
-
-/// Paper totals with the SBR (input/hybrid bars are close on sparse nets).
-fn paper(net: &str) -> f64 {
-    match net {
-        "MobileNetV2" => 2.83,
-        "ResNet-18" => 3.65,
-        "VoteNet" => 2.42,
-        _ => f64::NAN,
-    }
-}
+use sibia_bench::{fig_archs, header, paper_hybrid_speedup, Table};
 
 fn main() {
     header("fig11", "sparse DNN speedup and energy-efficiency (BF = 1)");
@@ -42,7 +32,11 @@ fn main() {
             &format!("{:.2}", hnpu.speedup_over(bf)),
             &format!("{:.2}", no_sbr.speedup_over(bf)),
             &format!("{:.2}", input.speedup_over(bf)),
-            &format!("{:.2} ({:.2})", hybrid.speedup_over(bf), paper(net.name())),
+            &format!(
+                "{:.2} ({:.2})",
+                hybrid.speedup_over(bf),
+                paper_hybrid_speedup(net.name())
+            ),
             &format!("{:.2}", hnpu.efficiency_gain_over(bf)),
             &format!("{:.2}", hybrid.efficiency_gain_over(bf)),
         ]);

@@ -3,18 +3,7 @@
 
 use sibia::compress::{CompressionMode, CompressionReport};
 use sibia::prelude::*;
-use sibia_bench::{header, Table};
-
-fn paper_hybrid(net: &str) -> f64 {
-    match net {
-        n if n.starts_with("Albert") => 1.31,
-        "ViT" => 1.32, // paper: RLE already reaches 1.32 on ViT
-        "YoloV3" => 1.57,
-        "MonoDepth2" => 1.54,
-        "DGCNN" => 1.15,
-        _ => f64::NAN,
-    }
-}
+use sibia_bench::{header, paper_hybrid_compression, Table};
 
 fn main() {
     header("fig13", "input compression ratio on dense DNNs");
@@ -51,7 +40,11 @@ fn main() {
             &net.name(),
             &format!("{:.2}x", ratios[0]),
             &format!("{:.2}x", ratios[1]),
-            &format!("{:.2}x ({:.2}x)", ratios[2], paper_hybrid(net.name())),
+            &format!(
+                "{:.2}x ({:.2}x)",
+                ratios[2],
+                paper_hybrid_compression(net.name())
+            ),
         ]);
     }
     t.print();

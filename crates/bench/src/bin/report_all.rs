@@ -10,7 +10,7 @@ use sibia::nn::zoo::{self, GlueTask};
 use sibia::prelude::*;
 use sibia::speculate::scenario::MaxPoolScenario;
 use sibia::speculate::SliceRepr;
-use sibia_bench::{fig_archs, fig_networks};
+use sibia_bench::{fig_archs, fig_networks, paper_hybrid_compression, paper_hybrid_speedup};
 
 /// Index of Sibia's hybrid-skipping core in [`fig_archs`].
 const HYBRID: usize = 4;
@@ -38,19 +38,6 @@ fn main() -> std::io::Result<()> {
     )
     .unwrap();
     writeln!(w, "|---|---|---|---|---|---|").unwrap();
-    let paper = |n: &str| match n {
-        "Albert (SST-2)" => 4.50,
-        "Albert (QQP)" => 5.07,
-        "Albert (MNLI)" => 4.50,
-        "ViT" => 4.73,
-        "YoloV3" => 2.79,
-        "MonoDepth2" => 2.48,
-        "DGCNN" => 3.67,
-        "MobileNetV2" => 2.83,
-        "ResNet-18" => 3.65,
-        "VoteNet" => 2.42,
-        _ => f64::NAN,
-    };
     // One grid for the whole table: each network is synthesized once, its
     // layers measured under both slice representations, and the five
     // variants share those statistics.
@@ -67,7 +54,7 @@ fn main() -> std::io::Result<()> {
             speedup(2),
             speedup(3),
             speedup(HYBRID),
-            paper(net.name()),
+            paper_hybrid_speedup(net.name()),
         )
         .unwrap();
     }
@@ -137,14 +124,6 @@ fn compression_section() -> String {
     writeln!(w, "\n## Hybrid input compression ratio (Fig. 13)\n").unwrap();
     writeln!(w, "| network | hybrid ratio | paper |").unwrap();
     writeln!(w, "|---|---|---|").unwrap();
-    let paper_cmp = |n: &str| match n {
-        "Albert (QQP)" => 1.31,
-        "YoloV3" => 1.57,
-        "MonoDepth2" => 1.54,
-        "DGCNN" => 1.15,
-        "ViT" => 1.32,
-        _ => f64::NAN,
-    };
     for net in [
         zoo::albert(GlueTask::Qqp),
         zoo::yolov3(),
@@ -169,7 +148,7 @@ fn compression_section() -> String {
             "| {} | {:.2}x | {:.2}x |",
             net.name(),
             ratio / total,
-            paper_cmp(net.name())
+            paper_hybrid_compression(net.name())
         )
         .unwrap();
     }

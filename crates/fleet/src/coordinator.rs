@@ -68,7 +68,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -403,6 +403,9 @@ struct SweepState<'a> {
     completers: Mutex<Vec<Option<usize>>>,
     fatal: Mutex<Option<FleetError>>,
     abort: AtomicBool,
+    /// Wakes every [`Self::sleep`] the moment the sweep is done, so the
+    /// scope join at the end of a sweep waits out no tick.
+    wake: (Mutex<()>, Condvar),
     attempts: AtomicU64,
     retries: AtomicU64,
     failovers: AtomicU64,
@@ -446,6 +449,7 @@ impl<'a> SweepState<'a> {
             completers: Mutex::new(vec![None; rows]),
             fatal: Mutex::new(None),
             abort: AtomicBool::new(false),
+            wake: (Mutex::new(()), Condvar::new()),
             attempts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -507,16 +511,25 @@ impl<'a> SweepState<'a> {
             *fatal = Some(err);
         }
         self.abort.store(true, Ordering::Relaxed);
+        self.wake();
     }
 
-    /// Abort-aware sleep in small increments so workers stay responsive.
+    /// Sleeps for `total`, returning early once the sweep is done.
     fn sleep(&self, total: Duration) {
-        let mut left = total;
-        while !left.is_zero() && !self.done() {
-            let step = left.min(Duration::from_millis(20));
-            thread::sleep(step);
-            left = left.saturating_sub(step);
-        }
+        let (lock, cvar) = &self.wake;
+        let guard = lock.lock().expect("wake lock");
+        let _ = cvar
+            .wait_timeout_while(guard, total, |_| !self.done())
+            .expect("wake lock");
+    }
+
+    /// Wakes every sleeper to re-check [`Self::done`]. Callers make the
+    /// sweep done first; taking the lock orders that before a sleeper's
+    /// check, so no wake-up is lost.
+    fn wake(&self) {
+        let (lock, cvar) = &self.wake;
+        let _guard = lock.lock().expect("wake lock");
+        cvar.notify_all();
     }
 }
 
@@ -781,9 +794,10 @@ impl Fleet {
                     self.write_status(&state);
                 }
                 tick += 1;
-                thread::sleep(Duration::from_millis(10));
+                state.sleep(Duration::from_millis(10));
             }
             state.abort.store(true, Ordering::Relaxed);
+            state.wake();
             if let Some(handle) = state.probe_cancel.lock().expect("probe cancel lock").take() {
                 handle.cancel();
             }
@@ -938,7 +952,7 @@ impl Fleet {
                     continue;
                 }
             }
-            thread::sleep(Duration::from_millis(5));
+            state.sleep(Duration::from_millis(5));
         }
     }
 
@@ -1149,6 +1163,9 @@ impl Fleet {
         // Unblock the losing copy right now instead of letting it ride out
         // the straggler.
         state.inflight.cancel_others(job.row, member.index);
+        if state.board.remaining() == 0 {
+            state.wake();
+        }
     }
 
     /// One wire round trip for one row against one member: a `sweep`

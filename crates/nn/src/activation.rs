@@ -62,13 +62,6 @@ impl Activation {
         }
     }
 
-    /// Applies the function in place to a buffer.
-    pub fn apply_all(&self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.apply(*x);
-        }
-    }
-
     /// Whether negative inputs map to exact zero (only true for ReLU) —
     /// i.e. whether the function produces full bit-width sparsity that even
     /// non-slice architectures can exploit.
@@ -127,12 +120,5 @@ mod tests {
         // SBR sweet spot.
         assert!(g.apply(-4.0) < 0.0);
         assert!(g.apply(-4.0) > -0.01);
-    }
-
-    #[test]
-    fn apply_all_transforms_in_place() {
-        let mut v = vec![-1.0, 0.0, 1.0];
-        Activation::Relu.apply_all(&mut v);
-        assert_eq!(v, vec![0.0, 0.0, 1.0]);
     }
 }

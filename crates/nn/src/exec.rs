@@ -150,23 +150,6 @@ impl ExecNetwork {
     }
 }
 
-/// Relative L2 error between an accumulator output and a reference.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn relative_error(got: &Tensor<i64>, reference: &Tensor<i64>) -> f64 {
-    assert_eq!(got.len(), reference.len(), "length mismatch");
-    let num: f64 = got
-        .data()
-        .iter()
-        .zip(reference.data())
-        .map(|(&a, &b)| ((a - b) as f64).powi(2))
-        .sum();
-    let den: f64 = reference.data().iter().map(|&b| (b as f64).powi(2)).sum();
-    (num / den.max(1.0)).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,12 +198,6 @@ mod tests {
             Layer::linear("b", 1, 9, 4), // mismatched
         ];
         let _ = ExecNetwork::materialize(bad, &mut src);
-    }
-
-    #[test]
-    fn relative_error_is_zero_for_identical() {
-        let t = Tensor::from_vec(vec![1i64, -5, 9], Shape::new(&[3]));
-        assert_eq!(relative_error(&t, &t), 0.0);
     }
 
     #[test]

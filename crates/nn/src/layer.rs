@@ -122,11 +122,6 @@ impl LayerKind {
             } => rows * out_features,
         }
     }
-
-    /// MACs accumulated into each single output (the reduction depth).
-    pub fn macs_per_output(&self) -> u64 {
-        self.macs() / self.output_len() as u64
-    }
 }
 
 /// An output-sparsity-producing reduction following a layer.
@@ -409,7 +404,6 @@ mod tests {
     fn linear_macs() {
         let l = Layer::linear("fc", 128, 768, 3072);
         assert_eq!(l.macs(), 128 * 768 * 3072);
-        assert_eq!(l.kind().macs_per_output(), 768);
         assert_eq!(l.kind().input_len(), 128 * 768);
         assert_eq!(l.kind().output_len(), 128 * 3072);
     }

@@ -73,16 +73,6 @@ impl Network {
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(Layer::macs).sum()
     }
-
-    /// Average full-bit-width input sparsity, MAC-weighted.
-    pub fn mac_weighted_input_sparsity(&self) -> f64 {
-        let total = self.total_macs() as f64;
-        self.layers
-            .iter()
-            .map(|l| l.input_sparsity() * l.macs() as f64)
-            .sum::<f64>()
-            / total
-    }
 }
 
 impl fmt::Display for Network {
@@ -114,7 +104,6 @@ mod tests {
             ],
         );
         assert_eq!(n.total_macs(), 2 * 4 * 8 + 2 * 8 * 4);
-        assert!((n.mac_weighted_input_sparsity() - 0.25).abs() < 1e-12);
     }
 
     #[test]

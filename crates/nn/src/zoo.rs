@@ -85,12 +85,16 @@ pub struct TransformerBuilder {
     heads: usize,
     ffn: usize,
     blocks: usize,
-    attn_prec: (Precision, Precision),
-    lin_prec: (Precision, Precision),
     sparsity: f64,
 }
 
 impl TransformerBuilder {
+    /// (input, weight) precision of the attention matmuls.
+    const ATTN_PREC: (Precision, Precision) = (Precision::BITS7, Precision::BITS7);
+
+    /// (input, weight) precision of the projection / feed-forward layers.
+    const LIN_PREC: (Precision, Precision) = (Precision::BITS7, Precision::BITS10);
+
     /// Starts a builder with ViT-like defaults (12 heads, 4× FFN,
     /// 12 blocks, 7-bit attention, 7/10-bit linear layers).
     ///
@@ -106,8 +110,6 @@ impl TransformerBuilder {
             heads: 12,
             ffn: hidden * 4,
             blocks: 12,
-            attn_prec: (Precision::BITS7, Precision::BITS7),
-            lin_prec: (Precision::BITS7, Precision::BITS10),
             sparsity: 0.15,
         }
     }
@@ -127,18 +129,6 @@ impl TransformerBuilder {
     /// Sets the block count.
     pub fn blocks(mut self, blocks: usize) -> Self {
         self.blocks = blocks;
-        self
-    }
-
-    /// Sets the attention-matmul (input, weight) precisions.
-    pub fn attention_precisions(mut self, input: Precision, weight: Precision) -> Self {
-        self.attn_prec = (input, weight);
-        self
-    }
-
-    /// Sets the projection/FFN (input, weight) precisions.
-    pub fn linear_precisions(mut self, input: Precision, weight: Precision) -> Self {
-        self.lin_prec = (input, weight);
         self
     }
 
@@ -165,8 +155,8 @@ impl TransformerBuilder {
                 self.hidden,
                 self.heads,
                 self.ffn,
-                self.attn_prec,
-                self.lin_prec,
+                Self::ATTN_PREC,
+                Self::LIN_PREC,
                 self.sparsity,
             ));
         }

@@ -177,11 +177,6 @@ impl Histogram {
         self.snapshot().quantile_us(q)
     }
 
-    /// [`Self::quantile_us`] in milliseconds.
-    pub fn try_quantile_ms(&self, q: f64) -> Option<f64> {
-        self.quantile_us(q).map(|us| us as f64 / 1e3)
-    }
-
     /// A point-in-time copy of every bucket plus the count/sum/max, the
     /// unit the time-series sampler diffs window-over-window.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -499,7 +494,7 @@ mod tests {
         // None/null, not a bucket edge.
         assert_eq!(h.quantile_us(0.5), None);
         assert_eq!(h.quantile_us(0.999), None);
-        assert_eq!(h.try_quantile_ms(0.99), None);
+        assert_eq!(h.quantile_us(0.99), None);
         let s = h.summary_json();
         for q in ["p50", "p99", "p999", "mean"] {
             assert_eq!(s.get(q), Some(&Json::Null), "{q} must be null when empty");
@@ -519,7 +514,6 @@ mod tests {
         h.record(Duration::from_micros(3000));
         assert_eq!(h.quantile_us(0.5), Some(128));
         assert_eq!(h.quantile_us(0.999), Some(4096));
-        assert_eq!(h.try_quantile_ms(0.999), Some(4.096));
     }
 
     #[test]

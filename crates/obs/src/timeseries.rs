@@ -380,11 +380,6 @@ impl Telemetry {
             ("histograms", histograms),
         ])
     }
-
-    /// Prometheus-style text exposition of the latest state.
-    pub fn prometheus_text(&self) -> String {
-        prometheus_from_stats(&self.stats_json())
-    }
 }
 
 /// Renders a `stats` JSON document (the [`Telemetry::stats_json`] shape,
@@ -616,7 +611,7 @@ mod tests {
         // Canonical: same state serializes to the same bytes.
         assert_eq!(stats.to_string(), telemetry.stats_json().to_string());
 
-        let prom = telemetry.prometheus_text();
+        let prom = prometheus_from_stats(&telemetry.stats_json());
         assert!(prom.contains("# TYPE sibia_t_hits counter\nsibia_t_hits 8\n"));
         assert!(prom.contains("# TYPE sibia_t_depth gauge\nsibia_t_depth 7\n"));
         assert!(prom.contains("sibia_t_lat_us_ms_count 3\n"));

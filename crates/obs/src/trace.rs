@@ -4,13 +4,11 @@
 //! timestamps, thread id, parent span, and `key=value` attributes — into a
 //! lock-striped in-memory ring buffer (one mutex-guarded deque per stripe,
 //! striped by thread id, so concurrent workers rarely contend). Completed
-//! traces export two ways:
-//!
-//! * [`Tracer::export_chrome`] — Chrome `trace_event` **JSONL**: one
-//!   complete-event (`"ph":"X"`) JSON object per line, loadable in
-//!   Perfetto (whose JSON tokenizer accepts a bare event sequence) and
-//!   trivially convertible to the `chrome://tracing` array form;
-//! * [`Tracer::summary_tree`] — a plain-text per-thread tree for terminals.
+//! traces export through [`Tracer::export_chrome`] as Chrome `trace_event`
+//! **JSONL**: one complete-event (`"ph":"X"`) JSON object per line,
+//! loadable in Perfetto (whose JSON tokenizer accepts a bare event
+//! sequence) and trivially convertible to the `chrome://tracing` array
+//! form.
 //!
 //! ## Cost model
 //!
@@ -301,41 +299,6 @@ impl Tracer {
         }
         out
     }
-
-    /// Plain-text per-thread span tree (indentation = nesting).
-    pub fn summary_tree(&self) -> String {
-        let records = self.records();
-        let mut out = String::new();
-        let mut tids: Vec<u64> = records.iter().map(|r| r.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        for tid in tids {
-            out.push_str(&format!("thread {tid}\n"));
-            // Roots: spans on this thread whose parent is absent from the
-            // buffer (evicted or none).
-            let here: Vec<&SpanRecord> = records.iter().filter(|r| r.tid == tid).collect();
-            let present: std::collections::HashSet<u64> = here.iter().map(|r| r.id).collect();
-            for root in here
-                .iter()
-                .filter(|r| !r.parent.is_some_and(|p| present.contains(&p)))
-            {
-                Self::tree_line(&mut out, root, &here, 1);
-            }
-        }
-        out
-    }
-
-    fn tree_line(out: &mut String, span: &SpanRecord, all: &[&SpanRecord], depth: usize) {
-        out.push_str(&"  ".repeat(depth));
-        out.push_str(&span.name);
-        for (k, v) in &span.attrs {
-            out.push_str(&format!(" {k}={v}"));
-        }
-        out.push_str(&format!("  {}us\n", span.dur_us));
-        for child in all.iter().filter(|r| r.parent == Some(span.id)) {
-            Self::tree_line(out, child, all, depth + 1);
-        }
-    }
 }
 
 impl Default for Tracer {
@@ -361,12 +324,6 @@ pub struct SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
-    /// Whether this guard will record anything (false on a disabled
-    /// tracer).
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The span id, when recording.
     pub fn id(&self) -> Option<u64> {
         self.inner.as_ref().map(|i| i.id)
@@ -447,7 +404,7 @@ mod tests {
             outer.attr("k", "v");
             {
                 let inner = t.span("inner");
-                assert!(inner.is_recording());
+                assert!(inner.id().is_some());
             }
         }
         let records = t.records();
@@ -545,7 +502,6 @@ mod tests {
         let t = Tracer::new();
         let mut g = t.span("ghost");
         g.attr("k", "v");
-        assert!(!g.is_recording());
         assert_eq!(g.id(), None);
         drop(g);
         t.record_span("ghost2", Instant::now(), 5, vec![]);
@@ -576,9 +532,6 @@ mod tests {
             assert!(v.get("ts").is_some() && v.get("dur").is_some());
             assert_eq!(v.to_string(), **line, "canonical round trip");
         }
-        let tree = t.summary_tree();
-        assert!(tree.contains("alpha layer=conv1"));
-        assert!(tree.contains("  beta") || tree.contains("beta"));
     }
 
     #[test]

@@ -14,10 +14,6 @@ use std::fmt;
 use crate::error::RangeError;
 use crate::precision::Precision;
 
-/// Maximum digits at the narrowest supported width (2-bit slices of 19-bit
-/// data).
-pub const MAX_GEN_SLICES: usize = 18;
-
 /// A signed-slice decomposition at slice width `w`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GenSlices {

@@ -31,9 +31,9 @@
 //! Requesting a tier the CPU (or target) cannot run is a **typed error**
 //! ([`KernelError::Unsupported`]), never a silent fallback: benchmarks that
 //! claim "SWAR vs AVX2" must fail loudly when they measured something else.
-//! Tests and benchmarks that need several tiers in one process use
-//! [`set_thread_override`], which takes precedence over the environment on
-//! the calling thread only.
+//! Tests and benchmarks that compare tiers in one process call each table
+//! directly: [`supported_ops`] lists every tier this host can run, and
+//! [`ops_for`] returns one.
 //!
 //! Each tier registers call counters in the process-wide observability
 //! registry (`sbr.kernels.<tier>.{counts,decompose}`) and the selected
@@ -45,7 +45,6 @@ mod swar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -389,30 +388,8 @@ pub fn try_active() -> Result<&'static KernelOps, KernelError> {
         .clone()
 }
 
-thread_local! {
-    static THREAD_OVERRIDE: Cell<Option<KernelTier>> = const { Cell::new(None) };
-}
-
-/// Forces a tier on the **calling thread only**, taking precedence over the
-/// process selection; `None` restores it. Worker threads spawned later do
-/// not inherit the override. This exists for tests and benchmarks that
-/// compare tiers within one process — production code selects via the
-/// environment.
-///
-/// # Errors
-///
-/// Returns [`KernelError::Unsupported`] when the tier cannot run here; the
-/// previous override is left unchanged.
-pub fn set_thread_override(tier: Option<KernelTier>) -> Result<(), KernelError> {
-    if let Some(t) = tier {
-        ops_for(t)?;
-    }
-    THREAD_OVERRIDE.with(|o| o.set(tier));
-    Ok(())
-}
-
-/// The kernel table every `sibia-sbr` entry point dispatches through:
-/// the thread override if set, otherwise the process selection.
+/// The kernel table every `sibia-sbr` entry point dispatches through: the
+/// process selection.
 ///
 /// # Panics
 ///
@@ -420,9 +397,6 @@ pub fn set_thread_override(tier: Option<KernelTier>) -> Result<(), KernelError> 
 /// [`try_active`] reports as an error; front-ends that want a clean exit
 /// check `try_active` first).
 pub fn active() -> &'static KernelOps {
-    if let Some(tier) = THREAD_OVERRIDE.with(|o| o.get()) {
-        return ops_for(tier).expect("thread override was validated when set");
-    }
     try_active().unwrap_or_else(|e| panic!("{FORCE_ENV}: {e}"))
 }
 
@@ -566,14 +540,6 @@ mod tests {
             select_from(Some("avx2")),
             Err(KernelError::Unsupported(KernelTier::Avx2))
         );
-    }
-
-    #[test]
-    fn thread_override_wins_and_restores() {
-        set_thread_override(Some(KernelTier::Scalar)).unwrap();
-        assert_eq!(active().tier, KernelTier::Scalar);
-        set_thread_override(None).unwrap();
-        assert_eq!(active().tier, try_active().unwrap().tier);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   ([`sbr`]).
 //!
 //! It also provides the sub-word grouping used by the flexible zero-skipping
-//! PE ([`subword`]) and slice-level sparsity statistics ([`stats`]).
+//! PE ([`subword`]), slice-level sparsity statistics ([`stats`]), the
+//! Fig. 5b hardware encoder ([`encoder`]), signed slices of other widths
+//! ([`gsbr`]), and the runtime-dispatched counting and decomposition
+//! kernels the simulator measures planes with ([`kernels`]).
 //!
 //! # Example
 //!
@@ -30,11 +33,9 @@
 //! assert_eq!(c.decode(), -3);
 //! ```
 
-pub mod arith;
 pub mod conv;
 pub mod encoder;
 pub mod error;
-pub mod fixed;
 pub mod gsbr;
 pub mod kernels;
 pub mod precision;
@@ -46,7 +47,6 @@ pub mod subword;
 pub use conv::ConvSlices;
 pub use encoder::SbrUnit;
 pub use error::RangeError;
-pub use fixed::Fixed;
 pub use precision::Precision;
 pub use quant::Quantizer;
 pub use sbr::SbrSlices;

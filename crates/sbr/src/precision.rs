@@ -51,24 +51,6 @@ impl Precision {
         Precision(bits)
     }
 
-    /// The smallest Sibia-native precision (`N = 3k + 1`) holding `bits`-bit
-    /// data.
-    ///
-    /// ```
-    /// use sibia_sbr::Precision;
-    /// assert_eq!(Precision::sbr_native(8), Precision::BITS10);
-    /// assert_eq!(Precision::sbr_native(7), Precision::BITS7);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `[2, 19]`.
-    pub fn sbr_native(bits: u8) -> Self {
-        let p = Self::new(bits);
-        let k = p.sbr_slices() as u8;
-        Precision(3 * k + 1)
-    }
-
     /// The data bit width.
     pub fn bits(&self) -> u8 {
         self.0
@@ -162,14 +144,6 @@ mod tests {
         assert_eq!(Precision::new(8).conv_container_bits(), 8);
         assert_eq!(Precision::BITS7.conv_slices(), 2);
         assert_eq!(Precision::BITS13.conv_slices(), 4);
-    }
-
-    #[test]
-    fn sbr_native_rounds_up() {
-        assert_eq!(Precision::sbr_native(5), Precision::BITS7);
-        assert_eq!(Precision::sbr_native(8), Precision::BITS10);
-        assert_eq!(Precision::sbr_native(13), Precision::BITS13);
-        assert_eq!(Precision::sbr_native(2), Precision::new(4));
     }
 
     #[test]

@@ -97,34 +97,6 @@ impl SbrSlices {
         })
     }
 
-    /// Reconstructs a slice set from raw digits (least-significant first).
-    ///
-    /// Used by the functional simulator when slices arrive over the on-chip
-    /// network rather than from an encoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `digits.len()` differs from `precision.sbr_slices()` or any
-    /// digit is outside `[-7, 7]`.
-    pub fn from_digits(digits: &[i8], precision: Precision) -> Self {
-        assert_eq!(
-            digits.len(),
-            precision.sbr_slices(),
-            "digit count must match precision"
-        );
-        assert!(
-            digits.iter().all(|d| d.abs() <= DIGIT_MAX),
-            "SBR digits must lie in [-7, 7]"
-        );
-        let mut buf = [0i8; MAX_SLICES];
-        buf[..digits.len()].copy_from_slice(digits);
-        Self {
-            digits: buf,
-            len: digits.len() as u8,
-            precision,
-        }
-    }
-
     /// The digits, least-significant first.
     pub fn digits(&self) -> &[i8] {
         &self.digits[..usize::from(self.len)]
@@ -357,19 +329,6 @@ mod tests {
         let ps = planes(&values, Precision::BITS7);
         assert_eq!(ps.len(), 2);
         assert_eq!(from_planes(&ps), values);
-    }
-
-    #[test]
-    fn from_digits_round_trips() {
-        let s = SbrSlices::encode(-42, Precision::BITS7);
-        let rebuilt = SbrSlices::from_digits(s.digits(), Precision::BITS7);
-        assert_eq!(rebuilt, s);
-    }
-
-    #[test]
-    #[should_panic(expected = "digit count")]
-    fn from_digits_validates_length() {
-        let _ = SbrSlices::from_digits(&[1, 2, 3], Precision::BITS7);
     }
 
     #[test]

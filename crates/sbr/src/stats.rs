@@ -50,11 +50,6 @@ impl SliceSparsity {
     pub fn high_order(&self) -> f64 {
         *self.per_order.last().expect("at least one order")
     }
-
-    /// Zero-slice fraction of the lowest slice order.
-    pub fn low_order(&self) -> f64 {
-        self.per_order[0]
-    }
 }
 
 impl fmt::Display for SliceSparsity {

@@ -29,11 +29,6 @@ use sibia_store::StoreStats;
 
 use crate::protocol::ErrorCode;
 
-/// The serve latency histogram type (the power-of-two-bucket scheme now
-/// lives in [`sibia_obs::metrics::Histogram`]; this alias keeps the
-/// original `serve::metrics::LatencyHistogram` name working).
-pub type LatencyHistogram = Histogram;
-
 /// Request kinds, in metrics order.
 const KINDS: [&str; 10] = [
     "ping", "version", "encode", "simulate", "lookup", "sweep", "metrics", "trace", "spans",
@@ -337,7 +332,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         assert_eq!(h.quantile_ms(0.5), 0.0);
         // 99 fast samples (~100 µs) and one slow (~50 ms).
         for _ in 0..99 {

@@ -48,9 +48,3 @@ pub fn install() {
 pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
-
-/// Test-only manual latch (also useful for an in-process "simulate SIGTERM"
-/// path).
-pub fn raise() {
-    SIGNALLED.store(true, Ordering::SeqCst);
-}

@@ -1,6 +1,6 @@
 //! Simulators for the Sibia accelerator and its baselines.
 //!
-//! Two complementary levels (DESIGN.md §6):
+//! Two complementary levels (DESIGN.md §6), plus the comparator models:
 //!
 //! * [`functional`] — a bit-exact model of the flexible zero-skipping PE:
 //!   signed 4b×4b MACs with 7-bit products and 12-bit accumulators,
@@ -14,9 +14,17 @@
 //!   weight / hybrid / output-skipping modes, with or without the SBR.
 //! * [`analytic`] — spec-level throughput/energy models of the non-bit-slice
 //!   comparison points (SparTen, S2TA, GPUs) for Table II / Fig. 15 / §III-J.
+//!
+//! Between those two levels, event-level models cross-check [`perf`]'s
+//! constants: [`cycle`] (one PE array, column latching), [`pipeline`] (a
+//! buffered PE pipeline), [`detailed`] (their per-pass composition with the
+//! DSM), [`mpu`] and [`chip`] (one core and the quad-core chip) and
+//! [`control`] (the RISC-V instruction stream). Around [`perf`] sit the
+//! memoized decompositions ([`cache`]), the grid engine ([`parallel`]),
+//! store read-through ([`stored`]) and JSON / CSV export ([`jsonio`],
+//! [`trace`]).
 
 pub mod analytic;
-pub mod bitbrick;
 pub mod cache;
 pub mod chip;
 pub mod control;

@@ -101,11 +101,6 @@ impl NetworkResult {
         2.0 * self.total_macs() as f64 / self.time_s() / 1e9
     }
 
-    /// Total energy in mJ.
-    pub fn energy_mj(&self) -> f64 {
-        self.energy.total_mj()
-    }
-
     /// Energy efficiency in TOPS/W.
     pub fn efficiency_tops_w(&self) -> f64 {
         2.0 * self.total_macs() as f64 / (self.energy.total_pj() * 1e-12) / 1e12

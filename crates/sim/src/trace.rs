@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use crate::detailed::DetailedTrace;
 use crate::perf::NetworkResult;
 
 /// Quotes one CSV field per RFC 4180: fields containing a comma, a double
@@ -49,26 +48,6 @@ pub fn network_csv(result: &NetworkResult) -> String {
             l.skip_side,
             l.work_fraction,
             l.input_compression_ratio,
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out
-}
-
-/// Renders a [`DetailedTrace`]'s per-pass rows as CSV (with header).
-pub fn detailed_csv(trace: &DetailedTrace) -> String {
-    let mut out =
-        String::from("layer,input_order,weight_order,cycles,nonzero_fraction,fetch_stalls\n");
-    for p in &trace.passes {
-        writeln!(
-            out,
-            "{},{},{},{},{:.4},{}",
-            csv_field(&trace.name),
-            p.input_order,
-            p.weight_order,
-            p.cycles,
-            p.nonzero_fraction,
-            p.fetch_stalls,
         )
         .expect("writing to a String cannot fail");
     }
@@ -122,16 +101,5 @@ mod tests {
         // The quoted field parses back to the original name under RFC 4180.
         assert_eq!(csv_field(evil), "\"conv,9999,\"\"x\"\"\ninjected\"");
         assert_eq!(csv_field("plain"), "plain");
-    }
-
-    #[test]
-    fn detailed_csv_has_one_row_per_pass() {
-        use crate::detailed::DetailedSim;
-        use sibia_nn::{Activation, Layer, SynthSource};
-        let mut src = SynthSource::new(1);
-        let layer = Layer::linear("l", 16, 64, 16).with_activation(Activation::Gelu);
-        let t = DetailedSim::sibia().run_layer(&ArchSpec::sibia_hybrid(), &layer, &mut src);
-        let csv = detailed_csv(&t);
-        assert_eq!(csv.lines().count(), t.passes.len() + 1);
     }
 }

@@ -148,15 +148,6 @@ impl Speculator {
             .map(|(&x, &w)| i64::from(x) * i64::from(w))
             .sum()
     }
-
-    /// Fraction of slice-order pair computations the speculation
-    /// pre-computes for a `(k_i, k_w)`-slice operand pair — the cost of the
-    /// speculation pass relative to the full computation.
-    pub fn precompute_fraction(&self, input_slices: usize, weight_slices: usize) -> f64 {
-        let kept_i = self.input_kept.min(input_slices);
-        let kept_w = self.weight_kept.min(weight_slices);
-        (kept_i * kept_w) as f64 / (input_slices * weight_slices) as f64
-    }
 }
 
 #[cfg(test)]
@@ -329,16 +320,6 @@ mod tests {
             Precision::BITS13,
             2,
         );
-    }
-
-    #[test]
-    fn precompute_fraction_counts_pairs() {
-        let s = Speculator::new(SliceRepr::Signed, 1, 1);
-        // 7-bit × 7-bit: 1 of 4 pairs pre-computed.
-        assert!((s.precompute_fraction(2, 2) - 0.25).abs() < 1e-12);
-        // I_H×W_H + I_L×W_H (full input, high weight): 2 of 4.
-        let s2 = Speculator::new(SliceRepr::Signed, 2, 1);
-        assert!((s2.precompute_fraction(2, 2) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -30,12 +30,6 @@ impl PoolConfig {
         );
         Self { group, candidates }
     }
-
-    /// Fraction of the window's outputs whose remaining (non-pre-computed)
-    /// slice computations are skipped.
-    pub fn skipped_output_fraction(&self) -> f64 {
-        (self.group - self.candidates) as f64 / self.group as f64
-    }
 }
 
 impl fmt::Display for PoolConfig {
@@ -164,12 +158,6 @@ mod tests {
             assert!(s.success_rate >= last);
             last = s.success_rate;
         }
-    }
-
-    #[test]
-    fn skipped_fraction() {
-        let cfg = PoolConfig::new(64, 4);
-        assert!((cfg.skipped_output_fraction() - 60.0 / 64.0).abs() < 1e-12);
     }
 
     #[test]

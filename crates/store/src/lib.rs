@@ -39,4 +39,4 @@ pub mod store;
 pub use crc::crc32;
 pub use key::{fnv64, StoreKey};
 pub use log::{RecordLog, Recovery, StoreError, FRAME_BYTES, MAX_RECORD_BYTES};
-pub use store::{record_disk_bytes, Store, StoreStats, LOG_FILE};
+pub use store::{Store, StoreStats, LOG_FILE};

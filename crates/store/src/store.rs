@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use sibia_obs::Json;
 
 use crate::key::StoreKey;
-use crate::log::{RecordLog, StoreError, FRAME_BYTES};
+use crate::log::{RecordLog, StoreError};
 
 /// File name of the record log inside a store directory.
 pub const LOG_FILE: &str = "store.log";
@@ -291,12 +291,6 @@ fn decode_record(payload: &[u8]) -> Option<(StoreKey, Json)> {
     let key = StoreKey::from_json(doc.get("k")?)?;
     let value = doc.get("v")?.clone();
     Some((key, value))
-}
-
-/// Estimated on-disk size of a record for `key`/`value` (used by tests and
-/// capacity planning; exact, since encoding is canonical).
-pub fn record_disk_bytes(key: &StoreKey, value: &Json) -> u64 {
-    FRAME_BYTES + encode_record(key, value).len() as u64
 }
 
 #[cfg(test)]

@@ -267,31 +267,6 @@ pub fn batched_matmul(a: &Tensor<i32>, b: &Tensor<i32>) -> Tensor<i64> {
     Tensor::from_vec(out, Shape::new(&[ba, m, n]))
 }
 
-/// N-to-1 max reduction over groups of `group` consecutive values — the
-/// large-scale max pooling of point-cloud networks (64-to-1, 40-to-1, …).
-///
-/// Returns `(max values, argmax indices within each group)`.
-///
-/// # Panics
-///
-/// Panics if `group` is zero or does not divide `values.len()`.
-pub fn max_reduce(values: &[i64], group: usize) -> (Vec<i64>, Vec<usize>) {
-    assert!(group > 0, "group must be positive");
-    assert_eq!(values.len() % group, 0, "group must divide length");
-    let mut maxes = Vec::with_capacity(values.len() / group);
-    let mut args = Vec::with_capacity(values.len() / group);
-    for chunk in values.chunks(group) {
-        let (arg, &m) = chunk
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &v)| (v, std::cmp::Reverse(i)))
-            .expect("non-empty chunk");
-        maxes.push(m);
-        args.push(arg);
-    }
-    (maxes, args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,26 +371,6 @@ mod tests {
         let y = maxpool2d(&x, 2);
         assert_eq!(y.shape().dims(), &[1, 2, 2]);
         assert_eq!(y.data(), &[5, 9, 7, 7]);
-    }
-
-    #[test]
-    fn max_reduce_returns_argmax() {
-        let (m, a) = max_reduce(&[1, 9, 3, -5, -2, -9], 3);
-        assert_eq!(m, vec![9, -2]);
-        assert_eq!(a, vec![1, 1]);
-    }
-
-    #[test]
-    fn max_reduce_ties_pick_first() {
-        let (m, a) = max_reduce(&[4, 4, 4, 4], 4);
-        assert_eq!(m, vec![4]);
-        assert_eq!(a, vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "group must divide")]
-    fn max_reduce_validates_group() {
-        let _ = max_reduce(&[1, 2, 3], 2);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl<T> Tensor<T> {
         &self.data
     }
 
-    /// Mutable access to the elements.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the tensor, returning its data vector.
     pub fn into_vec(self) -> Vec<T> {
         self.data
