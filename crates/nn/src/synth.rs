@@ -713,14 +713,147 @@ mod tests {
         }
     }
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a (64-bit) over `bytes`, continuing from the digest `h`.
+    fn fnv1a_extend(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes
+            .into_iter()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
     /// FNV-1a (64-bit) over the little-endian bytes of `codes`.
     fn fnv1a(codes: &[i32]) -> u64 {
-        codes
-            .iter()
-            .flat_map(|c| c.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
+        fnv1a_extend(FNV_OFFSET, codes.iter().flat_map(|c| c.to_le_bytes()))
+    }
+
+    /// Running digests of a group of sampler calls: FNV-1a over the raw
+    /// bits of every output, and over the stream position after each call
+    /// (the next `next_u64`), where a draw loop out of alignment shows.
+    struct Pins {
+        values: u64,
+        positions: u64,
+    }
+
+    impl Pins {
+        fn new() -> Self {
+            Self {
+                values: FNV_OFFSET,
+                positions: FNV_OFFSET,
+            }
+        }
+
+        fn record(&mut self, src: &mut SynthSource, bits: impl IntoIterator<Item = u32>) {
+            self.values = fnv1a_extend(self.values, bits.into_iter().flat_map(u32::to_le_bytes));
+            self.positions = fnv1a_extend(self.positions, src.rng.next_u64().to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn sampler_edge_cases_are_pinned() {
+        // The layer pins below see whole-layer codes only. These pin the raw
+        // floats the experiments read, at the lengths where a chunked draw
+        // loop can slip: empty and one-value calls, chunk and block
+        // boundaries, partial last blocks and rows, and all-zero stretches
+        // (sparsity 1.0). Every call runs on its own seed.
+        let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let code_bits = |q: &QuantTensor| {
+            q.codes()
+                .data()
+                .iter()
+                .map(|&c| c as u32)
+                .collect::<Vec<_>>()
+        };
+        let mut seed = 0;
+        let mut next_source = || {
+            seed += 1;
+            SynthSource::new(seed)
+        };
+        let mut got: Vec<(String, Pins)> = Vec::new();
+
+        let mut pins = Pins::new();
+        for n in [0, 1, 255, 256, 257, 1025, 4097] {
+            let mut src = next_source();
+            let v = src.gaussian(n, 0.75);
+            pins.record(&mut src, f32_bits(&v));
+        }
+        got.push(("gaussian".into(), pins));
+
+        for act in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::LEAKY_RELU_01,
+            Activation::Gelu,
+            Activation::ELU_1,
+        ] {
+            let mut pins = Pins::new();
+            for n in [1, 3, 4, 5, 257, 1025, 4097] {
+                for sparsity in [0.0, 0.5, 1.0] {
+                    let mut src = next_source();
+                    let v = src.post_activation_values_with_gain(act, sparsity, n, 6.0);
+                    pins.record(&mut src, f32_bits(&v));
+                }
+            }
+            got.push((format!("post_activation {act}"), pins));
+        }
+
+        let mut pins = Pins::new();
+        let layer =
+            Layer::linear("w", 1, 64, 48).with_precisions(Precision::BITS7, Precision::BITS10);
+        for cap in [1, 5, 257] {
+            let mut src = next_source();
+            let w = src.weights(&layer, cap);
+            pins.record(&mut src, code_bits(&w));
+        }
+        got.push(("weights".into(), pins));
+
+        // 1000 values: fifteen whole rows of 64 and a partial sixteenth.
+        let mut pins = Pins::new();
+        let layer = Layer::linear("av", 1, 1000, 64);
+        let mut src = next_source();
+        let acts = src.activations_with_profile(&layer, 1000, InputProfile::AttentionProb);
+        pins.record(&mut src, code_bits(&acts));
+        let mut src = next_source();
+        let v = src.attention_prob_values(1000);
+        pins.record(&mut src, f32_bits(&v));
+        got.push(("attention".into(), pins));
+
+        let expected: [(&str, u64, u64); 8] = [
+            ("gaussian", 0x7402_fcdb_9e26_bf7c, 0x92e1_4e07_e110_e308),
+            (
+                "post_activation identity",
+                0x0973_a842_f401_e9cf,
+                0x11d2_2b0b_64de_a6ec,
+            ),
+            (
+                "post_activation ReLU",
+                0x1a66_0cfc_a7ac_3f4c,
+                0xa11d_3f51_370d_7388,
+            ),
+            (
+                "post_activation LeakyReLU(0.1)",
+                0x874e_b1bc_fd4c_42d9,
+                0x128a_bd99_6ee5_c3cb,
+            ),
+            (
+                "post_activation GeLU",
+                0x8c03_eb89_f51b_7b8f,
+                0xfbc7_fc33_86af_3e27,
+            ),
+            (
+                "post_activation ELU(1)",
+                0x9cf6_7c48_e99d_0119,
+                0xbfb4_f07e_5c55_8ab2,
+            ),
+            ("weights", 0xbc1a_b21a_12c5_63ef, 0x35b2_ea1c_9c9d_efb0),
+            ("attention", 0x9014_9148_cf95_69de, 0x07f5_fc1f_6ebb_900e),
+        ];
+        assert_eq!(got.len(), expected.len());
+        for ((name, pins), (want_name, values, positions)) in got.iter().zip(expected) {
+            assert_eq!(name, want_name);
+            assert_eq!(pins.positions, positions, "{name}: stream position");
+            assert_eq!(pins.values, values, "{name}: values");
+        }
     }
 
     /// Which calibration branch `activations` takes on `layer`: its
