@@ -17,6 +17,7 @@
 
 pub mod activation;
 pub mod attention;
+mod boxmuller;
 pub mod exec;
 pub mod layer;
 pub mod network;

@@ -20,6 +20,7 @@ use sibia_sbr::Precision;
 use sibia_tensor::{QuantTensor, Shape};
 
 use crate::activation::Activation;
+use crate::boxmuller;
 use crate::layer::Layer;
 use crate::rng::SynthRng;
 
@@ -105,6 +106,54 @@ fn weight_outlier_gain(p: Precision) -> f32 {
         0..=8 => 4.0,
         9..=11 => 8.0,
         _ => 9.0,
+    }
+}
+
+/// Values one sampler chunk assembles: whole blocks for post-activations,
+/// whole rows for attention probabilities.
+const CHUNK: usize = 256;
+/// Post-activation values share a factor over blocks of this many adjacent
+/// elements.
+const BLOCK: usize = 4;
+/// Normals one chunk holds: a post-activation chunk's values and the shared
+/// factors of its blocks.
+const CHUNK_NORMALS: usize = CHUNK + CHUNK / BLOCK;
+
+/// The normals of one sampler chunk, in three phases. Draw: the caller
+/// makes every draw of the chunk in stream order, each normal's two
+/// through [`Normals::draw`]. Math: [`Normals::compute`] turns the raw
+/// draws into normals at once (vectorized on the AVX2 kernel tier).
+/// Assemble: the caller walks the normals in draw order.
+struct Normals {
+    u1: [u32; CHUNK_NORMALS],
+    u2: [u32; CHUNK_NORMALS],
+    z: [f32; CHUNK_NORMALS],
+    len: usize,
+}
+
+impl Normals {
+    fn new() -> Self {
+        Self {
+            u1: [0; CHUNK_NORMALS],
+            u2: [0; CHUNK_NORMALS],
+            z: [0.0; CHUNK_NORMALS],
+            len: 0,
+        }
+    }
+
+    /// Draws one normal's uniforms, `u1` then `u2`, keeping the top 32
+    /// bits of each draw (the sampler reads the top 24).
+    fn draw(&mut self, rng: &mut SynthRng) {
+        self.u1[self.len] = (rng.next_u64() >> 32) as u32;
+        self.u2[self.len] = (rng.next_u64() >> 32) as u32;
+        self.len += 1;
+    }
+
+    /// The standard normals of the draws since the last call, in draw order.
+    fn compute(&mut self) -> &[f32] {
+        let n = std::mem::take(&mut self.len);
+        boxmuller::box_muller(&self.u1[..n], &self.u2[..n], &mut self.z[..n]);
+        &self.z[..n]
     }
 }
 
@@ -217,20 +266,6 @@ impl SynthSource {
         }
     }
 
-    /// Samples a standard-normal value (Box–Muller).
-    fn normal(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    }
-
-    /// Advances the stream past one [`Self::normal`] sample (its two
-    /// uniform draws) without computing it.
-    fn skip_normal(&mut self) {
-        self.rng.next_u64();
-        self.rng.next_u64();
-    }
-
     /// Generates quantized weights for `layer`, sampling at most `cap`
     /// values (a statistical sample for very large layers). Weights are
     /// Gaussian with a heavy-tail outlier component, as trained weight
@@ -238,16 +273,23 @@ impl SynthSource {
     pub fn weights(&mut self, layer: &Layer, cap: usize) -> QuantTensor {
         let n = layer.kind().weight_len().min(cap.max(1));
         let gain = weight_outlier_gain(layer.weight_precision());
-        let mut data: Vec<f32> = (0..n)
-            .map(|_| {
-                let w = self.normal();
-                if self.rng.gen_bool(WEIGHT_OUTLIER_P) {
-                    w * gain
-                } else {
-                    w
-                }
-            })
-            .collect();
+        let mut data = Vec::with_capacity(n);
+        let mut normals = Normals::new();
+        let mut outliers = [false; CHUNK];
+        while data.len() < n {
+            // Per weight: its normal's two draws, then its outlier draw.
+            let outliers = &mut outliers[..CHUNK.min(n - data.len())];
+            for outlier in outliers.iter_mut() {
+                normals.draw(&mut self.rng);
+                *outlier = self.rng.gen_bool(WEIGHT_OUTLIER_P);
+            }
+            let z = normals.compute();
+            data.extend(
+                z.iter()
+                    .zip(outliers.iter())
+                    .map(|(&w, &outlier)| if outlier { w * gain } else { w }),
+            );
+        }
         // Pin the quantizer scale to the full tensor's expected maximum so
         // sampled statistics do not depend on the sample size (real
         // calibration sees the whole tensor).
@@ -396,59 +438,67 @@ impl SynthSource {
         n: usize,
         outlier_gain: f32,
     ) -> Vec<f32> {
-        const BLOCK: usize = 4;
         const RHO: f32 = 0.85;
         let indep = (1.0 - RHO * RHO).sqrt();
+        // ReLU shifts the pre-activation mean so P(x <= 0) hits the target;
+        // the marginal stays N(mu, 1) under the shared block factor.
+        // Non-ReLU functions keep negatives alive; exact zeros come from
+        // quantization underflow, modelled as a per-block mixture (zero
+        // regions of a feature map are contiguous).
+        let relu_mu = (activation == Activation::Relu)
+            .then(|| -inverse_normal_cdf(target_sparsity.clamp(1e-6, 1.0 - 1e-6)) as f32);
+        // Deterministic scale anchor for out[0] (see weights()); a leading
+        // zero block keeps its zero.
+        let anchor = activation.apply(4.0 * outlier_gain);
         let mut out = Vec::with_capacity(n);
-        match activation {
-            Activation::Relu => {
-                // Shift the pre-activation mean so P(x <= 0) hits the
-                // target; the marginal stays N(mu, 1) under the shared
-                // block factor.
-                let mu = -inverse_normal_cdf(target_sparsity.clamp(1e-6, 1.0 - 1e-6)) as f32;
-                while out.len() < n {
-                    let b = self.normal();
-                    for _ in 0..BLOCK.min(n - out.len()) {
-                        let mut x = mu + RHO * b + indep * self.normal();
-                        if self.rng.gen_bool(ACT_OUTLIER_P) {
-                            x *= outlier_gain;
-                        }
-                        out.push(Activation::Relu.apply(x));
-                        // Deterministic scale anchor (see weights()).
-                        if out.len() == 1 {
-                            out[0] = 4.0 * outlier_gain;
-                        }
+        let mut normals = Normals::new();
+        let mut zero_blocks = [false; CHUNK / BLOCK];
+        let mut outliers = [false; CHUNK];
+        while out.len() < n {
+            // Draw whole blocks: a non-ReLU block's zero draw, its shared
+            // factor, then per value its normal and its outlier draw. A zero
+            // block's shared factor goes unused: skip its math but not its
+            // draws, so the stream stays aligned.
+            let (mut drawn, mut blocks, mut values) = (out.len(), 0, 0);
+            while blocks < zero_blocks.len() && drawn < n {
+                let len = BLOCK.min(n - drawn);
+                let zero = relu_mu.is_none() && self.rng.gen_bool(target_sparsity);
+                if zero {
+                    self.rng.next_u64();
+                    self.rng.next_u64();
+                } else {
+                    normals.draw(&mut self.rng);
+                    for outlier in &mut outliers[values..values + len] {
+                        normals.draw(&mut self.rng);
+                        *outlier = self.rng.gen_bool(ACT_OUTLIER_P);
                     }
+                    values += len;
                 }
+                zero_blocks[blocks] = zero;
+                drawn += len;
+                blocks += 1;
             }
-            act => {
-                // Non-ReLU functions keep negatives alive; exact zeros come
-                // from quantization underflow, modelled as a per-block
-                // mixture (zero regions of a feature map are contiguous).
-                while out.len() < n {
-                    let zero_block = self.rng.gen_bool(target_sparsity);
-                    // A zero block's shared factor goes unused: skip its
-                    // math but not its draws, so the stream stays aligned.
-                    let b = if zero_block {
-                        self.skip_normal();
-                        0.0
-                    } else {
-                        self.normal()
-                    };
-                    for _ in 0..BLOCK.min(n - out.len()) {
-                        if zero_block {
-                            out.push(0.0);
-                        } else {
-                            let mut x = RHO * b + indep * self.normal();
-                            if self.rng.gen_bool(ACT_OUTLIER_P) {
-                                x *= outlier_gain;
-                            }
-                            out.push(act.apply(x));
-                            // Deterministic scale anchor (see weights()).
-                            if out.len() == 1 {
-                                out[0] = act.apply(4.0 * outlier_gain);
-                            }
-                        }
+            let mut z = normals.compute().iter();
+            let mut outliers = outliers.iter();
+            for &zero in &zero_blocks[..blocks] {
+                let len = BLOCK.min(n - out.len());
+                if zero {
+                    out.resize(out.len() + len, 0.0);
+                    continue;
+                }
+                let b = z.next().expect("a block's shared factor was drawn");
+                let shared = match relu_mu {
+                    Some(mu) => mu + RHO * b,
+                    None => RHO * b,
+                };
+                for _ in 0..len {
+                    let mut x = shared + indep * z.next().expect("a value's normal was drawn");
+                    if *outliers.next().expect("a value's outlier was drawn") {
+                        x *= outlier_gain;
+                    }
+                    out.push(activation.apply(x));
+                    if out.len() == 1 {
+                        out[0] = anchor;
                     }
                 }
             }
@@ -461,23 +511,35 @@ impl SynthSource {
     fn attention_prob_values(&mut self, n: usize) -> Vec<f32> {
         const ROW: usize = 64;
         let mut out = Vec::with_capacity(n);
+        let mut normals = Normals::new();
         while out.len() < n {
-            let logits: Vec<f32> = (0..ROW).map(|_| 2.0 * self.normal()).collect();
-            let max = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for e in exps {
-                if out.len() < n {
-                    out.push(e / sum);
-                }
+            for _ in 0..ROW {
+                normals.draw(&mut self.rng);
             }
+            let mut logits = [0.0f32; ROW];
+            for (logit, &z) in logits.iter_mut().zip(normals.compute()) {
+                *logit = 2.0 * z;
+            }
+            let max = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+            let exps = logits.map(|x| (x - max).exp());
+            let sum: f32 = exps.iter().sum();
+            let take = ROW.min(n - out.len());
+            out.extend(exps[..take].iter().map(|&e| e / sum));
         }
         out
     }
 
     /// Raw Gaussian values (for ad-hoc experiments).
     pub fn gaussian(&mut self, n: usize, sigma: f32) -> Vec<f32> {
-        (0..n).map(|_| self.normal() * sigma).collect()
+        let mut out = Vec::with_capacity(n);
+        let mut normals = Normals::new();
+        while out.len() < n {
+            for _ in 0..CHUNK.min(n - out.len()) {
+                normals.draw(&mut self.rng);
+            }
+            out.extend(normals.compute().iter().map(|&z| z * sigma));
+        }
+        out
     }
 
     /// Quantizes ad-hoc real data at a precision.

@@ -53,7 +53,9 @@
 //!   warm-start chains cannot recurse.
 //! * `sweep` — `archs: [string]`, `networks: [string]`, `seeds: [int]`,
 //!   optional `sample_cap: int`, optional `stream: bool` (revision 6);
-//!   returns the full grid in row-major (arch, network, seed) order,
+//!   at most 1,024 cells (archs × networks × seeds, repeated names
+//!   counted each time); returns the full grid in row-major
+//!   (arch, network, seed) order,
 //!   exactly as [`sibia_sim::ParallelEngine`] produces it. With
 //!   `"stream": true` the server interleaves **progress
 //!   frames** before the final response: each is one line of the form
@@ -279,6 +281,14 @@ pub struct Envelope {
     pub request: Request,
 }
 
+/// Most cells (archs × networks × seeds) one `sweep` may ask for: the
+/// paper's 5 × 10 grid at 20 seeds. The grid engine allocates every cell's
+/// result slot up front and the reply carries every cell (8–35 KB of JSON
+/// each), so an unbounded product could abort the daemon from one line. A
+/// larger grid goes as several requests, as the fleet sends one per
+/// (network, seed) row.
+const MAX_SWEEP_CELLS: usize = 1024;
+
 /// The CLI/protocol architecture registry.
 pub const ARCH_NAMES: [&str; 6] = [
     "bitfusion",
@@ -460,6 +470,22 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
                 return Err(ServeError::new(
                     ErrorCode::BadRequest,
                     "'archs', 'networks', and 'seeds' must be non-empty",
+                ));
+            }
+            let cells = archs
+                .len()
+                .saturating_mul(networks.len())
+                .saturating_mul(seeds.len());
+            if cells > MAX_SWEEP_CELLS {
+                return Err(ServeError::new(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "a sweep may hold at most {MAX_SWEEP_CELLS} cells; {} archs × {} \
+                         networks × {} seeds is more",
+                        archs.len(),
+                        networks.len(),
+                        seeds.len()
+                    ),
                 ));
             }
             let stream = match v.get("stream") {
@@ -810,6 +836,50 @@ mod tests {
         ] {
             let err = parse_request(bad).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{bad}");
+        }
+    }
+
+    /// A sweep line naming `archs` × `networks` × `seeds` cells, every
+    /// name and seed repeated.
+    fn sweep_line(archs: usize, networks: usize, seeds: usize) -> String {
+        let list = |item: &str, n: usize| vec![item; n].join(",");
+        format!(
+            "{{\"kind\":\"sweep\",\"archs\":[{}],\"networks\":[{}],\"seeds\":[{}]}}",
+            list("\"sibia\"", archs),
+            list("\"dgcnn\"", networks),
+            list("1", seeds)
+        )
+    }
+
+    #[test]
+    fn sweep_cell_count_is_bounded() {
+        // 1,000 × 1,000 × 1,000 cells fit in a 25 KB line; the grid engine
+        // would allocate every result slot before computing one.
+        let huge = sweep_line(1000, 1000, 1000);
+        assert!(huge.len() < 30_000);
+        let err = parse_request(&huge).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(
+            err.message.contains("at most 1024 cells"),
+            "{}",
+            err.message
+        );
+        // Repeated names count each time, and the bound itself is accepted.
+        let err = parse_request(&sweep_line(2, 1, MAX_SWEEP_CELLS / 2 + 1)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        match parse_request(&sweep_line(4, 16, MAX_SWEEP_CELLS / 64))
+            .unwrap()
+            .request
+        {
+            Request::Sweep {
+                archs,
+                networks,
+                seeds,
+                ..
+            } => {
+                assert_eq!(archs.len() * networks.len() * seeds.len(), MAX_SWEEP_CELLS);
+            }
+            other => panic!("expected sweep, got {other:?}"),
         }
     }
 

@@ -206,6 +206,46 @@ fn raw_garbage_lines_get_bad_request_responses() {
 }
 
 #[test]
+fn oversized_sweep_is_refused_and_the_daemon_keeps_serving() {
+    // 1,000 archs × 1,000 networks × 1,000 seeds in about 25 KB: without
+    // the cell bound the grid engine would try to allocate 10^9 result
+    // slots and abort the daemon.
+    let list = |item: &str| vec![item; 1000].join(",");
+    let line = format!(
+        "{{\"id\":1,\"kind\":\"sweep\",\"archs\":[{}],\"networks\":[{}],\"seeds\":[{}]}}\n",
+        list("\"sibia\""),
+        list("\"dgcnn\""),
+        list("7")
+    );
+    let server = default_server();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let v = Json::parse(reply.trim_end()).expect("response is json");
+    assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(
+        v.get("error").and_then(|e| e.get("code")),
+        Some(&Json::from("bad_request"))
+    );
+
+    writer.write_all(b"{\"id\":2,\"kind\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    let v = Json::parse(pong.trim_end()).expect("response is json");
+    assert_eq!(v.get("id"), Some(&Json::from(2i64)));
+    assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{pong}");
+    let mut client = connect(server.addr());
+    client.ping().expect("a fresh connection is still served");
+    server.shutdown();
+}
+
+#[test]
 fn zero_timeout_is_rejected_with_deadline_exceeded() {
     let server = default_server();
     let mut client = connect(server.addr());

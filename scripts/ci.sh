@@ -24,9 +24,13 @@ echo "==> kernel tier forcing"
 # holds the pinned `encode` reply text), and confirm an unknown tier is a
 # typed error, not a silent fallback. Auto-detection never picks SSE2 on
 # an AVX2 host, so x86_64 also runs the grid suite end to end on SSE2.
+# The tier also picks the synthesis sampler's instance (AVX2 or plain), so
+# the synthesis pins and the golden digests run on the plain one too.
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sbr
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sim --test parallel
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-serve --lib
+SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-nn
+SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-bench --test golden
 if [ "$(uname -m)" = "x86_64" ]; then
   SIBIA_FORCE_KERNEL=sse2 cargo test -q -p sibia-sim --test parallel
 fi
@@ -38,6 +42,12 @@ echo "==> exhaustive quantizer sweep"
 # The vectorized quantizer against the former libm-round expression on all
 # 2^32 f32 bit patterns at 4, 7, 10 and 13 bits (about two minutes).
 cargo test --release -q -p sibia-sbr -- --ignored
+
+echo "==> exhaustive sampler math"
+# The synthesis sampler's ports of glibc's logf and cosf against the host
+# libm, and its AVX2 instance against the plain one, on all 2^24 inputs
+# each function can get (about a second; glibc Linux hosts only).
+cargo test --release -q -p sibia-nn -- --ignored
 
 echo "==> science smoke test"
 # report_all, run in an empty directory, must write exactly the committed
