@@ -199,26 +199,6 @@ impl FleetConfig {
     }
 }
 
-/// Schedule debugging: set `SIBIA_FLEET_DEBUG=1` to get a per-event log
-/// of dispatches, steals, hedges, and wins on stderr, stamped with
-/// milliseconds since the sweep started.
-fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SIBIA_FLEET_DEBUG").is_some())
-}
-
-macro_rules! sched_debug {
-    ($state:expr, $($arg:tt)*) => {
-        if debug_enabled() {
-            eprintln!(
-                "fleet[{:>6.1}ms] {}",
-                $state.started.elapsed().as_secs_f64() * 1e3,
-                format_args!($($arg)*)
-            );
-        }
-    };
-}
-
 /// The [`MemberConfig`] projection of a [`FleetConfig`].
 fn member_config(config: &FleetConfig) -> MemberConfig {
     MemberConfig {
@@ -778,12 +758,7 @@ impl Fleet {
                         if state.row_complete(row) {
                             continue;
                         }
-                        sched_debug!(
-                            state,
-                            "overdue row {row} (deadline {:.1}ms, busy {busy:?})",
-                            deadline.as_secs_f64() * 1e3
-                        );
-                        self.hedge_row(row, &busy, &state);
+                        self.hedge_row(row, &busy, deadline, &state);
                     }
                 }
 
@@ -962,13 +937,6 @@ impl Fleet {
         let members = self.membership.snapshot();
         let victim = pick_victim(&members, thief.index)?;
         let job = victim.queue.steal_back()?;
-        sched_debug!(
-            state,
-            "steal: member {} took row {} from member {}",
-            thief.index,
-            job.row,
-            victim.index
-        );
         let cells = state.row_cells();
         thief.stolen.fetch_add(cells, Ordering::SeqCst);
         state.steals.fetch_add(cells, Ordering::Relaxed);
@@ -997,14 +965,6 @@ impl Fleet {
             self.failover(member.index, job, "circuit breaker open", state);
             return;
         }
-        sched_debug!(
-            state,
-            "run: row {} on member {} (attempts {}, hedge {})",
-            job.row,
-            member.index,
-            job.attempts,
-            job.hedge
-        );
         state.inflight.register(job.row, member.index);
         member.inflight.fetch_add(1, Ordering::SeqCst);
         let verdict = self.drive_row(member, &mut job, state);
@@ -1053,14 +1013,6 @@ impl Fleet {
                         member.set_state(MemberState::Active);
                     }
                     let latency = started.elapsed();
-                    sched_debug!(
-                        state,
-                        "done: row {} on member {} in {:.1}ms (hedge {})",
-                        job.row,
-                        member.index,
-                        latency.as_secs_f64() * 1e3,
-                        job.hedge
-                    );
                     self.settle_row(member, job, results, latency, state);
                     return Verdict::Settled;
                 }
@@ -1359,10 +1311,10 @@ impl Fleet {
         }
     }
 
-    /// Duplicates an overdue row onto the least-loaded dispatchable
-    /// member not already working on it. The duplicate jumps its target's
-    /// queue (the row is past the deadline by definition).
-    fn hedge_row(&self, row: usize, busy: &[usize], state: &SweepState<'_>) {
+    /// Duplicates a row overdue past `deadline` onto the least-loaded
+    /// dispatchable member not already working on it. The duplicate jumps
+    /// its target's queue (the row is past the deadline by definition).
+    fn hedge_row(&self, row: usize, busy: &[usize], deadline: Duration, state: &SweepState<'_>) {
         let members = self.membership.snapshot();
         let target = members
             .iter()
@@ -1385,6 +1337,7 @@ impl Fleet {
         span.attr("trace_id", state.trace_id);
         span.attr("row", row);
         span.attr("target", target.index);
+        span.attr("deadline_ms", deadline.as_millis());
         drop(span);
         target.queue.push_front(RowJob {
             hedge: true,

@@ -49,7 +49,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sibia_obs::metrics::{Counter, Gauge, Histogram, Registry};
-use sibia_obs::Tracer;
 
 use crate::buffer::{FillOutcome, ReadBuf, WriteBuf};
 use crate::sys::{
@@ -242,10 +241,6 @@ struct Conn {
     /// Framing/IO violation or handler-requested close: stop reading,
     /// flush, then close.
     closing: bool,
-    opened_at: Instant,
-    frames: u64,
-    bytes_in: u64,
-    bytes_out: u64,
 }
 
 struct Shared {
@@ -279,13 +274,11 @@ fn raw_fd<T>(_s: &T) -> i32 {
 
 impl Reactor {
     /// Binds, registers the listener and wakeup fd, spawns the reactor
-    /// thread, and returns. `net.*` instruments land in `registry`;
-    /// connection-lifetime spans are recorded into `tracer` when provided.
+    /// thread, and returns. `net.*` instruments land in `registry`.
     pub fn start(
         config: ReactorConfig,
         handler: Arc<dyn FrameHandler>,
         registry: &Registry,
-        tracer: Option<Arc<Tracer>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         // At thousands of simultaneous connects, std's default backlog of
@@ -321,7 +314,6 @@ impl Reactor {
                         open: 0,
                         shared,
                         metrics,
-                        tracer,
                         draining: false,
                     }
                     .run();
@@ -362,7 +354,6 @@ struct EventLoop {
     open: usize,
     shared: Arc<Shared>,
     metrics: NetMetrics,
-    tracer: Option<Arc<Tracer>>,
     draining: bool,
 }
 
@@ -455,10 +446,6 @@ impl EventLoop {
             inflight: 0,
             peer_closed: false,
             closing: false,
-            opened_at: Instant::now(),
-            frames: 0,
-            bytes_in: 0,
-            bytes_out: 0,
         });
         self.open += 1;
         self.metrics.accepted.inc();
@@ -473,7 +460,7 @@ impl EventLoop {
         }
         if bits & (EPOLLERR | EPOLLHUP) != 0 {
             self.metrics.broken.inc();
-            self.close_conn(slot, true);
+            self.close_conn(slot);
             return;
         }
         if bits & EPOLLOUT != 0 {
@@ -495,13 +482,12 @@ impl EventLoop {
             };
             match conn.rbuf.fill(&mut conn.stream) {
                 Ok(FillOutcome::Read(n)) => {
-                    conn.bytes_in += n as u64;
                     self.metrics.bytes_read.add(n as u64);
                     self.process_frames(slot);
                     if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                         if conn.rbuf.pending() > self.config.max_frame_bytes {
                             self.metrics.broken.inc();
-                            self.close_conn(slot, true);
+                            self.close_conn(slot);
                             return;
                         }
                     }
@@ -515,14 +501,14 @@ impl EventLoop {
                     if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                         conn.peer_closed = true;
                         if conn.inflight == 0 && conn.wbuf.pending() == 0 {
-                            self.close_conn(slot, false);
+                            self.close_conn(slot);
                         }
                     }
                     return;
                 }
                 Err(_) => {
                     self.metrics.broken.inc();
-                    self.close_conn(slot, true);
+                    self.close_conn(slot);
                     return;
                 }
             }
@@ -540,7 +526,6 @@ impl EventLoop {
             let Some(range) = conn.rbuf.next_frame() else {
                 return;
             };
-            conn.frames += 1;
             self.metrics.frames.inc();
             let cx = FrameCx {
                 completer: Completer {
@@ -558,7 +543,7 @@ impl EventLoop {
                     self.metrics.replies.inc();
                     if conn.wbuf.pending() > self.config.hard_write_cap {
                         self.metrics.broken.inc();
-                        self.close_conn(slot, true);
+                        self.close_conn(slot);
                         return;
                     }
                     self.flush_conn(slot);
@@ -585,18 +570,17 @@ impl EventLoop {
         match conn.wbuf.flush(&mut conn.stream) {
             Ok(drained) => {
                 let written = (before - conn.wbuf.pending()) as u64;
-                conn.bytes_out += written;
                 self.metrics.bytes_written.add(written);
                 if drained
                     && conn.inflight == 0
                     && (conn.closing || conn.peer_closed || self.draining)
                 {
-                    self.close_conn(slot, false);
+                    self.close_conn(slot);
                 }
             }
             Err(_) => {
                 self.metrics.broken.inc();
-                self.close_conn(slot, true);
+                self.close_conn(slot);
             }
         }
     }
@@ -630,7 +614,7 @@ impl EventLoop {
             conn.wbuf.append(&bytes);
             if conn.wbuf.pending() > self.config.hard_write_cap {
                 self.metrics.broken.inc();
-                self.close_conn(slot, true);
+                self.close_conn(slot);
                 continue;
             }
             self.flush_conn(slot);
@@ -652,32 +636,16 @@ impl EventLoop {
                 None => false,
             };
             if done {
-                self.close_conn(slot, false);
+                self.close_conn(slot);
             }
         }
     }
 
-    fn close_conn(&mut self, slot: usize, broken: bool) {
+    fn close_conn(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].take() else {
             return;
         };
         let _ = self.epoll.delete(raw_fd(&conn.stream));
-        if let Some(tracer) = &self.tracer {
-            tracer.record_span(
-                "net.conn",
-                conn.opened_at,
-                conn.opened_at
-                    .elapsed()
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64,
-                vec![
-                    ("frames".to_owned(), conn.frames.to_string()),
-                    ("bytes_in".to_owned(), conn.bytes_in.to_string()),
-                    ("bytes_out".to_owned(), conn.bytes_out.to_string()),
-                    ("broken".to_owned(), broken.to_string()),
-                ],
-            );
-        }
         // Bump the generation so completions addressed to this connection
         // are recognized as stale, then recycle the slot.
         self.gens[slot] = self.gens[slot].wrapping_add(1);

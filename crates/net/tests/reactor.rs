@@ -70,7 +70,7 @@ fn start_echo(config: ReactorConfig) -> (Reactor, Arc<Echo>, Arc<Registry>) {
     let handler = Arc::new(Echo::new());
     let registry = Arc::new(Registry::new());
     let reactor =
-        Reactor::start(config, Arc::clone(&handler) as _, &registry, None).expect("reactor starts");
+        Reactor::start(config, Arc::clone(&handler) as _, &registry).expect("reactor starts");
     (reactor, handler, registry)
 }
 

@@ -5,7 +5,7 @@
 //!
 //! | module | what it provides |
 //! |---|---|
-//! | [`trace`] | hierarchical span tracer: lock-striped bounded buffer, Chrome `trace_event` JSONL export, plain-text tree summary |
+//! | [`trace`] | hierarchical span tracer: lock-striped bounded buffer, Chrome `trace_event` JSONL export |
 //! | [`metrics`] | unified registry of counters / gauges / power-of-two latency histograms with canonical JSON snapshots |
 //! | [`timeseries`] | ring-buffer time series over the registry: reset-aware counter rates, gauge levels, windowed histogram deltas, a background sampler, Prometheus-style exposition |
 //! | [`context`] | cross-process trace context (`trace_id` + parent span id) propagated through request envelopes |

@@ -150,7 +150,7 @@ impl Tracer {
 
     /// A disabled tracer buffering at most `capacity` (≥ `SHARDS`) spans
     /// in total; the oldest span of a full stripe is evicted on overflow.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Self {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -208,47 +208,6 @@ impl Tracer {
         }
     }
 
-    /// Records an already-measured span (no guard, no thread-local stack):
-    /// the after-the-fact path for callers that time phases themselves,
-    /// e.g. the serve daemon's per-request spans.
-    pub fn record_span(
-        &self,
-        name: &str,
-        started: Instant,
-        dur_us: u64,
-        attrs: Vec<(String, String)>,
-    ) {
-        self.record_span_remote(name, started, dur_us, attrs, None);
-    }
-
-    /// [`Self::record_span`] carrying a remote (cross-process) parent span
-    /// id from a propagated trace context.
-    pub fn record_span_remote(
-        &self,
-        name: &str,
-        started: Instant,
-        dur_us: u64,
-        attrs: Vec<(String, String)>,
-        remote_parent: Option<u64>,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let record = SpanRecord {
-            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-            parent: None,
-            remote_parent,
-            name: name.to_owned(),
-            tid: current_tid(),
-            start_us: started
-                .checked_duration_since(self.epoch)
-                .map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64),
-            dur_us,
-            attrs,
-        };
-        self.push(record);
-    }
-
     fn push(&self, record: SpanRecord) {
         let shard = &self.shards[(record.tid as usize) % SHARDS];
         let mut buf = shard.lock().expect("tracer shard lock");
@@ -267,19 +226,6 @@ impl Tracer {
         }
         all.sort_by_key(|r| (r.start_us, r.id));
         all
-    }
-
-    /// The most recently *completed* `limit` spans whose name equals
-    /// `name` (any name when `None`), most recent first.
-    pub fn recent(&self, name: Option<&str>, limit: usize) -> Vec<SpanRecord> {
-        let mut matching: Vec<SpanRecord> = self
-            .records()
-            .into_iter()
-            .filter(|r| name.map_or(true, |n| r.name == n))
-            .collect();
-        matching.sort_by_key(|r| std::cmp::Reverse((r.end_us(), r.id)));
-        matching.truncate(limit);
-        matching
     }
 
     /// Discards all buffered spans (the dropped counter is kept).
@@ -377,8 +323,10 @@ impl Drop for SpanGuard<'_> {
 
 static GLOBAL_TRACER: OnceLock<Tracer> = OnceLock::new();
 
-/// The process-wide tracer the simulation stack records into. Disabled by
-/// default; front-ends (e.g. `sibia-cli --trace-out`) enable it.
+/// The process-wide tracer: the one tracer every span of the stack records
+/// into (simulation, served requests, the store, the fleet coordinator).
+/// Disabled by default; front-ends (`sibia-cli --trace-out`, `serve
+/// --trace`) enable it.
 pub fn tracer() -> &'static Tracer {
     GLOBAL_TRACER.get_or_init(Tracer::new)
 }
@@ -504,7 +452,9 @@ mod tests {
         g.attr("k", "v");
         assert_eq!(g.id(), None);
         drop(g);
-        t.record_span("ghost2", Instant::now(), 5, vec![]);
+        let mut remote = t.span("ghost2");
+        remote.set_remote_parent(5);
+        drop(remote);
         assert!(t.records().is_empty());
     }
 
@@ -517,12 +467,11 @@ mod tests {
             g.attr("layer", "conv1");
             let _inner = t.span("beta");
         }
-        t.record_span(
-            "gamma",
-            Instant::now(),
-            42,
-            vec![("trace_id".to_owned(), "t1".to_owned())],
-        );
+        {
+            let mut g = t.span("gamma");
+            g.attr("trace_id", "t1");
+            g.set_remote_parent(42);
+        }
         let jsonl = t.export_chrome();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -532,20 +481,5 @@ mod tests {
             assert!(v.get("ts").is_some() && v.get("dur").is_some());
             assert_eq!(v.to_string(), **line, "canonical round trip");
         }
-    }
-
-    #[test]
-    fn recent_filters_and_orders_by_completion() {
-        let t = Tracer::new();
-        t.enable();
-        for i in 0..6 {
-            let mut g = t.span(if i % 2 == 0 { "req" } else { "other" });
-            g.attr("i", i);
-        }
-        let recent = t.recent(Some("req"), 2);
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].attr("i"), Some("4"), "most recent first");
-        assert_eq!(recent[1].attr("i"), Some("2"));
-        assert_eq!(t.recent(None, 100).len(), 6);
     }
 }

@@ -474,19 +474,11 @@ impl Client {
         self.call(Json::obj(vec![("kind", Json::from("metrics"))]))
     }
 
-    /// The most recent completed request spans (newest first), up to
-    /// `limit` (server default when `None`).
-    pub fn trace(&mut self, limit: Option<usize>) -> Result<Json, ClientError> {
-        let mut fields = vec![("kind", Json::from("trace"))];
-        if let Some(n) = limit {
-            fields.push(("limit", Json::from(n)));
-        }
-        self.call(Json::obj(fields))
-    }
-
-    /// Hierarchical spans from the server's global tracer (oldest first,
-    /// parents before children), optionally restricted to one propagated
-    /// trace id. Empty unless the daemon runs with tracing enabled.
+    /// The newest `limit` spans of the server's process tracer (server
+    /// default when `None`), in start order so parents precede children,
+    /// optionally restricted to one trace id — a response's echoed
+    /// `trace_id` selects that request's span and its descendants. Empty
+    /// unless the daemon runs with tracing enabled.
     pub fn spans(
         &mut self,
         limit: Option<usize>,

@@ -30,9 +30,8 @@ use sibia_store::StoreStats;
 use crate::protocol::ErrorCode;
 
 /// Request kinds, in metrics order.
-const KINDS: [&str; 10] = [
-    "ping", "version", "encode", "simulate", "lookup", "sweep", "metrics", "trace", "spans",
-    "stats",
+const KINDS: [&str; 9] = [
+    "ping", "version", "encode", "simulate", "lookup", "sweep", "metrics", "spans", "stats",
 ];
 /// Error codes, in metrics order (mirrors [`ErrorCode`]).
 const CODES: [&str; 7] = [
@@ -58,7 +57,7 @@ fn code_index(code: ErrorCode) -> usize {
 }
 
 /// Where one request's time went. All phases default to zero so inline
-/// requests (`ping`, `metrics`, `trace`) only fill what they measured.
+/// requests (`ping`, `metrics`, `spans`) only fill what they measured.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Admission → worker pickup.
@@ -248,10 +247,10 @@ impl ServeMetrics {
     /// published into the registry so the appended canonical snapshot
     /// carries them. `store: None` (no `--store-dir`) serializes the
     /// `store` member as `null`, which distinguishes "no store" from "store
-    /// with zero traffic". `dropped_spans` is the total spans evicted from
-    /// the server's bounded trace buffers — nonzero means `trace` / `spans`
-    /// responses are silently incomplete, so it surfaces here rather than
-    /// staying an internal counter.
+    /// with zero traffic". `dropped_spans` is the spans evicted from the
+    /// process tracer's bounded buffer — nonzero means `spans` responses
+    /// are silently incomplete, so it surfaces here rather than staying an
+    /// internal counter.
     pub fn to_json(
         &self,
         levels: &GaugeSample,

@@ -13,7 +13,7 @@
 //! request  = { "kind": KIND, ["id": any], ["timeout_ms": int],
 //!              ["trace": { "trace_id": string, ["parent_span": int] }], ...params }
 //! KIND     = "ping" | "version" | "encode" | "simulate" | "lookup" | "sweep"
-//!          | "metrics" | "trace" | "spans" | "stats"
+//!          | "metrics" | "spans" | "stats"
 //! response = { ["id": any], "ok": true,  ["trace_id": string], "result": object }
 //!          | { ["id": any], "ok": false, ["trace_id": string], "error": { "code": CODE, "message": string } }
 //! CODE     = "bad_request" | "unknown_arch" | "unknown_network"
@@ -22,13 +22,14 @@
 //!
 //! `trace_id` is a per-request identifier, echoed in the response
 //! **envelope** (never inside `result`, which stays byte-identical to the
-//! library serialization) and attached to the request's span in the
-//! server's trace buffer, so a slow response can be looked up with a
-//! `trace` request. Server-assigned (`t1`, `t2`, …) unless the request
-//! carried a `trace` context (revision 4), in which case the propagated
-//! `trace_id` is adopted — the cross-process handshake that lets a fleet
-//! coordinator stitch coordinator/backend/sim spans into one merged trace
-//! (see [`sibia_obs::context::TraceContext`] for the envelope rules). The
+//! library serialization). On a daemon started with tracing, a work
+//! request's `serve.request` span carries the same id, so a slow response
+//! can be looked up with `spans` and that `trace_id`. Server-assigned
+//! (`t1`, `t2`, …) unless the request carried a `trace` context (revision
+//! 4), in which case the propagated `trace_id` is adopted — the
+//! cross-process handshake that lets a fleet coordinator stitch
+//! coordinator/backend/sim spans into one merged trace (see
+//! [`sibia_obs::context::TraceContext`] for the envelope rules). The
 //! context rides the envelope only: results stay byte-identical whether or
 //! not a request is traced.
 //!
@@ -66,17 +67,17 @@
 //!   engines). The final response line is byte-identical to the
 //!   non-streamed reply: progress rides the connection, never the result.
 //! * `metrics` — no params; returns the server's counters (including
-//!   `dropped_spans`, the spans evicted from the bounded trace buffers).
-//! * `trace` — optional `limit: int` (default 32); returns the most recent
-//!   completed request spans as Chrome `trace_event` objects, newest first.
+//!   `dropped_spans`, the spans the process tracer's bounded buffer has
+//!   evicted).
 //! * `spans` — optional `limit: int` (default 4096), optional
-//!   `trace_id: string`; returns buffered spans from the process-global
-//!   tracer (the detailed `serve.request` → `sim.*` hierarchy recorded when
-//!   the daemon runs with `--trace`) as Chrome `trace_event` objects in
-//!   start order, plus the tracer's dropped-span count. With `trace_id`,
-//!   only spans belonging to that propagated trace (a request span carrying
-//!   the id, or any descendant of one) are returned — what a fleet
-//!   coordinator pulls per sweep to build the merged trace.
+//!   `trace_id: string`; returns the newest `limit` buffered spans of the
+//!   process tracer (the `serve.request` → `sim.*` hierarchy work requests
+//!   record when the daemon runs with `--trace`) as Chrome `trace_event`
+//!   objects in start order, plus the tracer's dropped-span count. With
+//!   `trace_id`, only spans belonging to that trace (a request span
+//!   carrying the id, or any descendant of one) are selected — how a client
+//!   looks up one response's spans by the `trace_id` it echoed, and what a
+//!   fleet coordinator pulls per sweep to build the merged trace.
 //! * `stats` — no params; forces a telemetry tick and returns the
 //!   time-series view (counter rates, gauge levels, windowed histogram
 //!   quantiles — see `sibia_obs::timeseries`). Answered inline, so a
@@ -117,8 +118,11 @@ pub use sibia_sim::jsonio::{grid_to_json, network_result_to_json};
 /// the `front` field from `version`, since the reactor is the only front
 /// end and responses may always return out of request order; revision 8
 /// removed the `tile` hint from `simulate` / `sweep` — it never changed a
-/// result, and a request that still sends it parses as if it had not).
-pub const PROTOCOL_REVISION: u64 = 8;
+/// result, and a request that still sends it parses as if it had not;
+/// revision 9 removed the `trace` verb, so `{"kind":"trace"}` is an unknown
+/// kind: `spans` with the `trace_id` a response echoed returns that
+/// request's span, and without one returns the newest spans).
+pub const PROTOCOL_REVISION: u64 = 9;
 
 /// Typed protocol error codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,17 +235,12 @@ pub enum Request {
     },
     /// The server's counters, answered inline.
     Metrics,
-    /// The most recent completed request spans, answered inline.
-    Trace {
-        /// Maximum spans to return (default 32).
-        limit: Option<usize>,
-    },
-    /// Buffered global-tracer spans (the `--trace` hierarchy), answered
+    /// Buffered process-tracer spans (the `--trace` hierarchy), answered
     /// inline.
     Spans {
-        /// Maximum spans to return (default 4096).
+        /// Maximum spans to return, newest kept (default 4096).
         limit: Option<usize>,
-        /// Only spans of this propagated trace (and their descendants).
+        /// Only spans of this trace (and their descendants).
         trace_id: Option<String>,
     },
     /// The time-series telemetry view, answered inline.
@@ -259,7 +258,6 @@ impl Request {
             Request::Lookup { .. } => "lookup",
             Request::Sweep { .. } => "sweep",
             Request::Metrics => "metrics",
-            Request::Trace { .. } => "trace",
             Request::Spans { .. } => "spans",
             Request::Stats => "stats",
         }
@@ -364,9 +362,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
         "ping" => Request::Ping,
         "version" => Request::Version,
         "metrics" => Request::Metrics,
-        "trace" => Request::Trace {
-            limit: field_u64(&v, "limit")?.map(|n| n as usize),
-        },
         "spans" => Request::Spans {
             limit: field_u64(&v, "limit")?.map(|n| n as usize),
             trace_id: match v.get("trace_id") {
@@ -767,11 +762,6 @@ mod tests {
             );
         }
 
-        let e = parse_request("{\"kind\":\"trace\",\"limit\":5}").unwrap();
-        assert_eq!(e.request, Request::Trace { limit: Some(5) });
-        let e = parse_request("{\"kind\":\"trace\"}").unwrap();
-        assert_eq!(e.request, Request::Trace { limit: None });
-
         let e = parse_request("{\"kind\":\"spans\",\"limit\":9,\"trace_id\":\"fs1\"}").unwrap();
         assert_eq!(
             e.request,
@@ -826,6 +816,9 @@ mod tests {
             "not json",
             "[1,2]",
             "{\"kind\":\"nope\"}",
+            // Revision 9 removed the `trace` verb.
+            "{\"kind\":\"trace\"}",
+            "{\"kind\":\"trace\",\"limit\":5}",
             "{\"id\":1}",
             "{\"kind\":\"encode\",\"values\":\"x\"}",
             "{\"kind\":\"encode\",\"values\":[1],\"bits\":40}",
@@ -837,6 +830,8 @@ mod tests {
             let err = parse_request(bad).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "{bad}");
         }
+        let err = parse_request("{\"kind\":\"trace\"}").unwrap_err();
+        assert_eq!(err.message, "unknown kind 'trace'");
     }
 
     /// A sweep line naming `archs` × `networks` × `seeds` cells, every

@@ -3,13 +3,12 @@
 //! Glue between the protocol-agnostic [`sibia_net`] reactor and the serve
 //! daemon: one `ReactorHandler` implements [`FrameHandler`] on the reactor
 //! thread, answering cheap requests (`ping`, `version`, `lookup`,
-//! `metrics`, `trace`, `spans`, `stats`) inline and admitting work
-//! requests into the bounded [`JobQueue`](crate::queue::JobQueue) the
-//! worker pool drains. Workers finish jobs themselves ([`finish_job`]):
-//! serialize, record metrics and the `serve.request` span, then hand the
-//! complete response line to the reactor through the frame's
-//! [`Completer`] — which is what lets pipelined responses on one
-//! connection complete out of request order.
+//! `metrics`, `spans`, `stats`) inline and admitting work requests into
+//! the bounded [`JobQueue`](crate::queue::JobQueue) the worker pool
+//! drains. Workers finish jobs themselves ([`finish_job`]): serialize,
+//! record metrics, then hand the complete response line to the reactor
+//! through the frame's [`Completer`] — which is what lets pipelined
+//! responses on one connection complete out of request order.
 //!
 //! ## Backpressure (all typed, in-protocol)
 //!
@@ -21,7 +20,7 @@
 //!    response bytes queued (a client that pipelines but never reads);
 //! 3. the shared job queue is at capacity.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,10 +32,12 @@ use crate::protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorCode, Request, ServeError,
 };
 use crate::queue::PushError;
-use crate::server::{
-    record_request, Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT,
-    TRACE_DEFAULT_LIMIT,
-};
+use crate::server::{Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT};
+
+/// Server-assigned trace-id sequence (`t1`, `t2`, …). Process-wide like
+/// the tracer the ids select spans from, so daemons sharing a process
+/// never assign the same id.
+static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Everything a worker needs to finish one reactor-admitted request after
 /// computing its outcome.
@@ -54,11 +55,15 @@ impl ReactorJob {
     pub(crate) fn completer(&self) -> Completer {
         self.completer.clone()
     }
+
+    /// The `trace_id` the response envelope will carry.
+    pub(crate) fn trace_id(&self) -> &str {
+        &self.trace_id
+    }
 }
 
 /// Binds and starts the reactor serving `shared`'s protocol. The reactor's
-/// `net.*` instruments register in the daemon's unified metrics registry,
-/// and connection-lifetime spans land in the shared tracer.
+/// `net.*` instruments register in the daemon's unified metrics registry.
 pub(crate) fn start(config: &ServeConfig, shared: Arc<Shared>) -> std::io::Result<Reactor> {
     let reactor_config = ReactorConfig {
         host: config.host.clone(),
@@ -75,9 +80,7 @@ pub(crate) fn start(config: &ServeConfig, shared: Arc<Shared>) -> std::io::Resul
         pipeline_depth: config.pipeline_depth.max(1),
         write_budget_bytes: config.write_budget_bytes.max(1),
     });
-    let registry = Arc::clone(shared.metrics.registry());
-    let tracer = Arc::clone(&shared.tracer);
-    Reactor::start(reactor_config, handler, &registry, Some(tracer))
+    Reactor::start(reactor_config, handler, shared.metrics.registry())
 }
 
 /// The NDJSON protocol, spoken frame-at-a-time on the reactor thread.
@@ -93,25 +96,19 @@ impl ReactorHandler {
     fn reply_now(
         &self,
         id: Option<&Json>,
-        trace_id: String,
+        trace_id: &str,
         kind: &'static str,
         received: Instant,
         mut phases: PhaseTimings,
-        outcome: &Result<Json, ServeError>,
+        outcome: Result<Json, ServeError>,
     ) -> FrameOutcome {
-        let serialize_start = Instant::now();
-        let line = serialize_response(id, &trace_id, outcome);
-        phases.serialize = serialize_start.elapsed();
         let outcome_code = outcome.as_ref().map(|_| ()).map_err(|e| e.code);
-        record_request(
-            &self.shared,
-            kind,
-            outcome_code,
-            received,
-            received.elapsed(),
-            phases,
-            trace_id,
-        );
+        let serialize_start = Instant::now();
+        let line = serialize_response(id, trace_id, outcome);
+        phases.serialize = serialize_start.elapsed();
+        self.shared
+            .metrics
+            .request(kind, outcome_code, received.elapsed(), phases);
         FrameOutcome::Reply(line)
     }
 
@@ -119,7 +116,7 @@ impl ReactorHandler {
     fn reject(
         &self,
         id: Option<&Json>,
-        trace_id: String,
+        trace_id: &str,
         kind: &'static str,
         received: Instant,
         error: ServeError,
@@ -130,7 +127,7 @@ impl ReactorHandler {
             kind,
             received,
             PhaseTimings::default(),
-            &Err(error),
+            Err(error),
         )
     }
 }
@@ -145,13 +142,10 @@ impl FrameHandler for ReactorHandler {
         if line.trim().is_empty() {
             return FrameOutcome::Ignore;
         }
-        let mut trace_id = format!(
-            "t{}",
-            self.shared.trace_seq.fetch_add(1, Ordering::Relaxed) + 1
-        );
+        let mut trace_id = format!("t{}", TRACE_SEQ.fetch_add(1, Ordering::Relaxed) + 1);
         let envelope = match parse_request(line) {
             Ok(envelope) => envelope,
-            Err(e) => return self.reject(None, trace_id, "invalid", received, e),
+            Err(e) => return self.reject(None, &trace_id, "invalid", received, e),
         };
         let id = envelope.id.clone();
         let kind = envelope.request.kind();
@@ -170,23 +164,12 @@ impl FrameHandler for ReactorHandler {
             let compute_start = Instant::now();
             let result = handler();
             phases.compute = compute_start.elapsed();
-            self.reply_now(
-                id.as_ref(),
-                trace_id.clone(),
-                kind,
-                received,
-                phases,
-                &Ok(result),
-            )
+            self.reply_now(id.as_ref(), &trace_id, kind, received, phases, Ok(result))
         };
         match &envelope.request {
             Request::Ping => return inline(&|| Json::obj(vec![("pong", Json::Bool(true))])),
             Request::Version => return inline(&|| self.shared.version_json()),
             Request::Metrics => return inline(&|| self.shared.metrics_json()),
-            Request::Trace { limit } => {
-                let limit = limit.unwrap_or(TRACE_DEFAULT_LIMIT);
-                return inline(&|| self.shared.trace_json(limit));
-            }
             Request::Spans { limit, trace_id } => {
                 let limit = limit.unwrap_or(SPANS_DEFAULT_LIMIT);
                 let filter = trace_id.clone();
@@ -207,14 +190,7 @@ impl FrameHandler for ReactorHandler {
                 let compute_start = Instant::now();
                 let outcome = self.shared.lookup_json(arch, network, *seed, *sample_cap);
                 phases.compute = compute_start.elapsed();
-                return self.reply_now(
-                    id.as_ref(),
-                    trace_id.clone(),
-                    kind,
-                    received,
-                    phases,
-                    &outcome,
-                );
+                return self.reply_now(id.as_ref(), &trace_id, kind, received, phases, outcome);
             }
             _ => {}
         }
@@ -223,7 +199,7 @@ impl FrameHandler for ReactorHandler {
         if cx.inflight >= self.pipeline_depth {
             return self.reject(
                 id.as_ref(),
-                trace_id,
+                &trace_id,
                 kind,
                 received,
                 ServeError::new(
@@ -238,7 +214,7 @@ impl FrameHandler for ReactorHandler {
         if cx.buffered_write_bytes > self.write_budget_bytes {
             return self.reject(
                 id.as_ref(),
-                trace_id,
+                &trace_id,
                 kind,
                 received,
                 ServeError::new(
@@ -287,7 +263,7 @@ fn submit(
             let rj = job.reply;
             handler.reject(
                 rj.id.as_ref(),
-                rj.trace_id,
+                &rj.trace_id,
                 kind,
                 received,
                 ServeError::new(
@@ -303,7 +279,7 @@ fn submit(
             let rj = job.reply;
             handler.reject(
                 rj.id.as_ref(),
-                rj.trace_id,
+                &rj.trace_id,
                 kind,
                 received,
                 ServeError::new(ErrorCode::ShuttingDown, "server is draining"),
@@ -313,8 +289,8 @@ fn submit(
 }
 
 /// Worker-side completion of a reactor job: serialize the response line,
-/// record metrics and the request span, then deliver the bytes to the
-/// reactor for flushing. Runs on a worker thread, never on the reactor.
+/// record metrics, then deliver the bytes to the reactor for flushing.
+/// Runs on a worker thread, never on the reactor.
 pub(crate) fn finish_job(
     shared: &Shared,
     rj: ReactorJob,
@@ -327,31 +303,26 @@ pub(crate) fn finish_job(
         compute,
         ..PhaseTimings::default()
     };
-    let serialize_start = Instant::now();
-    let line = serialize_response(rj.id.as_ref(), &rj.trace_id, &outcome);
-    phases.serialize = serialize_start.elapsed();
     let outcome_code = outcome.as_ref().map(|_| ()).map_err(|e| e.code);
-    record_request(
-        shared,
-        rj.kind,
-        outcome_code,
-        rj.received,
-        rj.received.elapsed(),
-        phases,
-        rj.trace_id,
-    );
+    let serialize_start = Instant::now();
+    let line = serialize_response(rj.id.as_ref(), &rj.trace_id, outcome);
+    phases.serialize = serialize_start.elapsed();
+    shared
+        .metrics
+        .request(rj.kind, outcome_code, rj.received.elapsed(), phases);
     rj.completer.complete(line);
 }
 
-/// One complete response line, trailing `\n` included.
+/// One complete response line, trailing `\n` included. The result moves
+/// into the envelope: a `simulate` or `sweep` reply is never copied.
 fn serialize_response(
     id: Option<&Json>,
     trace_id: &str,
-    outcome: &Result<Json, ServeError>,
+    outcome: Result<Json, ServeError>,
 ) -> Vec<u8> {
     let response = match outcome {
-        Ok(result) => ok_response(id, Some(trace_id), result.clone()),
-        Err(e) => error_response(id, Some(trace_id), e),
+        Ok(result) => ok_response(id, Some(trace_id), result),
+        Err(e) => error_response(id, Some(trace_id), &e),
     };
     let mut line = response.to_string().into_bytes();
     line.push(b'\n');

@@ -12,9 +12,9 @@
 //! overloaded reject    serialize → Completer → reactor flushes the line
 //! ```
 //!
-//! Cheap requests (`ping`, `version`, `lookup`, `metrics`, `trace`,
-//! `spans`, `stats`) are answered inline on the reactor thread so the
-//! daemon stays observable while saturated. Work requests (`encode`,
+//! Cheap requests (`ping`, `version`, `lookup`, `metrics`, `spans`,
+//! `stats`) are answered inline on the reactor thread so the daemon stays
+//! observable while saturated. Work requests (`encode`,
 //! `simulate`, `sweep`) pass through the bounded [`JobQueue`]: when it is
 //! full the request is rejected *immediately* with a typed `overloaded`
 //! error — never queued unboundedly, never blocked. Requests pipeline, and
@@ -24,12 +24,15 @@
 //!
 //! ## Observability
 //!
-//! Every request gets a server-assigned `trace_id` echoed in its response
-//! envelope, and its latency is split into queue-wait / compute / serialize
-//! phase histograms (`serve.latency.*` in the unified registry — see
-//! DESIGN.md §8). The completed request becomes a `serve.request` span in a
-//! bounded in-memory tracer; a `trace` request returns the most recent N
-//! spans as Chrome `trace_event` objects.
+//! Every request gets a `trace_id` echoed in its response envelope
+//! (server-assigned, or adopted from a propagated trace context), and its
+//! latency is split into queue-wait / compute / serialize phase histograms
+//! (`serve.latency.*` in the unified registry — see DESIGN.md §8). With
+//! [`ServeConfig::trace`] on, each work request also records a
+//! `serve.request` span in the process tracer ([`sibia_obs::tracer`]),
+//! carrying that `trace_id`, its queue wait, and the `sim.*` spans of its
+//! computation as children; `spans` with the `trace_id` returns them as
+//! Chrome `trace_event` objects.
 //!
 //! ## Shutdown
 //!
@@ -47,18 +50,18 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sibia_nn::{zoo, Network};
 use sibia_obs::json::Json;
-use sibia_obs::{Sampler, SamplerSource, Telemetry, Tracer};
+use sibia_obs::{Sampler, SamplerSource, Telemetry};
 use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
 use sibia_store::Store;
 
-use crate::metrics::{GaugeSample, PhaseTimings, ServeMetrics};
+use crate::metrics::{GaugeSample, ServeMetrics};
 use crate::protocol::{
     arch_by_name, encode_stats, grid_to_json, network_result_to_json, progress_frame, Envelope,
     ErrorCode, Request, ServeError, PROTOCOL_REVISION,
@@ -74,12 +77,6 @@ const SIGNAL_TICK: Duration = Duration::from_millis(20);
 
 /// Longest accepted request line (16 MiB covers ~2M-value encode payloads).
 pub(crate) const MAX_LINE_BYTES: usize = 16 << 20;
-
-/// Completed request spans kept for `trace` requests (oldest evicted).
-const TRACE_CAPACITY: usize = 4096;
-
-/// Default span count returned by a `trace` request without `limit`.
-pub(crate) const TRACE_DEFAULT_LIMIT: usize = 32;
 
 /// Default span count returned by a `spans` request without `limit` — the
 /// whole hierarchy buffer, since a fleet coordinator wants every span of
@@ -186,13 +183,6 @@ pub(crate) struct Shared {
     pub(crate) metrics: ServeMetrics,
     pub(crate) cache: DecompCache,
     pub(crate) engine: ParallelEngine,
-    /// Always-enabled bounded tracer holding completed `serve.request`
-    /// spans (the `trace` request reads it; `--trace-out`-style export is
-    /// the sim-side global tracer's job). `Arc` so the reactor can record
-    /// its connection-lifetime spans into the same buffer.
-    pub(crate) tracer: Arc<Tracer>,
-    /// Per-request trace-id sequence (`t1`, `t2`, …).
-    pub(crate) trace_seq: AtomicU64,
     /// Persistent result store, when the daemon was started with a
     /// `store_dir`. Simulate/sweep read through it and write back.
     pub(crate) store: Option<Store>,
@@ -206,13 +196,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Spans evicted (oldest-first) from either bounded trace buffer: the
-    /// shared request tracer and the process-global hierarchy tracer.
-    /// Nonzero means `trace` / `spans` responses are silently incomplete.
-    pub(crate) fn dropped_spans(&self) -> u64 {
-        self.tracer.dropped() + sibia_obs::tracer().dropped()
-    }
-
     fn gauge_sample(&self) -> GaugeSample {
         GaugeSample {
             queue_depth: self.queue.depth(),
@@ -227,7 +210,7 @@ impl Shared {
         let store_stats = self.store.as_ref().map(Store::stats);
         self.metrics.to_json(
             &self.gauge_sample(),
-            self.dropped_spans(),
+            sibia_obs::tracer().dropped(),
             store_stats.as_ref(),
         )
     }
@@ -251,25 +234,13 @@ impl Shared {
         ])
     }
 
-    /// The most recent completed request spans, newest first, as Chrome
-    /// `trace_event` objects.
-    pub(crate) fn trace_json(&self, limit: usize) -> Json {
-        let spans = self.tracer.recent(Some("serve.request"), limit);
-        Json::obj(vec![
-            (
-                "spans",
-                Json::Array(spans.iter().map(|s| s.to_chrome_json()).collect()),
-            ),
-            ("dropped", Json::from(self.tracer.dropped())),
-        ])
-    }
-
-    /// Hierarchical spans from the process-global tracer (the worker-side
-    /// `serve.request` guards plus the `sim.*` spans nested under them),
-    /// oldest first so parents precede children, as Chrome `trace_event`
+    /// The newest `limit` spans of the process tracer (the worker-side
+    /// `serve.request` guards plus the `sim.*` spans nested under them), in
+    /// start order so parents precede children, as Chrome `trace_event`
     /// objects. With a `trace_id` filter, only spans belonging to that
     /// request — a span whose `trace_id` attribute matches, plus every
-    /// descendant — are returned; that is how a fleet coordinator pulls
+    /// descendant — are selected; that is how a client finds the spans of
+    /// the response that echoed the id, and how a fleet coordinator pulls
     /// exactly its own sweep's spans out of a shared backend. Empty unless
     /// the daemon was started with tracing enabled.
     pub(crate) fn spans_json(&self, limit: usize, trace_id: Option<&str>) -> Json {
@@ -297,11 +268,8 @@ impl Shared {
                     .collect()
             }
         };
-        let spans: Vec<Json> = selected
-            .iter()
-            .take(limit)
-            .map(|r| r.to_chrome_json())
-            .collect();
+        let newest = &selected[selected.len().saturating_sub(limit)..];
+        let spans: Vec<Json> = newest.iter().map(|r| r.to_chrome_json()).collect();
         Json::obj(vec![
             ("spans", Json::Array(spans)),
             ("dropped", Json::from(sibia_obs::tracer().dropped())),
@@ -585,13 +553,12 @@ pub(crate) fn execute(
             }
             Ok(grid_to_json(&grid))
         }
-        // Ping/Version/Lookup/Metrics/Trace/Spans/Stats are answered inline
-        // by the reactor thread.
+        // Ping/Version/Lookup/Metrics/Spans/Stats are answered inline by the
+        // reactor thread.
         Request::Ping
         | Request::Version
         | Request::Lookup { .. }
         | Request::Metrics
-        | Request::Trace { .. }
         | Request::Spans { .. }
         | Request::Stats => Err(ServeError::new(
             ErrorCode::Internal,
@@ -610,17 +577,17 @@ fn worker_loop(shared: &Shared) {
         idle_us.add(idle_since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         let queue_wait = job.queued_at.elapsed();
         let compute_start = Instant::now();
-        // When the global tracer is enabled (`--trace`), wrap the work in a
-        // hierarchy span: `sim.*` spans recorded on this thread nest under
-        // it via the thread-local parent stack, and a propagated trace
-        // context links it under the remote caller's span for merging.
+        // When the process tracer is enabled (`--trace`), wrap the work in
+        // a span carrying the response's `trace_id`: `sim.*` spans recorded
+        // on this thread nest under it via the thread-local parent stack,
+        // and a propagated trace context links it under the remote
+        // caller's span for merging. Its duration is the compute time.
         let mut span = sibia_obs::tracer().span("serve.request");
         span.attr("kind", job.envelope.request.kind());
-        if let Some(ctx) = &job.envelope.trace {
-            span.attr("trace_id", &ctx.trace_id);
-            if let Some(parent) = ctx.parent_span {
-                span.set_remote_parent(parent);
-            }
+        span.attr("trace_id", job.reply.trace_id());
+        span.attr("queue_wait_us", queue_wait.as_micros());
+        if let Some(parent) = job.envelope.trace.as_ref().and_then(|c| c.parent_span) {
+            span.set_remote_parent(parent);
         }
         // Streamed sweeps get a progress emitter bound to this job's
         // connection; everything else computes silently.
@@ -647,42 +614,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Records one completed request into the metrics and the trace buffer —
-/// shared by inline replies on the reactor thread and worker completions.
-pub(crate) fn record_request(
-    shared: &Shared,
-    kind: &str,
-    outcome_code: Result<(), ErrorCode>,
-    received: Instant,
-    total: Duration,
-    phases: PhaseTimings,
-    trace_id: String,
-) {
-    shared.metrics.request(kind, outcome_code, total, phases);
-    shared.tracer.record_span(
-        "serve.request",
-        received,
-        total.as_micros().min(u128::from(u64::MAX)) as u64,
-        vec![
-            ("trace_id".to_owned(), trace_id),
-            ("kind".to_owned(), kind.to_owned()),
-            ("ok".to_owned(), outcome_code.is_ok().to_string()),
-            (
-                "queue_wait_us".to_owned(),
-                phases.queue_wait.as_micros().to_string(),
-            ),
-            (
-                "compute_us".to_owned(),
-                phases.compute.as_micros().to_string(),
-            ),
-            (
-                "serialize_us".to_owned(),
-                phases.serialize.as_micros().to_string(),
-            ),
-        ],
-    );
-}
-
 /// A running daemon. Dropping the handle does **not** stop the server; call
 /// [`ServerHandle::shutdown`].
 pub struct Server {
@@ -705,8 +636,6 @@ impl Server {
     /// Binds, starts the epoll reactor and spawns the worker pool, and
     /// returns immediately.
     pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
-        let tracer = Arc::new(Tracer::with_capacity(TRACE_CAPACITY));
-        tracer.enable();
         if config.trace {
             // Process-global and sticky for the daemon's lifetime: sim
             // spans check one relaxed atomic and servers never race to
@@ -732,8 +661,6 @@ impl Server {
             metrics,
             cache: DecompCache::with_capacity(config.cache_capacity.max(1)),
             engine: ParallelEngine::with_threads(config.engine_threads),
-            tracer,
-            trace_seq: AtomicU64::new(0),
             store,
             peers: config.peers.clone(),
             telemetry: Arc::clone(&telemetry),

@@ -1,5 +1,5 @@
 //! Property-style fuzzing of the `sibia_obs::json` parser the daemon reads
-//! requests with.
+//! requests with, and of the request envelopes built on it.
 //!
 //! The daemon parses every request line straight off the network, so the
 //! parser's contract — **error, never panic** — is load-bearing for
@@ -7,10 +7,14 @@
 //! (reproducible without a fuzz corpus): random byte soup, structured
 //! mutations (truncation, splicing, duplication) of valid documents,
 //! pathological nesting, and a serialize-parse fixed-point check on
-//! generated documents.
+//! generated documents. One level up, mutated envelopes of every request
+//! kind must parse to a request or a typed `bad_request` through
+//! `parse_request`, and parsed `encode` payloads must come back from
+//! `encode_stats`.
 
 use sibia_nn::rng::SynthRng;
 use sibia_obs::json::Json;
+use sibia_serve::protocol::{encode_stats, parse_request, ErrorCode, Request};
 
 /// A random JSON-ish document: valid shapes with random contents, so
 /// mutations of it land near the parser's accepting paths.
@@ -157,4 +161,176 @@ fn generated_documents_round_trip_to_a_fixed_point() {
         let reparsed = Json::parse(&text).expect("own serialization must parse");
         assert_eq!(reparsed.to_string(), text);
     }
+}
+
+/// One valid envelope of each request kind, together covering every
+/// optional field of the grammar.
+const ENVELOPES: [&str; 9] = [
+    r#"{"id":1,"kind":"ping"}"#,
+    r#"{"id":"v","kind":"version","timeout_ms":50}"#,
+    r#"{"id":3,"kind":"encode","values":[0,-3,5,63,-63,21],"bits":7,"gsbr_width":3}"#,
+    r#"{"id":4,"kind":"simulate","arch":"sibia","network":"dgcnn","seed":7,"sample_cap":512}"#,
+    r#"{"id":5,"kind":"lookup","arch":"hnpu","network":"dgcnn","seed":2,"sample_cap":64}"#,
+    r#"{"id":6,"kind":"sweep","archs":["sibia","bitfusion"],"networks":["dgcnn"],"seeds":[1,2],"stream":true}"#,
+    r#"{"id":7,"kind":"metrics","trace":{"trace_id":"fs1","parent_span":9}}"#,
+    r#"{"id":8,"kind":"spans","limit":4,"trace_id":"t3"}"#,
+    r#"{"id":9,"kind":"stats","trace":{"trace_id":"t9"}}"#,
+];
+
+/// Integer fields of the grammar, arrays of integers included.
+const INT_FIELDS: [&str; 8] = [
+    "bits",
+    "gsbr_width",
+    "seed",
+    "sample_cap",
+    "timeout_ms",
+    "limit",
+    "values",
+    "seeds",
+];
+
+/// Integers at and past the edges of every range the grammar checks.
+const EDGE_INTS: [i64; 16] = [
+    -1,
+    0,
+    1,
+    2,
+    8,
+    9,
+    16,
+    17,
+    32_767,
+    -32_768,
+    i32::MAX as i64,
+    i32::MIN as i64,
+    i32::MAX as i64 + 1,
+    (1 << 53) + 1,
+    i64::MAX,
+    i64::MIN,
+];
+
+/// `trace` contexts the envelope rules must refuse, plus `null` (none).
+fn malformed_context(rng: &mut SynthRng) -> Json {
+    const FIXTURES: [&str; 10] = [
+        "7",
+        "[]",
+        "\"t1\"",
+        "{}",
+        "{\"trace_id\":\"\"}",
+        "{\"trace_id\":5}",
+        "{\"trace_id\":\"t\",\"parent_span\":-2}",
+        "{\"trace_id\":\"t\",\"parent_span\":1.5}",
+        "{\"trace_id\":\"t\",\"parent_span\":\"9\"}",
+        "null",
+    ];
+    match FIXTURES.get(pick(rng, FIXTURES.len() + 1)) {
+        Some(text) => Json::parse(text).expect("context fixture parses"),
+        // A trace id one byte over the cap.
+        None => Json::obj(vec![("trace_id", Json::Str("x".repeat(129)))]),
+    }
+}
+
+fn pick(rng: &mut SynthRng, n: usize) -> usize {
+    ((rng.unit_f64() * n as f64) as usize).min(n - 1)
+}
+
+fn set(members: &mut Vec<(String, Json)>, key: &str, value: Json) {
+    match members.iter_mut().find(|(k, _)| k == key) {
+        Some(member) => member.1 = value,
+        None => members.push((key.to_owned(), value)),
+    }
+}
+
+/// One structural mutation of an envelope object: a field dropped,
+/// retyped or duplicated, an integer pushed out of range, a malformed
+/// `trace` context, or the retired `trace` kind.
+fn mutate(rng: &mut SynthRng, members: &mut Vec<(String, Json)>) {
+    match (rng.unit_f64() * 6.0) as u32 {
+        0 if !members.is_empty() => {
+            members.remove(pick(rng, members.len()));
+        }
+        1 if !members.is_empty() => {
+            let i = pick(rng, members.len());
+            members[i].1 = random_doc(rng, 2);
+        }
+        2 if !members.is_empty() => {
+            let (key, value) = members[pick(rng, members.len())].clone();
+            let value = if rng.unit_f64() < 0.5 {
+                value
+            } else {
+                random_doc(rng, 2)
+            };
+            members.insert(pick(rng, members.len() + 1), (key, value));
+        }
+        3 => {
+            let key = INT_FIELDS[pick(rng, INT_FIELDS.len())];
+            let edge = Json::Int(EDGE_INTS[pick(rng, EDGE_INTS.len())]);
+            let value = match key {
+                "values" | "seeds" => Json::Array(vec![Json::Int(1), edge, Json::Int(0)]),
+                _ => edge,
+            };
+            set(members, key, value);
+        }
+        4 => {
+            let context = malformed_context(rng);
+            set(members, "trace", context);
+        }
+        _ => set(members, "kind", Json::from("trace")),
+    }
+}
+
+#[test]
+fn mutated_envelopes_parse_or_fail_typed() {
+    for (envelope, kind) in ENVELOPES.iter().zip([
+        "ping", "version", "encode", "simulate", "lookup", "sweep", "metrics", "spans", "stats",
+    ]) {
+        let parsed = parse_request(envelope).unwrap_or_else(|e| panic!("{envelope}: {e:?}"));
+        assert_eq!(parsed.request.kind(), kind);
+    }
+
+    let mut rng = SynthRng::for_stream(0xF0225, 0);
+    let (mut parsed, mut encoded) = (0, 0);
+    for round in 0..6_000 {
+        let base = ENVELOPES[round % ENVELOPES.len()];
+        let Ok(Json::Object(mut members)) = Json::parse(base) else {
+            unreachable!("fixtures are objects");
+        };
+        let mutations = 1 + pick(&mut rng, 3);
+        for _ in 0..mutations {
+            mutate(&mut rng, &mut members);
+        }
+        let retired = members
+            .iter()
+            .find(|(k, _)| k == "kind")
+            .is_some_and(|(_, v)| v.as_str() == Some("trace"));
+        let line = Json::Object(members).to_string();
+        match parse_request(&line) {
+            Ok(envelope) => {
+                assert!(!retired, "the retired trace verb parsed: {line}");
+                parsed += 1;
+                if let Request::Encode {
+                    values,
+                    bits,
+                    gsbr_width,
+                } = &envelope.request
+                {
+                    encoded += 1;
+                    if let Err(e) = encode_stats(values, *bits, *gsbr_width) {
+                        assert_eq!(e.code, ErrorCode::BadRequest, "{line}: {e:?}");
+                    }
+                }
+            }
+            Err(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "{line}: {e:?}");
+                assert!(!e.message.is_empty(), "{line}");
+            }
+        }
+    }
+    // The mutations stay close enough to the grammar that many lines still
+    // parse, encode payloads included.
+    assert!(parsed > 600, "only {parsed} mutated envelopes parsed");
+    assert!(
+        encoded > 50,
+        "only {encoded} encode payloads reached encode_stats"
+    );
 }

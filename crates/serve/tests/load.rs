@@ -256,8 +256,8 @@ fn a_thousand_pipelined_connections_get_every_answer() {
         );
     }
 
-    // Every phase histogram saw every request, their exact-µs sum never
-    // exceeds the total, and the trace buffer holds spans.
+    // Every phase histogram saw every request, and their exact-µs sum never
+    // exceeds the total.
     let mut probe = Client::connect(&addr).expect("probe connect");
     probe
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -280,14 +280,6 @@ fn a_thousand_pipelined_connections_get_every_answer() {
         phase_sum_us += at(&["phases_ms", phase, "total_us"]);
     }
     assert!(phase_sum_us <= at(&["latency_ms", "total_us"]));
-    let trace = probe.trace(Some(8)).expect("trace");
-    assert!(
-        trace
-            .get("spans")
-            .and_then(Json::as_array)
-            .is_some_and(|s| !s.is_empty()),
-        "trace buffer empty after a full load run"
-    );
     server.shutdown();
 }
 

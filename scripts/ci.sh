@@ -235,7 +235,10 @@ echo "==> telemetry smoke test"
 # coordinator's fleet.dispatch spans are cross-process ancestors of the
 # backends' serve.request and sim.* spans — three pid lanes minimum, valid
 # nesting. Telemetry must never change the sweep's result bytes, and the
-# time-series counters must be monotonic between two stats scrapes.
+# time-series counters must be monotonic between two stats scrapes. The
+# spans suite (a response's echoed trace_id selects its spans; limit keeps
+# the newest) runs explicitly so a workspace test filter can never silently
+# skip it.
 tel_dir="$(mktemp -d)"
 ./target/release/sibia-cli serve --port 0 --trace >"$tel_dir/a.log" 2>&1 &
 tel_pid_a=$!
@@ -284,6 +287,7 @@ wait "$tel_pid_a" 2>/dev/null || true
 wait "$tel_pid_b" 2>/dev/null || true
 trap - EXIT
 rm -rf "$tel_dir"
+cargo test -q -p sibia-serve --test spans
 
 echo "==> telemetry overhead gate"
 # The same pipelined leg on fresh daemons with hierarchy tracing off and on,
