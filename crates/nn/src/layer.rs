@@ -149,6 +149,26 @@ impl fmt::Display for Reduction {
     }
 }
 
+/// Every field of a [`Layer`] as a hashable value, floats by their bits.
+///
+/// Two layers have equal fingerprints exactly when their `Debug` forms are
+/// equal: `-0.0` and `0.0` differ, and every NaN (which `Debug` prints as
+/// `NaN`) maps to one bit pattern. Built by [`Layer::fingerprint`]; the
+/// simulator's memo caches key on it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LayerFingerprint {
+    name: String,
+    kind: LayerKind,
+    /// The activation's variant and its `alpha` bits (0 when it has none).
+    activation: (u8, u32),
+    input_precision: Precision,
+    weight_precision: Precision,
+    reduction: Option<Reduction>,
+    input_sparsity: u64,
+    input_profile: InputProfile,
+    dram_input_fraction: u64,
+}
+
 /// One layer of a benchmark network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
@@ -355,6 +375,42 @@ impl Layer {
     /// MAC count (delegates to [`LayerKind::macs`]).
     pub fn macs(&self) -> u64 {
         self.kind.macs()
+    }
+
+    /// This layer's identity as a hash key (see [`LayerFingerprint`]).
+    pub fn fingerprint(&self) -> LayerFingerprint {
+        fn f32_bits(x: f32) -> u32 {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        fn f64_bits(x: f64) -> u64 {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        let activation = match self.activation {
+            Activation::Identity => (0, 0),
+            Activation::Relu => (1, 0),
+            Activation::LeakyRelu { alpha } => (2, f32_bits(alpha)),
+            Activation::Gelu => (3, 0),
+            Activation::Elu { alpha } => (4, f32_bits(alpha)),
+        };
+        LayerFingerprint {
+            name: self.name.clone(),
+            kind: self.kind,
+            activation,
+            input_precision: self.input_precision,
+            weight_precision: self.weight_precision,
+            reduction: self.reduction,
+            input_sparsity: f64_bits(self.input_sparsity),
+            input_profile: self.input_profile,
+            dram_input_fraction: f64_bits(self.dram_input_fraction),
+        }
     }
 }
 

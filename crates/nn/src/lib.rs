@@ -26,6 +26,6 @@ pub mod synth;
 pub mod zoo;
 
 pub use activation::Activation;
-pub use layer::{Layer, LayerKind, Reduction};
+pub use layer::{Layer, LayerFingerprint, LayerKind, Reduction};
 pub use network::Network;
 pub use synth::SynthSource;

@@ -46,4 +46,4 @@ pub use context::TraceContext;
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use timeseries::{Sampler, SamplerSource, Telemetry, TimeSeries};
-pub use trace::{registry, tracer, SpanGuard, SpanRecord, Tracer};
+pub use trace::{registry, tracer, AdoptedParent, SpanGuard, SpanRecord, Tracer};

@@ -26,7 +26,9 @@
 //! ended out of order (the stack removes by id, wherever it sits); spans
 //! on different threads record concurrently and carry their own thread
 //! ids. A guard moved to — and dropped on — another thread records
-//! correctly but does not parent later spans of its origin thread.
+//! correctly but does not parent later spans of its origin thread. A
+//! worker thread nests its spans under a span of the thread that spawned
+//! it by adopting that span's id ([`Tracer::adopt_parent`]).
 //!
 //! When the buffer is full the **oldest** span of the stripe is evicted
 //! and counted in [`Tracer::dropped`] — recent history wins, memory stays
@@ -208,6 +210,18 @@ impl Tracer {
         }
     }
 
+    /// Makes `parent`, a span open on another thread (its
+    /// [`SpanGuard::id`]), the parent of the spans this thread opens until
+    /// the returned guard drops. Parent stacks are per thread, so this is
+    /// how a worker thread keeps its spans under the span that spawned it.
+    /// `None`, the id of an inert guard, adopts nothing.
+    pub fn adopt_parent(&self, parent: Option<u64>) -> AdoptedParent {
+        if let Some(id) = parent {
+            STACK.with(|s| s.borrow_mut().push(id));
+        }
+        AdoptedParent { id: parent }
+    }
+
     fn push(&self, record: SpanRecord) {
         let shard = &self.shards[(record.tid as usize) % SHARDS];
         let mut buf = shard.lock().expect("tracer shard lock");
@@ -321,6 +335,21 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
+/// A parent adopted from another thread ([`Tracer::adopt_parent`]); this
+/// thread's later spans stop nesting under it when the guard drops.
+#[must_use = "the parent is adopted only while the guard lives"]
+pub struct AdoptedParent {
+    id: Option<u64>,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        if let Some(id) = self.id {
+            STACK.with(|s| s.borrow_mut().retain(|&open| open != id));
+        }
+    }
+}
+
 static GLOBAL_TRACER: OnceLock<Tracer> = OnceLock::new();
 
 /// The process-wide tracer: the one tracer every span of the stack records
@@ -428,6 +457,27 @@ mod tests {
             let parent = records.iter().find(|r| Some(r.id) == cell.parent).unwrap();
             assert_eq!(parent.tid, cell.tid, "parentage never crosses threads");
         }
+    }
+
+    #[test]
+    fn an_adopted_parent_nests_another_threads_spans() {
+        let t = Tracer::new();
+        t.enable();
+        let outer = t.span("grid");
+        let outer_id = outer.id();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let adopted = t.adopt_parent(outer_id);
+                drop(t.span("cell"));
+                drop(adopted);
+                drop(t.span("after"));
+            });
+        });
+        drop(outer);
+        let records = t.records();
+        let parent_of = |name: &str| records.iter().find(|r| r.name == name).unwrap().parent;
+        assert_eq!(parent_of("cell"), outer_id);
+        assert_eq!(parent_of("after"), None, "the adoption ends with its guard");
     }
 
     #[test]

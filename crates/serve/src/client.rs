@@ -14,7 +14,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{parse_response, ErrorCode, ServeError};
+use crate::protocol::{parse_response, wire_line, ErrorCode, ServeError};
 use sibia_obs::json::Json;
 
 /// What a request can fail with, from the caller's point of view.
@@ -217,10 +217,8 @@ impl Client {
                 "request must be a JSON object".into(),
             ));
         }
-        let mut line = request.to_string();
-        line.push('\n');
         let mut writer = self.reader.get_ref();
-        writer.write_all(line.as_bytes())?;
+        writer.write_all(&wire_line(&request))?;
         writer.flush()?;
         self.outstanding.push(id);
         Ok(id)
@@ -252,7 +250,7 @@ impl Client {
             });
         };
         self.outstanding.remove(pos);
-        let outcome = parse_response(&parsed).map_err(|e| match e.code {
+        let outcome = parse_response(parsed).map_err(|e| match e.code {
             ErrorCode::Overloaded => ClientError::Overloaded(e.message),
             _ => ClientError::Server(e),
         });
@@ -462,7 +460,7 @@ impl Client {
                     outstanding: self.outstanding.clone(),
                 });
             }
-            return parse_response(&parsed).map_err(|e| match e.code {
+            return parse_response(parsed).map_err(|e| match e.code {
                 ErrorCode::Overloaded => ClientError::Overloaded(e.message),
                 _ => ClientError::Server(e),
             });

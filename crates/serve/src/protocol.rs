@@ -548,6 +548,14 @@ pub fn progress_frame(id: Option<&Json>, done: usize, total: usize, cell: &str) 
     Json::Object(members)
 }
 
+/// `frame` as one wire line, trailing `\n` included, built in one buffer.
+pub(crate) fn wire_line(frame: &Json) -> Vec<u8> {
+    let mut line = String::new();
+    frame.write_to(&mut line);
+    line.push('\n');
+    line.into_bytes()
+}
+
 /// Builds an error response line (without the trailing newline).
 pub fn error_response(id: Option<&Json>, trace_id: Option<&str>, error: &ServeError) -> Json {
     let mut members = Vec::with_capacity(4);
@@ -570,14 +578,19 @@ pub fn error_response(id: Option<&Json>, trace_id: Option<&str>, error: &ServeEr
 
 /// Parses a response object into `Ok(result)` / `Err(ServeError)`.
 ///
+/// Takes the parsed envelope by value and moves `result` out of it: a
+/// `simulate` or `sweep` answer is never copied.
+///
 /// Unknown error codes map to [`ErrorCode::Internal`] with the original
 /// spelling preserved in the message.
-pub fn parse_response(v: &Json) -> Result<Json, ServeError> {
+pub fn parse_response(v: Json) -> Result<Json, ServeError> {
     match v.get("ok").and_then(Json::as_bool) {
-        Some(true) => v
-            .get("result")
-            .cloned()
-            .ok_or_else(|| ServeError::new(ErrorCode::Internal, "ok response without result")),
+        Some(true) => match v {
+            Json::Object(members) => members.into_iter().find(|(k, _)| k == "result"),
+            _ => None,
+        }
+        .map(|(_, result)| result)
+        .ok_or_else(|| ServeError::new(ErrorCode::Internal, "ok response without result")),
         Some(false) => {
             let err = v.get("error");
             let code_str = err
@@ -887,7 +900,7 @@ mod tests {
             "{\"id\":\"r1\",\"ok\":true,\"result\":{\"x\":1}}"
         );
         assert_eq!(
-            parse_response(&ok).unwrap(),
+            parse_response(ok.clone()).unwrap(),
             Json::obj(vec![("x", Json::Int(1))])
         );
 
@@ -898,10 +911,7 @@ mod tests {
             traced.to_string(),
             "{\"id\":\"r1\",\"ok\":true,\"trace_id\":\"t42\",\"result\":{\"x\":1}}"
         );
-        assert_eq!(
-            parse_response(&traced).unwrap(),
-            parse_response(&ok).unwrap()
-        );
+        assert_eq!(parse_response(traced).unwrap(), parse_response(ok).unwrap());
 
         let err = error_response(
             None,
@@ -912,7 +922,7 @@ mod tests {
             err.to_string(),
             "{\"ok\":false,\"error\":{\"code\":\"overloaded\",\"message\":\"queue full\"}}"
         );
-        let back = parse_response(&err).unwrap_err();
+        let back = parse_response(err).unwrap_err();
         assert_eq!(back.code, ErrorCode::Overloaded);
         assert_eq!(back.message, "queue full");
     }

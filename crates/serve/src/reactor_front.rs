@@ -29,7 +29,7 @@ use sibia_obs::json::Json;
 
 use crate::metrics::PhaseTimings;
 use crate::protocol::{
-    error_response, ok_response, parse_request, Envelope, ErrorCode, Request, ServeError,
+    error_response, ok_response, parse_request, wire_line, Envelope, ErrorCode, Request, ServeError,
 };
 use crate::queue::PushError;
 use crate::server::{Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT};
@@ -324,7 +324,5 @@ fn serialize_response(
         Ok(result) => ok_response(id, Some(trace_id), result),
         Err(e) => error_response(id, Some(trace_id), &e),
     };
-    let mut line = response.to_string().into_bytes();
-    line.push(b'\n');
-    line
+    wire_line(&response)
 }

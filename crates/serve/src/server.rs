@@ -22,6 +22,9 @@
 //! `crate::reactor_front`). Linux only: `Server::start` fails with
 //! `Unsupported` elsewhere.
 //!
+//! A request whose work panics is answered with a typed `internal` error
+//! and counted in `serve.worker.panics`; its worker thread keeps serving.
+//!
 //! ## Observability
 //!
 //! Every request gets a `trace_id` echoed in its response envelope
@@ -57,14 +60,14 @@ use std::time::{Duration, Instant};
 
 use sibia_nn::{zoo, Network};
 use sibia_obs::json::Json;
-use sibia_obs::{Sampler, SamplerSource, Telemetry};
+use sibia_obs::{Counter, Sampler, SamplerSource, Telemetry};
 use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
 use sibia_store::Store;
 
 use crate::metrics::{GaugeSample, ServeMetrics};
 use crate::protocol::{
-    arch_by_name, encode_stats, grid_to_json, network_result_to_json, progress_frame, Envelope,
-    ErrorCode, Request, ServeError, PROTOCOL_REVISION,
+    arch_by_name, encode_stats, grid_to_json, network_result_to_json, progress_frame, wire_line,
+    Envelope, ErrorCode, Request, ServeError, PROTOCOL_REVISION,
 };
 use crate::queue::JobQueue;
 use crate::reactor_front::ReactorJob;
@@ -162,9 +165,7 @@ pub(crate) struct ProgressEmitter {
 impl ProgressEmitter {
     pub(crate) fn emit(&self, done: usize, total: usize, cell: &str) {
         let frame = progress_frame(self.id.as_ref(), done, total, cell);
-        let mut line = frame.to_string().into_bytes();
-        line.push(b'\n');
-        self.completer.progress(line);
+        self.completer.progress(wire_line(&frame));
     }
 }
 
@@ -567,11 +568,36 @@ pub(crate) fn execute(
     }
 }
 
+/// Runs one request's work, turning a panic into a typed `internal` error
+/// counted in `panics`: a bug that one request reaches costs that request
+/// its answer, not the pool a worker thread for the daemon's lifetime.
+fn contain_panic(
+    panics: &Counter,
+    work: impl FnOnce() -> Result<Json, ServeError>,
+) -> Result<Json, ServeError> {
+    // Unwind safety: the work shares only atomics and mutex-guarded state.
+    // A panic under a lock poisons it, and the lock's `expect` then fails
+    // every later request that takes it, each one contained here.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        panics.inc();
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Err(ServeError::new(
+            ErrorCode::Internal,
+            format!("request panicked: {what}"),
+        ))
+    })
+}
+
 fn worker_loop(shared: &Shared) {
     // Aggregate busy/idle accounting across the pool: the sampler turns the
     // counter deltas into utilisation rates (busy_rate / (busy + idle)).
     let busy_us = shared.metrics.registry().counter("serve.worker.busy_us");
     let idle_us = shared.metrics.registry().counter("serve.worker.idle_us");
+    let panics = shared.metrics.registry().counter("serve.worker.panics");
     let mut idle_since = Instant::now();
     while let Some(job) = shared.queue.pop() {
         idle_us.add(idle_since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
@@ -603,7 +629,9 @@ fn worker_loop(shared: &Shared) {
                 ErrorCode::DeadlineExceeded,
                 "deadline passed while queued",
             )),
-            _ => execute(shared, &job.envelope.request, emitter.as_ref()),
+            _ => contain_panic(&panics, || {
+                execute(shared, &job.envelope.request, emitter.as_ref())
+            }),
         };
         span.attr("ok", outcome.is_ok());
         drop(span);
@@ -728,5 +756,29 @@ impl Server {
             std::thread::sleep(SIGNAL_TICK);
         }
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_is_answered_and_counted() {
+        let panics = Counter::new();
+        let err = contain_panic(&panics, || panic!("boom")).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Internal);
+        assert_eq!(err.message, "request panicked: boom");
+        let err = contain_panic(&panics, || panic!("layer {} of {}", 3, 7)).unwrap_err();
+        assert_eq!(err.message, "request panicked: layer 3 of 7");
+        assert_eq!(panics.get(), 2);
+        // Work that returns passes through untouched and is not counted.
+        let ok = contain_panic(&panics, || Ok(Json::Int(1)));
+        assert_eq!(ok.unwrap(), Json::Int(1));
+        let typed = contain_panic(&panics, || {
+            Err(ServeError::new(ErrorCode::BadRequest, "no"))
+        });
+        assert_eq!(typed.unwrap_err().code, ErrorCode::BadRequest);
+        assert_eq!(panics.get(), 2);
     }
 }

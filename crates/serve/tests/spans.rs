@@ -94,7 +94,7 @@ fn spans_selects_by_echoed_trace_id_and_keeps_the_newest() {
     let server = Server::start(ServeConfig {
         trace: true,
         workers: 1,
-        engine_threads: 1,
+        engine_threads: 2,
         ..ServeConfig::default()
     })
     .expect("bind ephemeral port");
@@ -161,6 +161,28 @@ fn spans_selects_by_echoed_trace_id_and_keeps_the_newest() {
         .expect("propagated request span");
     assert_eq!(arg_str(request, "trace_id"), "fs-probe");
     assert_eq!(arg(request, "remote_parent"), Some(&Json::from(77u64)));
+
+    // A two-row sweep runs on two engine worker threads; their spans still
+    // descend from the request, through the grid span.
+    let sweep = "{\"kind\":\"sweep\",\"archs\":[\"sibia\",\"bitfusion\"],\
+                 \"networks\":[\"dgcnn\"],\"seeds\":[1,2],\"sample_cap\":1024}";
+    let tid = wire.traced(sweep);
+    let spans = wire.spans(&format!(",\"trace_id\":\"{tid}\""));
+    let count = |n: &str| spans.iter().filter(|s| name(s) == n).count();
+    assert_eq!(count("serve.request"), 1);
+    assert_eq!(count("sim.grid"), 1);
+    assert_eq!(count("sim.cell"), 4, "two archs by two seeds");
+    assert_eq!(count("sim.network"), 4);
+    assert_eq!(count("sim.layer"), 4 * layers);
+    assert_eq!(spans.len(), 2 + 4 + 4 + 4 * layers, "nothing else");
+    let grid_id = spans
+        .iter()
+        .find(|s| name(s) == "sim.grid")
+        .and_then(|s| arg(s, "id"))
+        .expect("grid span id");
+    for cell in spans.iter().filter(|s| name(s) == "sim.cell") {
+        assert_eq!(arg(cell, "parent"), Some(grid_id), "{cell}");
+    }
 
     // `limit` keeps the newest spans: the third of three encodes.
     let encode = "{\"kind\":\"encode\",\"values\":[0,-3,5],\"bits\":7}";

@@ -7,7 +7,10 @@
 //! slice representation. This module caches both levels:
 //!
 //! * [`DecompCache::tensors`]-level — the quantized input/weight codes of a
-//!   layer, keyed by `(layer fingerprint, seed, layer index, sample cap)`;
+//!   layer, keyed by `(layer fingerprint, seed, layer index, sample cap)`,
+//!   where the fingerprint ([`Layer::fingerprint`]) is every field of the
+//!   layer with floats by their bits: two layers share it exactly when their
+//!   `Debug` forms are equal, and building it formats nothing;
 //! * [`DecompCache::decomp`]-level — a [`LayerDecomp`]: the per-order
 //!   [`PlaneCounts`] (zero-slice / zero-sub-word / RLE-entry counts measured
 //!   in one pass by the runtime-dispatched `plane_counts` kernel) plus
@@ -47,7 +50,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sibia_nn::Layer;
+use sibia_nn::{Layer, LayerFingerprint};
 use sibia_sbr::kernels::PlaneCounts;
 
 use crate::spec::Repr;
@@ -130,12 +133,13 @@ pub struct LayerTensors {
     pub weight_codes: Vec<i32>,
 }
 
-/// Cache key for synthesized tensors. The layer itself is fingerprinted via
-/// its `Debug` form (layers carry `f32` fields and so cannot implement
-/// `Hash` directly); the fingerprint covers every generation-relevant field.
+/// Cache key for synthesized tensors. Layers carry floats and so cannot
+/// implement `Hash`; the key holds the layer's [`LayerFingerprint`] instead:
+/// every field, floats by their bits, equal exactly when the layers' `Debug`
+/// forms are. Building it copies the name and formats nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct TensorKey {
-    layer_fp: String,
+    layer: LayerFingerprint,
     seed: u64,
     layer_index: usize,
     sample_cap: usize,
@@ -144,7 +148,7 @@ struct TensorKey {
 /// Cache key for decomposition statistics.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct DecompKey {
-    layer_fp: String,
+    layer: LayerFingerprint,
     seed: u64,
     layer_index: usize,
     sample_cap: usize,
@@ -286,7 +290,7 @@ impl DecompCache {
         synth: impl FnOnce() -> LayerTensors,
     ) -> Arc<LayerTensors> {
         let key = TensorKey {
-            layer_fp: format!("{layer:?}"),
+            layer: layer.fingerprint(),
             seed,
             layer_index,
             sample_cap,
@@ -315,7 +319,7 @@ impl DecompCache {
         measure: impl FnOnce() -> LayerDecomp,
     ) -> Arc<LayerDecomp> {
         let key = DecompKey {
-            layer_fp: format!("{layer:?}"),
+            layer: layer.fingerprint(),
             seed,
             layer_index,
             sample_cap,
@@ -418,6 +422,72 @@ mod tests {
             weight_codes: vec![],
         });
         assert_eq!(cache.tensor_entries(), 2);
+    }
+
+    #[test]
+    fn layers_share_a_key_exactly_when_their_debug_forms_are_equal() {
+        use sibia_nn::{Activation, Layer};
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let leaky = |alpha: f32| Activation::LeakyRelu { alpha };
+        let base = Layer::linear("l", 4, 8, 8)
+            .with_activation(Activation::LEAKY_RELU_01)
+            .with_input_sparsity(0.25);
+        let layers = [
+            base.clone(),
+            base.clone(),
+            // Only the name differs.
+            Layer::linear("m", 4, 8, 8)
+                .with_activation(Activation::LEAKY_RELU_01)
+                .with_input_sparsity(0.25),
+            // Only one float's bits differ.
+            base.clone().with_input_sparsity(next_up(0.25)),
+            base.clone().with_dram_input_fraction(next_up(0.5)),
+            base.clone().with_dram_input_fraction(0.5),
+            base.clone()
+                .with_activation(leaky(f32::from_bits(0.1f32.to_bits() + 1))),
+            // Only the sign of a zero differs.
+            base.clone().with_input_sparsity(0.0),
+            base.clone().with_input_sparsity(-0.0),
+            base.clone().with_activation(leaky(0.0)),
+            base.clone().with_activation(leaky(-0.0)),
+            // The same alpha under another variant.
+            base.clone().with_activation(Activation::Elu { alpha: 0.0 }),
+            // NaNs whose bits differ print alike.
+            base.clone().with_activation(leaky(f32::NAN)),
+            base.clone()
+                .with_activation(leaky(f32::from_bits(f32::NAN.to_bits() | 1))),
+        ];
+        for a in &layers {
+            for b in &layers {
+                assert_eq!(
+                    a.fingerprint() == b.fingerprint(),
+                    format!("{a:?}") == format!("{b:?}"),
+                    "{a:?} against {b:?}"
+                );
+            }
+        }
+        // Through both levels: one entry, and one miss, per distinct form.
+        let distinct: std::collections::HashSet<String> =
+            layers.iter().map(|l| format!("{l:?}")).collect();
+        assert_eq!(distinct.len(), layers.len() - 2);
+        let cache = DecompCache::new();
+        let values: Vec<i32> = (-10..10).collect();
+        for layer in &layers {
+            cache.tensors(layer, 1, 0, 64, || LayerTensors {
+                input_codes: vec![],
+                weight_codes: vec![],
+            });
+            cache.decomp(layer, 1, 0, 64, Repr::Sbr, || LayerDecomp {
+                ki: 2,
+                kw: 2,
+                input: OperandStats::measure(&values, Precision::BITS7, Repr::Sbr),
+                weight: OperandStats::measure(&values, Precision::BITS7, Repr::Sbr),
+            });
+        }
+        assert_eq!(cache.tensor_entries(), distinct.len());
+        assert_eq!(cache.decomp_entries(), distinct.len());
+        assert_eq!(cache.misses(), 2 * distinct.len() as u64);
+        assert_eq!(cache.hits(), 4);
     }
 
     #[test]

@@ -341,10 +341,17 @@ impl ParallelEngine {
             // its spans nest under the caller's open span.
             run_worker(0);
         } else {
+            // Parent stacks are per thread: each worker adopts the grid
+            // span, or its spans would open with no parent and fall out of
+            // the caller's trace.
+            let grid_id = grid_span.id();
             std::thread::scope(|scope| {
                 for worker_index in 0..workers {
                     let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker_index));
+                    scope.spawn(move || {
+                        let _parent = sibia_obs::tracer().adopt_parent(grid_id);
+                        run_worker(worker_index)
+                    });
                 }
             });
         }
