@@ -51,23 +51,6 @@ pub struct SkipDecision {
     pub compress_weight: Vec<bool>,
 }
 
-impl SkipDecision {
-    /// Mean zero-sub-word fraction over the skipped operand's planes
-    /// (0 when skipping is disabled).
-    pub fn skipped_fraction(&self) -> f64 {
-        let planes = match self.side {
-            SkipSide::Input => &self.input_sparsity,
-            SkipSide::Weight => &self.weight_sparsity,
-            SkipSide::None => return 0.0,
-        };
-        if planes.is_empty() {
-            0.0
-        } else {
-            planes.iter().sum::<f64>() / planes.len() as f64
-        }
-    }
-}
-
 /// The dynamic sparsity monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsmUnit {
@@ -185,7 +168,6 @@ mod tests {
         let dsm = DsmUnit::new();
         let d = dsm.decide(&[plane(0, 10)], &[plane(0, 10)]);
         assert_eq!(d.side, SkipSide::None);
-        assert_eq!(d.skipped_fraction(), 0.0);
     }
 
     #[test]
@@ -195,14 +177,6 @@ mod tests {
         let d = dsm.decide(&[plane(0, 10), plane(9, 1)], &[plane(0, 10)]);
         assert_eq!(d.compress_input, vec![false, true]);
         assert_eq!(d.compress_weight, vec![false]);
-    }
-
-    #[test]
-    fn skipped_fraction_reflects_side() {
-        let dsm = DsmUnit::new();
-        let d = dsm.decide(&[plane(5, 5)], &[plane(0, 10)]);
-        assert_eq!(d.side, SkipSide::Input);
-        assert!((d.skipped_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn main() {
     // decomposition cache (see fig10).
     let archs = fig_archs();
     let nets = zoo::sparse_benchmarks();
-    let grid = ParallelEngine::new().simulate_grid(&Simulator::new(1), &archs, &nets, &[1]);
+    let grid = ParallelEngine::new().run(GridRequest::new(Simulator::new(1), &archs, &nets, &[1]));
     for (ni, net) in nets.iter().enumerate() {
         let bf = grid.get(0, ni, 0);
         let hnpu = grid.get(1, ni, 0);

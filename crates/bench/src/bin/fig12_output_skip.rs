@@ -65,7 +65,7 @@ fn main() {
         let hybrid = Accelerator::sibia().with_seed(1).run_network(&net);
         for &c in candidates {
             let acc = Accelerator::sibia_output_skip(c).with_seed(1);
-            let out = match prop {
+            let scales = match prop {
                 Prop::Cascade {
                     prefix,
                     blocks,
@@ -76,15 +76,19 @@ fn main() {
                     } else {
                         TokenPruning::vit(c)
                     };
-                    let scales = pruning.layer_scales(prefix, blocks, per_block);
-                    acc.run_network_scaled(&net, &scales)
+                    Some(pruning.layer_scales(prefix, blocks, per_block))
                 }
-                Prop::None => acc.run_network(&net),
+                Prop::None => None,
             };
+            let scales = scales.as_deref();
+            let grid = ParallelEngine::with_threads(1).run(GridRequest {
+                scales: scales.as_ref().map(std::slice::from_ref),
+                ..GridRequest::cell(acc.simulator(), acc.spec(), &net)
+            });
             t.row(&[
                 &name,
                 &c,
-                &format!("{:.2}x", out.speedup_over(&hybrid)),
+                &format!("{:.2}x", grid.get(0, 0, 0).speedup_over(&hybrid)),
                 &paper,
             ]);
         }

@@ -43,7 +43,7 @@ fn main() -> std::io::Result<()> {
     // variants share those statistics.
     let archs = fig_archs();
     let nets = fig_networks();
-    let grid = ParallelEngine::new().simulate_grid(&Simulator::new(1), &archs, &nets, &[1]);
+    let grid = ParallelEngine::new().run(GridRequest::new(Simulator::new(1), &archs, &nets, &[1]));
     for (n, net) in nets.iter().enumerate() {
         let speedup = |arch: usize| grid.get(arch, n, 0).speedup_over(grid.get(0, n, 0));
         writeln!(

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 
 use sibia::obs::Json;
-use sibia::sim::{grid_to_json, ParallelEngine, Simulator};
+use sibia::sim::{grid_to_json, GridRequest, ParallelEngine, Simulator};
 use sibia::store::fnv64;
 use sibia_bench::{fig_archs, fig_networks};
 
@@ -70,12 +70,8 @@ fn report_all_writes_the_expected_files() {
 
 #[test]
 fn seed1_fig_grid_matches_its_digest() {
-    let grid = ParallelEngine::new().simulate_grid(
-        &Simulator::new(1),
-        &fig_archs(),
-        &fig_networks(),
-        &[1],
-    );
+    let (archs, nets) = (fig_archs(), fig_networks());
+    let grid = ParallelEngine::new().run(GridRequest::new(Simulator::new(1), &archs, &nets, &[1]));
     assert_eq!(
         digest(grid_to_json(&grid).to_string().as_bytes()),
         expected("grid.seed1")

@@ -370,7 +370,7 @@ fn fleet_command(args: &[String]) -> ExitCode {
         if let Some(cap) = sample_cap {
             sim.sample_cap = cap.max(1);
         }
-        let grid = ParallelEngine::new().simulate_grid(&sim, &specs, &nets, &seeds);
+        let grid = ParallelEngine::new().run(GridRequest::new(sim, &specs, &nets, &seeds));
         println!("{}", grid_to_json(&grid));
         return match trace_path {
             Some(path) => write_trace(&path),
@@ -1137,11 +1137,11 @@ fn main() -> ExitCode {
                 None => None,
             };
             let trace_path = trace_out(&args);
-            let acc = Accelerator::from_spec(arch).with_seed(seed);
-            let r = match &store {
-                Some(store) => acc.run_network_stored(&net, store),
-                None => acc.run_network(&net),
-            };
+            let grid = ParallelEngine::with_threads(1).run(GridRequest {
+                store: store.as_ref(),
+                ..GridRequest::cell(&Simulator::new(seed), &arch, &net)
+            });
+            let r = grid.get(0, 0, 0);
             println!("{r}");
             if let Some(store) = &store {
                 let stats = store.stats();
@@ -1181,28 +1181,29 @@ fn main() -> ExitCode {
                 Err(e) => return fail("compare", &e),
             };
             let trace_path = trace_out(&args);
-            let bf = Accelerator::bit_fusion().with_seed(seed).run_network(&net);
-            println!(
-                "{:<18} {:>10} {:>10} {:>9} {:>9}",
-                "architecture", "ms", "GOPS", "TOPS/W", "speedup"
-            );
-            for arch in [
+            let archs = [
                 ArchSpec::bit_fusion(),
                 ArchSpec::hnpu(),
                 ArchSpec::sibia_no_sbr(),
                 ArchSpec::sibia_input_skip(),
                 ArchSpec::sibia_hybrid(),
-            ] {
-                let r = Accelerator::from_spec(arch)
-                    .with_seed(seed)
-                    .run_network(&net);
+            ];
+            let sim = Simulator::new(seed);
+            let grid = ParallelEngine::new().run(GridRequest::new(sim, &archs, &[net], &[seed]));
+            let bf = grid.get(0, 0, 0);
+            println!(
+                "{:<18} {:>10} {:>10} {:>9} {:>9}",
+                "architecture", "ms", "GOPS", "TOPS/W", "speedup"
+            );
+            for cell in grid.cells() {
+                let r = &cell.result;
                 println!(
                     "{:<18} {:>10.2} {:>10.1} {:>9.2} {:>8.2}x",
                     r.arch,
                     r.time_s() * 1e3,
                     r.throughput_gops(),
                     r.efficiency_tops_w(),
-                    r.speedup_over(&bf)
+                    r.speedup_over(bf)
                 );
             }
             match trace_path {

@@ -29,6 +29,13 @@
 //! assert!(sibia.speedup_over(&bitfusion) > 1.5);
 //! ```
 //!
+//! ## One engine path
+//!
+//! Every simulation is one [`sim::GridRequest`] (archs × networks × seeds,
+//! optionally with per-network layer scales, a shared cache, a store and a
+//! per-cell observer) run by [`sim::ParallelEngine::run`].
+//! [`Accelerator::run_network`] is the one-cell request.
+//!
 //! ## Crate map
 //!
 //! | module | contents |
@@ -59,7 +66,7 @@ pub use sibia_tensor as tensor;
 
 use sibia_nn::Network;
 use sibia_sim::perf::{LatencyModel, NetworkResult, Simulator};
-use sibia_sim::{ArchSpec, DecompCache};
+use sibia_sim::ArchSpec;
 
 /// Commonly used items, re-exported for `use sibia::prelude::*`.
 pub mod prelude {
@@ -71,7 +78,9 @@ pub mod prelude {
     pub use sibia_sbr::stats::SparsityReport;
     pub use sibia_sbr::{ConvSlices, Precision, Quantizer, SbrSlices};
     pub use sibia_sim::perf::NetworkResult;
-    pub use sibia_sim::{ArchSpec, DecompCache, GridResult, ParallelEngine, PeSim, Simulator};
+    pub use sibia_sim::{
+        ArchSpec, DecompCache, GridRequest, GridResult, ParallelEngine, PeSim, Simulator,
+    };
     pub use sibia_speculate::{PoolConfig, SliceRepr, Speculator};
 }
 
@@ -158,39 +167,10 @@ impl Accelerator {
         &self.simulator
     }
 
-    /// Runs a network through the performance simulator.
+    /// Runs a network through the performance simulator: a one-cell
+    /// [`sim::GridRequest`] ([`Simulator::simulate_network`]).
     pub fn run_network(&self, network: &Network) -> NetworkResult {
         self.simulator.simulate_network(&self.spec, network)
-    }
-
-    /// [`Self::run_network`] with read-through/write-back against the
-    /// persistent [`store`]: a previously stored result for this exact
-    /// `(network, seed, arch, config)` is returned from disk without
-    /// simulating; a miss simulates and writes back. Bit-identical either
-    /// way (see `sibia_sim::stored`).
-    pub fn run_network_stored(
-        &self,
-        network: &Network,
-        store: &sibia_store::Store,
-    ) -> NetworkResult {
-        sibia_sim::simulate_network_stored(
-            &self.simulator,
-            &self.spec,
-            network,
-            &DecompCache::new(),
-            store,
-        )
-    }
-
-    /// Runs a network with per-layer workload scales (see
-    /// [`Simulator::simulate_network_scaled`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len()` differs from the layer count.
-    pub fn run_network_scaled(&self, network: &Network, scales: &[f64]) -> NetworkResult {
-        self.simulator
-            .simulate_network_scaled(&self.spec, network, Some(scales))
     }
 }
 

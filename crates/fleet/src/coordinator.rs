@@ -59,7 +59,7 @@
 //! reshards — only changes **which backend computes a row and when**,
 //! never a cell's bytes; hedge twins are first-writer-wins deduped per
 //! cell on the board, and the merge reads the slots back in flat order.
-//! Reassembling therefore reproduces `grid_to_json(simulate_grid(…))`
+//! Reassembling therefore reproduces `grid_to_json` of the direct grid
 //! exactly — regardless of backend count, membership churn, steals,
 //! hedges, retries, or completion order. The integration suite pins this
 //! against live servers, including seeded chaos schedules (mid-sweep
@@ -650,8 +650,8 @@ impl Fleet {
 
 impl Fleet {
     /// Runs the (archs × networks × seeds) grid and returns the merged
-    /// document — byte-identical to `grid_to_json` of a direct
-    /// `simulate_grid` call — plus dispatch statistics.
+    /// document — byte-identical to `grid_to_json` of the same grid run
+    /// in process (`ParallelEngine::run`) — plus dispatch statistics.
     pub fn sweep_with_stats(
         &self,
         archs: &[String],

@@ -15,7 +15,7 @@
 //! | [`backoff`] | bounded exponential backoff with deterministic jitter (SynthRng, no `rand`) |
 //! | [`breaker`] | per-backend Closed/Open/HalfOpen circuit breaker |
 //! | [`pool`] | per-backend blocking connection pool over [`sibia_serve::Client`] |
-//! | [`control`] | the control plane: membership state machine, work-stealing queues, hedged dispatch, chaos harness |
+//! | [`control`] | the control plane: membership state machine, work-stealing queues, hedged dispatch |
 //! | [`coordinator`] | the [`Fleet`] itself: dispatch workers, retry/failover policy, hedge monitor, ping prober, result merge |
 //! | [`telemetry`] | fleet-wide Chrome trace assembly: per-process `pid` lanes, global span ids, propagated parent links |
 //!
@@ -69,8 +69,7 @@ pub mod telemetry;
 pub use backoff::BackoffPolicy;
 pub use breaker::CircuitBreaker;
 pub use control::{
-    ChaosAction, ChaosEvent, ChaosPlan, CompletionBoard, HedgeConfig, MemberState, Membership,
-    MembershipAction, PlannedEvent, SlowProxy,
+    CompletionBoard, HedgeConfig, MemberState, Membership, MembershipAction, PlannedEvent,
 };
 pub use coordinator::{Fleet, FleetConfig, FleetError, SweepStats};
 pub use pool::ClientPool;

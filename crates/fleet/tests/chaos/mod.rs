@@ -1,4 +1,4 @@
-//! Deterministic chaos tooling for the failover suite and the bench.
+//! Deterministic chaos tooling for the fleet test suites.
 //!
 //! Two pieces:
 //!
@@ -10,8 +10,11 @@
 //!   per-request delay, standing between the coordinator and one backend.
 //!   The delay is pure sleep, which is exactly what a straggler looks
 //!   like from the outside: the backend is healthy and correct, just
-//!   late. Stall events flip the delay up, heal events drop it to zero,
-//!   and the bench parks one on its straggler leg.
+//!   late. Stall events flip the delay up and heal events drop it to zero.
+//!
+//! A module of the test tree, not of the library: `tests/failover.rs` (which
+//! also holds the plans' own tests) and `tests/hedge_spans.rs` include it
+//! with `mod chaos;`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -227,35 +230,6 @@ fn forward(client: TcpStream, upstream: SocketAddr, delay_ms: &AtomicU64, shutdo
         }
         if (&client).write_all(response.as_bytes()).is_err() {
             return;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plans_are_deterministic_per_seed() {
-        let a = ChaosPlan::generate(7, 3, Duration::from_millis(400));
-        let b = ChaosPlan::generate(7, 3, Duration::from_millis(400));
-        assert_eq!(a, b);
-        let c = ChaosPlan::generate(8, 3, Duration::from_millis(400));
-        assert_ne!(a, c, "different seeds should differ (xoshiro streams)");
-    }
-
-    #[test]
-    fn plans_always_exercise_kill_and_join() {
-        for seed in 0..16 {
-            let plan = ChaosPlan::generate(seed, 4, Duration::from_millis(300));
-            assert!(plan
-                .events
-                .iter()
-                .any(|e| matches!(e.action, ChaosAction::Kill(_))));
-            assert!(plan.events.iter().any(|e| e.action == ChaosAction::Join));
-            let mut sorted = plan.events.clone();
-            sorted.sort_by_key(|e| e.at);
-            assert_eq!(plan.events, sorted, "events arrive in firing order");
         }
     }
 }

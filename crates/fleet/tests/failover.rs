@@ -1,7 +1,7 @@
 //! Fleet integration: live backends, byte-identity, and failover.
 //!
 //! The acceptance property pinned here: a fleet sweep's merged document is
-//! **byte-identical** to `grid_to_json` of a direct `simulate_grid` call —
+//! **byte-identical** to `grid_to_json` of a direct grid request —
 //! for 1, 2, and 4 backends, when a backend answers `overloaded`, when a
 //! backend drops every connection mid-request, and when a real backend is
 //! shut down mid-sweep. The crash-backend test additionally asserts
@@ -18,6 +18,8 @@
 //! warm peer answers every cell from the peer.
 #![cfg(target_os = "linux")]
 
+mod chaos;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -29,7 +31,7 @@ use sibia_obs::registry;
 use sibia_serve::protocol::{arch_by_name, error_response, grid_to_json, ErrorCode, ServeError};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::Client;
-use sibia_sim::{DecompCache, ParallelEngine, Simulator};
+use sibia_sim::{DecompCache, GridRequest, ParallelEngine, Simulator};
 
 const ARCHS: [&str; 2] = ["sibia", "bitfusion"];
 const NETWORKS: [&str; 1] = ["dgcnn"];
@@ -72,8 +74,10 @@ fn grid_bytes(
         .collect();
     let mut sim = Simulator::new(seeds[0]);
     sim.sample_cap = sample_cap;
-    let grid =
-        ParallelEngine::with_threads(1).simulate_grid_cached(&sim, &specs, &networks, seeds, cache);
+    let grid = ParallelEngine::with_threads(1).run(GridRequest {
+        cache: Some(cache),
+        ..GridRequest::new(sim, &specs, &networks, seeds)
+    });
     grid_to_json(&grid).to_string()
 }
 
@@ -391,6 +395,32 @@ fn unknown_arch_aborts_the_sweep_with_a_typed_rejection() {
     server.shutdown();
 }
 
+#[test]
+fn plans_are_deterministic_per_seed() {
+    use chaos::ChaosPlan;
+    let a = ChaosPlan::generate(7, 3, Duration::from_millis(400));
+    let b = ChaosPlan::generate(7, 3, Duration::from_millis(400));
+    assert_eq!(a, b);
+    let c = ChaosPlan::generate(8, 3, Duration::from_millis(400));
+    assert_ne!(a, c, "different seeds should differ (xoshiro streams)");
+}
+
+#[test]
+fn plans_always_exercise_kill_and_join() {
+    use chaos::{ChaosAction, ChaosPlan};
+    for seed in 0..16 {
+        let plan = ChaosPlan::generate(seed, 4, Duration::from_millis(300));
+        assert!(plan
+            .events
+            .iter()
+            .any(|e| matches!(e.action, ChaosAction::Kill(_))));
+        assert!(plan.events.iter().any(|e| e.action == ChaosAction::Join));
+        let mut sorted = plan.events.clone();
+        sorted.sort_by_key(|e| e.at);
+        assert_eq!(plan.events, sorted, "events arrive in firing order");
+    }
+}
+
 /// Replays a seeded [`ChaosPlan`] — kill + join + stalls/heals — against
 /// live backends while a sweep runs, and pins the merged output
 /// byte-identical to the direct grid. Three seeds, three different
@@ -398,7 +428,7 @@ fn unknown_arch_aborts_the_sweep_with_a_typed_rejection() {
 /// function of the seed.
 #[test]
 fn seeded_chaos_schedules_keep_bytes_identical() {
-    use sibia_fleet::{ChaosAction, ChaosPlan, SlowProxy};
+    use chaos::{ChaosAction, ChaosPlan, SlowProxy};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use std::time::Instant;
@@ -477,7 +507,8 @@ fn seeded_chaos_schedules_keep_bytes_identical() {
 /// stealing pulls cells to it — and the merge must not notice.
 #[test]
 fn planned_join_steals_work_for_the_new_member() {
-    use sibia_fleet::{MembershipAction, PlannedEvent, SlowProxy};
+    use chaos::SlowProxy;
+    use sibia_fleet::{MembershipAction, PlannedEvent};
 
     let s0 = start_server();
     let s1 = start_server();
@@ -520,7 +551,8 @@ fn planned_join_steals_work_for_the_new_member() {
 /// to the survivors and ends the sweep out of rotation.
 #[test]
 fn planned_leave_reshards_the_queue_and_drains_out() {
-    use sibia_fleet::{MembershipAction, PlannedEvent, SlowProxy};
+    use chaos::SlowProxy;
+    use sibia_fleet::{MembershipAction, PlannedEvent};
 
     let s0 = start_server();
     let s1 = start_server();
@@ -564,7 +596,7 @@ fn planned_leave_reshards_the_queue_and_drains_out() {
 /// its membership stays Active).
 #[test]
 fn hedged_dispatch_rescues_a_stalled_backend() {
-    use sibia_fleet::SlowProxy;
+    use chaos::SlowProxy;
 
     let stalled = start_server();
     let healthy = start_server();
@@ -613,7 +645,7 @@ fn hedged_dispatch_rescues_a_stalled_backend() {
 /// stall is a sleep that no cache shortens.
 #[test]
 fn dynamic_dispatch_beats_a_static_schedule_around_a_straggler() {
-    use sibia_fleet::SlowProxy;
+    use chaos::SlowProxy;
     const STRAGGLER_CAP: usize = 2048;
     const MIN_SPEEDUP: f64 = 3.0;
 
@@ -789,7 +821,7 @@ fn a_cold_sweep_computes_each_row_once() {
 /// row is never stolen.
 #[test]
 fn a_warm_sweep_after_steals_is_all_store_hits() {
-    use sibia_fleet::SlowProxy;
+    use chaos::SlowProxy;
 
     let dirs = [temp_dir("steal-b0"), temp_dir("steal-b1")];
     let servers: Vec<Server> = dirs

@@ -7,9 +7,13 @@
 //! global, so enabling it here would make any other test sharing the binary
 //! record spans too.
 
+#[allow(dead_code)] // only the straggler proxy is used here
+mod chaos;
+
 use std::time::Duration;
 
-use sibia_fleet::{Fleet, FleetConfig, SlowProxy};
+use chaos::SlowProxy;
+use sibia_fleet::{Fleet, FleetConfig};
 use sibia_obs::tracer;
 use sibia_serve::server::{ServeConfig, Server};
 

@@ -61,7 +61,9 @@ use std::time::{Duration, Instant};
 use sibia_nn::{zoo, Network};
 use sibia_obs::json::Json;
 use sibia_obs::{Counter, Sampler, SamplerSource, Telemetry};
-use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
+use sibia_sim::{
+    ArchSpec, DecompCache, GridCell, GridRequest, GridResult, ParallelEngine, Simulator,
+};
 use sibia_store::Store;
 
 use crate::metrics::{GaugeSample, ServeMetrics};
@@ -203,7 +205,7 @@ impl Shared {
             queue_capacity: self.queue.capacity(),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            cache_entries: self.cache.tensor_entries() + self.cache.decomp_entries(),
+            cache_entries: self.cache.decomp_entries(),
         }
     }
 
@@ -298,15 +300,8 @@ impl Shared {
         seed: u64,
         sample_cap: Option<usize>,
     ) -> Result<Json, ServeError> {
-        let spec = arch_by_name(arch).ok_or_else(|| {
-            ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{arch}'"))
-        })?;
-        let net = zoo::by_name(network).ok_or_else(|| {
-            ServeError::new(
-                ErrorCode::UnknownNetwork,
-                format!("unknown network '{network}'"),
-            )
-        })?;
+        let spec = resolve_arch(arch)?;
+        let net = resolve_network(network)?;
         let mut sim = Simulator::new(seed);
         sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
         let hit = self
@@ -332,18 +327,35 @@ impl Shared {
     }
 }
 
+/// A protocol arch name's spec, or a typed `unknown_arch` error.
+fn resolve_arch(name: &str) -> Result<ArchSpec, ServeError> {
+    let error = || ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{name}'"));
+    arch_by_name(name).ok_or_else(error)
+}
+
+/// A zoo network, or a typed `unknown_network` error.
+fn resolve_network(name: &str) -> Result<Network, ServeError> {
+    let error = || {
+        ServeError::new(
+            ErrorCode::UnknownNetwork,
+            format!("unknown network '{name}'"),
+        )
+    };
+    zoo::by_name(name).ok_or_else(error)
+}
+
 /// Peer-lookup connect timeout: a peer is on the same fleet, so a dial
 /// slower than this means it is gone — fall through to simulating.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Peer-lookup IO timeout: a store probe is a read + one response line.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Cross-backend warm start: asks each configured peer (in order) whether
-/// its store already holds the cell. First parsable hit wins. Every
-/// failure mode — dial, IO, protocol, unparsable result — counts in
-/// `serve.peer.errors` and falls through to the next peer, then to local
-/// simulation: a broken peer must never fail a request that this daemon
-/// can compute itself.
+/// Cross-backend warm start for one cell: asks each configured peer (in
+/// order) whether its store already holds the cell. First parsable hit
+/// wins. Every failure mode — dial, IO, protocol, unparsable result —
+/// counts in `serve.peer.errors` and falls through to the next peer, then
+/// to local simulation: a broken peer must never fail a request that this
+/// daemon can compute itself.
 fn peer_warm_start(
     shared: &Shared,
     arch: &str,
@@ -351,9 +363,6 @@ fn peer_warm_start(
     seed: u64,
     sample_cap: usize,
 ) -> Option<sibia_sim::perf::NetworkResult> {
-    if shared.peers.is_empty() {
-        return None;
-    }
     let registry = shared.metrics.registry();
     for peer in &shared.peers {
         let mut client = match crate::client::Client::with_timeouts(
@@ -391,12 +400,13 @@ fn peer_warm_start(
     None
 }
 
-/// A sweep's peer warm start: every cell missing from the local store is
-/// looked up on the peers ([`peer_warm_start`]) and a hit is written back,
-/// so the grid's store read-through then answers it without simulating.
-/// Archs and networks come as `(protocol name, resolved)` pairs. Only
-/// called with peers configured; without them a sweep probes each cell's
-/// key once, in the grid.
+/// A request's peer warm start (a `simulate` is one cell, a `sweep` its
+/// whole grid): every cell missing from the local store is looked up on
+/// the peers ([`peer_warm_start`]) and a hit is written back, so the grid's
+/// store read-through then answers it without simulating. Archs and
+/// networks come as `(protocol name, resolved)` pairs. Only called with
+/// peers configured; without them a request probes each cell's key once,
+/// in the grid.
 fn warm_from_peers<'a>(
     shared: &Shared,
     store: &Store,
@@ -444,53 +454,15 @@ pub(crate) fn execute(
             seed,
             sample_cap,
         } => {
-            let spec = arch_by_name(arch).ok_or_else(|| {
-                ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{arch}'"))
-            })?;
-            let net = zoo::by_name(network).ok_or_else(|| {
-                ServeError::new(
-                    ErrorCode::UnknownNetwork,
-                    format!("unknown network '{network}'"),
-                )
-            })?;
-            let mut sim = Simulator::new(*seed);
-            sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            let result = match &shared.store {
-                Some(store) => {
-                    // Open-coded read-through (one store probe, exactly like
-                    // `simulate_network_stored`) with a peer-lookup stage
-                    // between the local miss and the simulation: a peer's
-                    // warm store answers faster than recomputing, and the
-                    // write-back makes the warmth local for next time.
-                    let result = match sibia_sim::try_stored(&sim, &spec, &net, store) {
-                        Some(hit) => hit,
-                        None => {
-                            let key = sibia_sim::network_key(&sim, &spec, net.name());
-                            let result =
-                                match peer_warm_start(shared, arch, network, *seed, sim.sample_cap)
-                                {
-                                    Some(fetched) => fetched,
-                                    None => sim.simulate_network_cached(
-                                        &spec,
-                                        &net,
-                                        None,
-                                        &shared.cache,
-                                    ),
-                                };
-                            sibia_sim::stored::put_best_effort(store, &key, &result);
-                            result
-                        }
-                    };
-                    let _ = store.maybe_compact();
-                    result
-                }
-                None => sim.simulate_network_cached(&spec, &net, None, &shared.cache),
-            };
-            // One grid cell per simulate request: feeds the same aggregate
-            // the grid engine's workers feed, so the sampled cells/s rate
-            // is fleet-comparable however the work arrives.
-            sibia_obs::registry().counter("sim.engine.cells").add(1);
-            Ok(network_result_to_json(&result))
+            let grid = run_grid(
+                shared,
+                std::slice::from_ref(arch),
+                std::slice::from_ref(network),
+                std::slice::from_ref(seed),
+                *sample_cap,
+                None,
+            )?;
+            Ok(network_result_to_json(grid.get(0, 0, 0)))
         }
         Request::Sweep {
             archs,
@@ -499,59 +471,8 @@ pub(crate) fn execute(
             sample_cap,
             stream,
         } => {
-            let specs = archs
-                .iter()
-                .map(|a| {
-                    arch_by_name(a).ok_or_else(|| {
-                        ServeError::new(ErrorCode::UnknownArch, format!("unknown arch '{a}'"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let nets = networks
-                .iter()
-                .map(|n| {
-                    zoo::by_name(n).ok_or_else(|| {
-                        ServeError::new(ErrorCode::UnknownNetwork, format!("unknown network '{n}'"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut sim = Simulator::new(seeds[0]);
-            sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
-            if let Some(store) = &shared.store {
-                if !shared.peers.is_empty() {
-                    let archs = archs.iter().map(String::as_str).zip(&specs);
-                    let nets = networks.iter().map(String::as_str).zip(&nets);
-                    warm_from_peers(shared, store, &sim, archs, nets, seeds);
-                }
-            }
-            // Streamed: the observer turns each completed cell into one
-            // wire frame. The grid itself — and therefore the final
-            // response line — is byte-identical with or without it.
-            let total = specs.len() * nets.len() * seeds.len();
-            let done = AtomicUsize::new(0);
-            let observe = progress.filter(|_| *stream).map(|emitter| {
-                let done = &done;
-                move |cell: &GridCell| {
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    let name = format!(
-                        "{}/{}/{}",
-                        archs[cell.arch_index], networks[cell.network_index], cell.seed
-                    );
-                    emitter.emit(n, total, &name);
-                }
-            });
-            let grid = shared.engine.simulate_grid_observed(
-                &sim,
-                &specs,
-                &nets,
-                seeds,
-                &shared.cache,
-                shared.store.as_ref(),
-                observe.as_ref().map(|f| f as &(dyn Fn(&GridCell) + Sync)),
-            );
-            if let Some(store) = &shared.store {
-                let _ = store.maybe_compact();
-            }
+            let progress = progress.filter(|_| *stream);
+            let grid = run_grid(shared, archs, networks, seeds, *sample_cap, progress)?;
             Ok(grid_to_json(&grid))
         }
         // Ping/Version/Lookup/Metrics/Spans/Stats are answered inline by the
@@ -566,6 +487,63 @@ pub(crate) fn execute(
             "inline request reached the worker pool",
         )),
     }
+}
+
+/// The one handler behind `simulate` (a one-cell grid) and `sweep`: resolve
+/// the names, warm the local store from the peers when any are configured,
+/// run one grid request with the daemon's cache and store (and the progress
+/// observer of a streamed sweep), then let the store compact.
+fn run_grid(
+    shared: &Shared,
+    archs: &[String],
+    networks: &[String],
+    seeds: &[u64],
+    sample_cap: Option<usize>,
+    progress: Option<&ProgressEmitter>,
+) -> Result<GridResult, ServeError> {
+    let specs = archs
+        .iter()
+        .map(|a| resolve_arch(a))
+        .collect::<Result<Vec<_>, _>>()?;
+    let nets = networks
+        .iter()
+        .map(|n| resolve_network(n))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut sim = Simulator::new(seeds[0]);
+    sim.sample_cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
+    if let Some(store) = &shared.store {
+        if !shared.peers.is_empty() {
+            let archs = archs.iter().map(String::as_str).zip(&specs);
+            let nets = networks.iter().map(String::as_str).zip(&nets);
+            warm_from_peers(shared, store, &sim, archs, nets, seeds);
+        }
+    }
+    // Streamed: the observer turns each completed cell into one wire frame.
+    // The grid itself — and therefore the final response line — is
+    // byte-identical with or without it.
+    let total = specs.len() * nets.len() * seeds.len();
+    let done = AtomicUsize::new(0);
+    let observe = progress.map(|emitter| {
+        let done = &done;
+        move |cell: &GridCell| {
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let name = format!(
+                "{}/{}/{}",
+                archs[cell.arch_index], networks[cell.network_index], cell.seed
+            );
+            emitter.emit(n, total, &name);
+        }
+    });
+    let grid = shared.engine.run(GridRequest {
+        cache: Some(&shared.cache),
+        store: shared.store.as_ref(),
+        on_cell: observe.as_ref().map(|f| f as &(dyn Fn(&GridCell) + Sync)),
+        ..GridRequest::new(sim, &specs, &nets, seeds)
+    });
+    if let Some(store) = &shared.store {
+        let _ = store.maybe_compact();
+    }
+    Ok(grid)
 }
 
 /// Runs one request's work, turning a panic into a typed `internal` error

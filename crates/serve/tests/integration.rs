@@ -17,7 +17,7 @@ use sibia_obs::json::Json;
 use sibia_serve::protocol::{arch_by_name, grid_to_json, network_result_to_json};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::{Client, ClientError, ErrorCode};
-use sibia_sim::{DecompCache, ParallelEngine, Simulator};
+use sibia_sim::{GridRequest, ParallelEngine, Simulator};
 
 fn start(config: ServeConfig) -> Server {
     Server::start(config).expect("bind ephemeral port")
@@ -50,11 +50,9 @@ fn served_simulate_is_byte_identical_to_direct_library_call() {
 
     let mut sim = Simulator::new(7);
     sim.sample_cap = 4096;
-    let direct = sim.simulate_network_cached(
+    let direct = sim.simulate_network(
         &arch_by_name("sibia").unwrap(),
         &sibia_nn::zoo::by_name("dgcnn").unwrap(),
-        None,
-        &DecompCache::new(),
     );
     assert_eq!(
         served.to_string(),
@@ -85,7 +83,8 @@ fn served_sweep_is_byte_identical_to_direct_engine_grid() {
     sim.sample_cap = 2048;
     // A different thread count than the server's on purpose: the engine
     // guarantees thread counts are invisible in results.
-    let grid = ParallelEngine::with_threads(1).simulate_grid(&sim, &specs, &networks, &seeds);
+    let grid =
+        ParallelEngine::with_threads(1).run(GridRequest::new(sim, &specs, &networks, &seeds));
     assert_eq!(served.to_string(), grid_to_json(&grid).to_string());
     server.shutdown();
 }
@@ -379,6 +378,33 @@ fn repeated_simulates_hit_the_shared_cache() {
     assert_eq!(
         gauges.get("serve.cache.misses").and_then(Json::as_u64),
         Some(misses)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_simulate_caches_both_representations_for_the_next_one() {
+    // A cold `simulate` of an SBR arch synthesizes each layer once and
+    // caches its decompositions under both slice representations, so a
+    // `simulate` of the same network and seed on a conventional-slice arch
+    // is all cache hits: it adds no miss.
+    let server = default_server();
+    let mut client = connect(server.addr());
+    let misses = |client: &mut Client| {
+        let metrics = client.metrics().expect("metrics");
+        let cache = metrics.get("cache").expect("cache metrics");
+        cache.get("misses").and_then(Json::as_u64).expect("misses")
+    };
+    client.simulate("sibia", "dgcnn", 5, Some(1024)).unwrap();
+    let after_sbr = misses(&mut client);
+    assert!(after_sbr > 0, "the cold simulate computes");
+    client
+        .simulate("bitfusion", "dgcnn", 5, Some(1024))
+        .unwrap();
+    assert_eq!(
+        misses(&mut client),
+        after_sbr,
+        "the other representation was cached by the first request"
     );
     server.shutdown();
 }

@@ -101,12 +101,16 @@ fn spans_selects_by_echoed_trace_id_and_keeps_the_newest() {
     let mut wire = Wire::connect(server.addr());
 
     // The server-assigned id of a plain simulate selects exactly its
-    // request span and the simulation's spans beneath it.
+    // request span and the spans of its one-cell grid beneath it.
     let tid = wire.traced(&simulate(1, ""));
     assert!(tid.starts_with('t'), "server-assigned id, got {tid}");
     let spans = wire.spans(&format!(",\"trace_id\":\"{tid}\""));
     let layers = sibia_nn::zoo::dgcnn().layers().len();
-    assert_eq!(spans.len(), 2 + layers, "request, network and every layer");
+    assert_eq!(
+        spans.len(),
+        4 + layers,
+        "request, grid, cell, network and every layer"
+    );
     let request: Vec<&Json> = spans
         .iter()
         .filter(|s| name(s) == "serve.request")
@@ -117,7 +121,9 @@ fn spans_selects_by_echoed_trace_id_and_keeps_the_newest() {
     assert_eq!(arg_str(request, "kind"), "simulate");
     assert_eq!(arg_str(request, "ok"), "true");
     assert!(arg_str(request, "queue_wait_us").parse::<u64>().is_ok());
-    assert_eq!(spans.iter().filter(|s| name(s) == "sim.network").count(), 1);
+    for one in ["sim.grid", "sim.cell", "sim.network"] {
+        assert_eq!(spans.iter().filter(|s| name(s) == one).count(), 1, "{one}");
+    }
     assert_eq!(
         spans.iter().filter(|s| name(s) == "sim.layer").count(),
         layers

@@ -16,15 +16,19 @@
 //!   in one pass by the runtime-dispatched `plane_counts` kernel) plus
 //!   value-group counts, keyed additionally by [`Repr`].
 //!
-//! The tensor level serves only the single-network path
-//! (`Simulator::decompose_layer`, behind `simulate_network_cached`): serve's
-//! `simulate` requests, where the two representations of one
-//! `(layer, seed)` arrive in separate calls and share a synthesis through
-//! it. Grid rows never touch it: `Simulator::decompose_network` synthesizes
-//! each layer once in its own loop, measures the codes under every
-//! representation the row needs, and inserts only the decompositions, so a
-//! worker holds one layer's codes at a time and a serve `sweep` (a fleet
-//! dispatches one per row) fills only the decomposition level.
+//! The engine uses only the decomposition level. A grid row
+//! (`Simulator::decompose_network`) that misses a layer under any
+//! representation it needs synthesizes the layer once in its own loop,
+//! measures the codes under every representation the cache lacks, needed
+//! or not, and inserts only the decompositions. So a later request for the
+//! same `(layer, seed)` under the other representation is a decomposition
+//! hit, a worker holds one layer's codes at a time, and a long-lived cache
+//! (the serve daemon's) holds counts only: under a kilobyte per entry.
+//!
+//! The tensor level stays only because the benchmark package's per-layer
+//! walk calls `Simulator::synthesize_layer` and `Simulator::decompose_layer`;
+//! it goes with them once that walk reads the engine's own stage spans
+//! (ROADMAP item 10).
 //!
 //! A [`LayerDecomp`] stores **integer counts, never fractions**: every
 //! simulated quantity is derived from the counts with exactly the divisions
@@ -244,11 +248,6 @@ impl DecompCache {
         }
     }
 
-    /// The per-level entry cap, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Number of cached layer tensors.
     pub fn tensor_entries(&self) -> usize {
         self.tensors.lock().expect("cache lock").map.len()
@@ -269,18 +268,9 @@ impl DecompCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Hit fraction over all lookups; 0 before the first lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits(), self.misses());
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Returns the synthesized tensors for a key, computing them with
-    /// `synth` on a miss. The lock is not held during `synth`.
+    /// `synth` on a miss. The lock is not held during `synth`. Only
+    /// `Simulator::synthesize_layer` calls this; the engine never does.
     pub fn tensors(
         &self,
         layer: &Layer,
@@ -494,7 +484,6 @@ mod tests {
     fn capacity_is_respected_with_lru_eviction() {
         use sibia_nn::Layer;
         let cache = DecompCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
         let layer = Layer::linear("l", 4, 8, 8);
         let fill = |codes: Vec<i32>| LayerTensors {
             input_codes: codes,
@@ -519,14 +508,12 @@ mod tests {
         // Counters: misses = 4 computes (0, 1, 2, 1-again), hits = 2.
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.hit_rate(), 2.0 / 6.0);
     }
 
     #[test]
     fn counters_track_both_levels() {
         use sibia_nn::Layer;
         let cache = DecompCache::new();
-        assert_eq!(cache.hit_rate(), 0.0);
         let layer = Layer::linear("l", 4, 8, 8);
         let values: Vec<i32> = (-10..10).collect();
         for _ in 0..3 {

@@ -20,9 +20,9 @@
 //! buffered PE pipeline), [`detailed`] (their per-pass composition with the
 //! DSM), [`mpu`] and [`chip`] (one core and the quad-core chip) and
 //! [`control`] (the RISC-V instruction stream). Around [`perf`] sit the
-//! memoized decompositions ([`cache`]), the grid engine ([`parallel`]),
-//! store read-through ([`stored`]) and JSON / CSV export ([`jsonio`],
-//! [`trace`]).
+//! memoized decompositions ([`cache`]), the grid engine ([`parallel`]) that
+//! runs every simulation as one [`GridRequest`], store read-through
+//! ([`stored`]) and JSON / CSV export ([`jsonio`], [`trace`]).
 
 pub mod analytic;
 pub mod cache;
@@ -43,8 +43,8 @@ pub mod trace;
 pub use cache::DecompCache;
 pub use functional::{PeRun, PeSim};
 pub use jsonio::{grid_to_json, network_result_from_json, network_result_to_json};
-pub use parallel::{GridCell, GridResult, ParallelEngine};
+pub use parallel::{GridCell, GridRequest, GridResult, ParallelEngine};
 pub use perf::{LayerResult, NetworkResult, Simulator};
-pub use stored::{config_fingerprint, network_key, simulate_network_stored, try_stored};
+pub use stored::{config_fingerprint, network_key, try_stored};
 
 pub use spec::{ArchSpec, Repr, SkipGranularity, SkipPolicy};

@@ -1,39 +1,32 @@
 //! Deterministic parallel execution over (architecture × network × seed)
-//! grids.
+//! grids: the one way the engine simulates.
 //!
-//! Figure sweeps are embarrassingly parallel: every cell of the grid is an
-//! independent `Simulator::simulate_network` call. This module fans the
-//! cells out over a scoped worker pool built only on `std` (no external
-//! thread-pool crate):
+//! A [`GridRequest`] is the grid plus the simulator settings, optionally
+//! with layer scales, a caller-owned [`DecompCache`], a store and a
+//! per-cell observer; [`ParallelEngine::run`] runs it over a scoped worker
+//! pool built only on `std`. A single network is a one-cell request.
 //!
 //! * jobs are claimed from a shared atomic counter, so workers stay busy
 //!   regardless of per-cell cost skew; a grid that needs only one worker
 //!   runs it on the calling thread, so a single row (a fleet's unit of
-//!   dispatch) spawns no thread and its spans nest under the caller's;
-//! * a job is a **(network, seed) row** spanning every architecture, not a
-//!   single cell: the worker makes one `Simulator::decompose_network` call
-//!   for the distinct slice representations its architectures need. That
-//!   call synthesizes each layer once, measures the codes under every one
-//!   of those representations and drops them before the next layer, so a
-//!   worker holds one layer's codes at a time. The same
-//!   `Arc<LayerDecomp>`s then feed every architecture in the row
-//!   (`Simulator::simulate_network_from_decomps`);
+//!   dispatch, or a one-cell request) spawns no thread and its spans nest
+//!   under the caller's;
+//! * a job is a **(network, seed) row** spanning every architecture: the
+//!   worker makes one `Simulator::decompose_network` call for the slice
+//!   representations its architectures need. A layer the cache misses is
+//!   synthesized once, measured under every representation the cache lacks
+//!   (needed or not) and its codes dropped before the next layer, so a
+//!   worker holds one layer's codes at a time and the engine never touches
+//!   the cache's tensor level;
 //! * every worker writes each result into the cell's own slot, so the
 //!   output order is the deterministic row-major (arch, network, seed)
-//!   order no matter which worker ran which row;
-//! * all workers share one [`DecompCache`], but only its decomposition
-//!   level: rows that repeat a layer (the Albert GLUE variants share
-//!   identical layers) or later grids against a long-lived cache skip
-//!   synthesis and measurement for every decomposition they find. Grids
-//!   neither read nor fill the cache's tensor level, which serves only the
-//!   single-network path.
+//!   order no matter which worker ran which row.
 //!
-//! Determinism does not stop at ordering: because each layer's RNG stream
-//! is derived from `(seed, layer_index)` (see `sibia_nn::SynthSource::
-//! for_layer`) and the cycle model computes from cached integer counts, a
-//! grid simulated with 1, 2, or 64 threads — or serially without this
-//! module — produces byte-identical [`NetworkResult`]s. The determinism
-//! test in `tests/parallel.rs` pins this.
+//! Because each layer's RNG stream is derived from `(seed, layer_index)`
+//! (`sibia_nn::SynthSource::for_layer`) and the cycle model computes from
+//! cached integer counts, a grid run on 1, 2, or 64 threads produces
+//! byte-identical [`NetworkResult`]s to one-cell requests for each of its
+//! cells (`tests/parallel.rs`).
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +34,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sibia_nn::Network;
+use sibia_store::Store;
 
 use crate::cache::DecompCache;
 use crate::perf::{NetworkResult, Simulator};
@@ -49,10 +43,9 @@ use crate::spec::{ArchSpec, Repr};
 /// One completed grid cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
-    /// Index into the `archs` slice passed to
-    /// [`ParallelEngine::simulate_grid`].
+    /// Index into the request's `archs`.
     pub arch_index: usize,
-    /// Index into the `networks` slice.
+    /// Index into the request's `networks`.
     pub network_index: usize,
     /// The seed this cell ran with.
     pub seed: u64,
@@ -88,6 +81,76 @@ impl GridResult {
         assert!(network_index < self.network_count && seed_index < self.seed_count);
         let flat = (arch_index * self.network_count + network_index) * self.seed_count + seed_index;
         &self.cells[flat].result
+    }
+
+    /// The first cell's result, moved out: a one-cell request's answer
+    /// without a copy.
+    pub(crate) fn into_first(mut self) -> NetworkResult {
+        self.cells.swap_remove(0).result
+    }
+}
+
+/// One simulation request, run by [`ParallelEngine::run`]: every simulation
+/// the engine runs is one. The optional parts change what a run costs and
+/// what it leaves behind, never a result byte.
+#[derive(Clone, Copy)]
+pub struct GridRequest<'a> {
+    /// Everything but the seed (sample cap, tech node, external memory,
+    /// latency model); each cell runs with its grid seed.
+    pub sim: Simulator,
+    /// The grid's architectures (it is `archs × networks × seeds`).
+    pub archs: &'a [ArchSpec],
+    /// The grid's networks.
+    pub networks: &'a [Network],
+    /// The grid's seeds.
+    pub seeds: &'a [u64],
+    /// Layer workload scales: one slice per network, one scale per layer
+    /// (1.0 leaves a layer unchanged). Output skipping shrinks the layers
+    /// behind pruned outputs (token pruning). `None` runs every layer
+    /// unscaled.
+    pub scales: Option<&'a [&'a [f64]]>,
+    /// The decomposition cache the rows share, so repeated requests over
+    /// the same layers (the serve daemon's) skip synthesis. `None` uses a
+    /// fresh cache for this run.
+    pub cache: Option<&'a DecompCache>,
+    /// Whole-cell read-through and write-back: a cell whose key
+    /// ([`crate::stored::network_key`]) is stored skips simulation, and a
+    /// computed cell is written back.
+    pub store: Option<&'a Store>,
+    /// Called from worker threads as each cell lands (in completion order,
+    /// not grid order); it feeds a streamed sweep's progress frames.
+    pub on_cell: Option<&'a (dyn Fn(&GridCell) + Sync)>,
+}
+
+impl<'a> GridRequest<'a> {
+    /// The plain grid: unscaled, on a fresh cache, without a store or an
+    /// observer.
+    pub fn new(
+        sim: Simulator,
+        archs: &'a [ArchSpec],
+        networks: &'a [Network],
+        seeds: &'a [u64],
+    ) -> Self {
+        Self {
+            sim,
+            archs,
+            networks,
+            seeds,
+            scales: None,
+            cache: None,
+            store: None,
+            on_cell: None,
+        }
+    }
+
+    /// The one-cell request: `arch` on `net` at `sim`'s seed.
+    pub fn cell(sim: &'a Simulator, arch: &'a ArchSpec, net: &'a Network) -> Self {
+        Self::new(
+            *sim,
+            std::slice::from_ref(arch),
+            std::slice::from_ref(net),
+            std::slice::from_ref(&sim.seed),
+        )
     }
 }
 
@@ -129,16 +192,10 @@ impl ParallelEngine {
         self.threads
     }
 
-    /// Simulates every (arch, network, seed) combination and returns the
-    /// cells in row-major order. The worker count affects wall-clock time
-    /// only, never the results.
+    /// Runs a plain grid on a fresh cache.
     ///
-    /// `sim` provides everything but the seed (sample cap, tech node,
-    /// external memory, latency model); each cell runs with its grid seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `archs`, `networks`, or `seeds` is empty.
+    /// Only the benchmark package calls this; it goes once that package
+    /// moves to [`Self::run`] (ROADMAP item 10).
     pub fn simulate_grid(
         &self,
         sim: &Simulator,
@@ -146,17 +203,13 @@ impl ParallelEngine {
         networks: &[Network],
         seeds: &[u64],
     ) -> GridResult {
-        self.simulate_grid_cached(sim, archs, networks, seeds, &DecompCache::new())
+        self.run(GridRequest::new(*sim, archs, networks, seeds))
     }
 
-    /// [`Self::simulate_grid`] against a caller-owned [`DecompCache`].
-    /// Long-lived owners (the serve daemon) pass a shared, bounded cache so
-    /// repeated grids over the same layers skip synthesis entirely; results
-    /// are bit-identical to a fresh cache.
+    /// Runs a plain grid against a caller-owned cache.
     ///
-    /// # Panics
-    ///
-    /// Panics if `archs`, `networks`, or `seeds` is empty.
+    /// Only the benchmark package calls this; it goes once that package
+    /// moves to [`Self::run`] (ROADMAP item 10).
     pub fn simulate_grid_cached(
         &self,
         sim: &Simulator,
@@ -165,43 +218,46 @@ impl ParallelEngine {
         seeds: &[u64],
         cache: &DecompCache,
     ) -> GridResult {
-        self.simulate_grid_observed(sim, archs, networks, seeds, cache, None, None)
+        self.run(GridRequest {
+            cache: Some(cache),
+            ..GridRequest::new(*sim, archs, networks, seeds)
+        })
     }
 
-    /// The fully-general entry point behind [`Self::simulate_grid_cached`]:
-    /// optional store read-through plus an optional per-cell observer.
-    ///
-    /// With a store, a cell whose key is already stored skips simulation
-    /// entirely and a missed cell simulates and writes back. Keys are the
-    /// same `sim.network` keys single simulations use (see
-    /// [`crate::stored::network_key`]), so a sweep warms later single
-    /// requests and vice versa.
-    ///
-    /// The observer is invoked from worker threads the moment each cell's
-    /// result lands in its slot (in completion order, not grid order). It
-    /// feeds streamed progress frames (`sibia-serve` sweep streaming) and
-    /// fleet status.
-    ///
-    /// Neither changes results: the returned grid is byte-identical to
-    /// [`Self::simulate_grid_cached`] with or without them.
+    /// Simulates every cell of `request` and returns them in row-major
+    /// (arch, network, seed) order. The worker count affects wall-clock
+    /// time only, never the results; so do the request's cache, store and
+    /// observer.
     ///
     /// # Panics
     ///
-    /// Panics if `archs`, `networks`, or `seeds` is empty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_grid_observed(
-        &self,
-        sim: &Simulator,
-        archs: &[ArchSpec],
-        networks: &[Network],
-        seeds: &[u64],
-        cache: &DecompCache,
-        store: Option<&sibia_store::Store>,
-        on_cell: Option<&(dyn Fn(&GridCell) + Sync)>,
-    ) -> GridResult {
+    /// Panics if `archs`, `networks`, or `seeds` is empty; if `scales` does
+    /// not hold one slice per network with one scale per layer; and if
+    /// `scales` and `store` are both set: the store key holds no scales,
+    /// so a scaled result must never be read or written under it.
+    pub fn run(&self, request: GridRequest<'_>) -> GridResult {
+        let GridRequest {
+            sim,
+            archs,
+            networks,
+            seeds,
+            scales,
+            cache,
+            store,
+            on_cell,
+        } = request;
         assert!(!archs.is_empty(), "need at least one architecture");
         assert!(!networks.is_empty(), "need at least one network");
         assert!(!seeds.is_empty(), "need at least one seed");
+        if let Some(scales) = scales {
+            assert!(
+                store.is_none(),
+                "a scaled request cannot use the store: its key holds no scales"
+            );
+            assert_eq!(scales.len(), networks.len(), "one scale slice per network");
+        }
+        let fresh = DecompCache::new();
+        let cache = cache.unwrap_or(&fresh);
         let cell_count = archs.len() * networks.len() * seeds.len();
         // A job is a (network, seed) row across all architectures, so the
         // row's decompositions are computed once per representation and
@@ -218,67 +274,17 @@ impl ParallelEngine {
             let seed_index = row % seeds.len();
             let network_index = row / seeds.len();
             let net = &networks[network_index];
-            let mut cell_sim = *sim;
+            let mut cell_sim = sim;
             cell_sim.seed = seeds[seed_index];
-
-            // Store fast path: a stored cell skips the row's decomposition
-            // work entirely; only the misses are computed below.
-            let mut pending: Vec<usize> = Vec::with_capacity(archs.len());
-            for (arch_index, arch) in archs.iter().enumerate() {
-                let stored =
-                    store.and_then(|store| crate::stored::try_stored(&cell_sim, arch, net, store));
-                match stored {
-                    Some(result) => {
-                        // One `sim.cell` span per cell either way; a stored
-                        // hit's span covers only the slot write.
-                        let mut span = sibia_obs::tracer().span("sim.cell");
-                        span.attr("arch", &arch.name);
-                        span.attr("network", net.name());
-                        span.attr("seed", cell_sim.seed);
-                        let cell = GridCell {
-                            arch_index,
-                            network_index,
-                            seed: cell_sim.seed,
-                            result,
-                        };
-                        if let Some(observe) = on_cell {
-                            observe(&cell);
-                        }
-                        *slots[slot_of(arch_index, network_index, seed_index)]
-                            .lock()
-                            .expect("slot lock") = Some(cell);
-                    }
-                    None => pending.push(arch_index),
-                }
-            }
-
-            // One decomposition call for the representations the pending
-            // architectures need: each layer is synthesized once and measured
-            // under all of them.
-            let mut reprs: Vec<Repr> = Vec::new();
-            for &arch_index in &pending {
-                if !reprs.contains(&archs[arch_index].repr) {
-                    reprs.push(archs[arch_index].repr);
-                }
-            }
-            let decomps = cell_sim.decompose_network(net, &reprs, cache);
-
-            for &arch_index in &pending {
-                let arch = &archs[arch_index];
+            // One `sim.cell` span per cell, store hits included.
+            let cell_span = |arch: &ArchSpec| {
                 let mut span = sibia_obs::tracer().span("sim.cell");
                 span.attr("arch", &arch.name);
                 span.attr("network", net.name());
                 span.attr("seed", cell_sim.seed);
-                let repr_index = reprs
-                    .iter()
-                    .position(|&r| r == arch.repr)
-                    .expect("repr decomposed above");
-                let row_decomps = &decomps[repr_index];
-                let result = cell_sim.simulate_network_from_decomps(arch, net, None, row_decomps);
-                if let Some(store) = store {
-                    let key = crate::stored::network_key(&cell_sim, arch, net.name());
-                    crate::stored::put_best_effort(store, &key, &result);
-                }
+                span
+            };
+            let land = |arch_index: usize, result: NetworkResult| {
                 let cell = GridCell {
                     arch_index,
                     network_index,
@@ -291,6 +297,52 @@ impl ParallelEngine {
                 *slots[slot_of(arch_index, network_index, seed_index)]
                     .lock()
                     .expect("slot lock") = Some(cell);
+            };
+
+            // Store fast path: a stored cell skips the row's decomposition
+            // work entirely (its span covers only the slot write); only the
+            // misses are computed below.
+            let mut pending: Vec<usize> = Vec::with_capacity(archs.len());
+            for (arch_index, arch) in archs.iter().enumerate() {
+                let stored =
+                    store.and_then(|store| crate::stored::try_stored(&cell_sim, arch, net, store));
+                match stored {
+                    Some(result) => {
+                        let _span = cell_span(arch);
+                        land(arch_index, result);
+                    }
+                    None => pending.push(arch_index),
+                }
+            }
+
+            // One decomposition call for the representations the pending
+            // architectures need: each layer is synthesized at most once.
+            let mut reprs: Vec<Repr> = Vec::new();
+            for &arch_index in &pending {
+                if !reprs.contains(&archs[arch_index].repr) {
+                    reprs.push(archs[arch_index].repr);
+                }
+            }
+            let decomps = cell_sim.decompose_network(net, &reprs, cache);
+
+            for &arch_index in &pending {
+                let arch = &archs[arch_index];
+                let _span = cell_span(arch);
+                let repr_index = reprs
+                    .iter()
+                    .position(|&r| r == arch.repr)
+                    .expect("repr decomposed above");
+                let result = cell_sim.simulate_network_from_decomps(
+                    arch,
+                    net,
+                    scales.map(|s| s[network_index]),
+                    &decomps[repr_index],
+                );
+                if let Some(store) = store {
+                    let key = crate::stored::network_key(&cell_sim, arch, net.name());
+                    crate::stored::put_best_effort(store, &key, &result);
+                }
+                land(arch_index, result);
             }
         };
 
@@ -401,7 +453,8 @@ mod tests {
         let archs = [ArchSpec::bit_fusion(), ArchSpec::sibia_hybrid()];
         let nets = [tiny_net("a"), tiny_net("b")];
         let seeds = [1, 2, 3];
-        let grid = ParallelEngine::with_threads(4).simulate_grid(&sim, &archs, &nets, &seeds);
+        let grid =
+            ParallelEngine::with_threads(4).run(GridRequest::new(sim, &archs, &nets, &seeds));
         assert_eq!(grid.cells().len(), 12);
         for (flat, cell) in grid.cells().iter().enumerate() {
             assert_eq!(cell.arch_index, flat / 6);

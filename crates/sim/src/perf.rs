@@ -24,6 +24,7 @@ use sibia_compress::CompressionMode;
 use sibia_nn::{Layer, Network, Reduction, SynthSource};
 
 use crate::cache::{DecompCache, LayerDecomp, LayerTensors, OperandStats, DMU_INDEX_BITS};
+use crate::parallel::{GridRequest, ParallelEngine};
 use crate::spec::{ArchSpec, Repr, SkipGranularity, SkipPolicy};
 
 /// RF accesses per executed MAC (operand staging + accumulator traffic),
@@ -180,70 +181,19 @@ impl Simulator {
         }
     }
 
-    /// Simulates a whole network.
+    /// Simulates a whole network: a one-cell [`GridRequest`] on a fresh
+    /// cache, run on the calling thread.
     pub fn simulate_network(&self, arch: &ArchSpec, net: &Network) -> NetworkResult {
-        self.simulate_network_scaled(arch, net, None)
+        ParallelEngine::with_threads(1)
+            .run(GridRequest::cell(self, arch, net))
+            .into_first()
     }
 
-    /// Simulates a network over several seeds and returns the mean and
-    /// sample standard deviation of the total cycle count — the error bar
-    /// of the synthetic-tensor methodology.
+    /// [`Self::simulate_network`] with optional per-layer workload scales
+    /// against a caller-owned cache.
     ///
-    /// The seeds fan out over the parallel worker pool
-    /// ([`crate::parallel::ParallelEngine`]); per-layer RNG streams make the
-    /// result bit-identical to a serial walk of the seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn simulate_network_multi(
-        &self,
-        arch: &ArchSpec,
-        net: &Network,
-        seeds: &[u64],
-    ) -> (f64, f64) {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let grid = crate::parallel::ParallelEngine::new().simulate_grid(
-            self,
-            std::slice::from_ref(arch),
-            std::slice::from_ref(net),
-            seeds,
-        );
-        let cycles: Vec<f64> = grid
-            .cells()
-            .iter()
-            .map(|c| c.result.total_cycles() as f64)
-            .collect();
-        let mean = cycles.iter().sum::<f64>() / cycles.len() as f64;
-        let var = cycles.iter().map(|c| (c - mean).powi(2)).sum::<f64>()
-            / (cycles.len() as f64 - 1.0).max(1.0);
-        (mean, var.sqrt())
-    }
-
-    /// Simulates a network with optional per-layer workload scales
-    /// (used by output-skipping experiments where pruned outputs shrink
-    /// downstream layers, e.g. transformer token pruning). A scale of 1.0
-    /// leaves the layer unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` is provided with a length different from the
-    /// layer count.
-    pub fn simulate_network_scaled(
-        &self,
-        arch: &ArchSpec,
-        net: &Network,
-        scales: Option<&[f64]>,
-    ) -> NetworkResult {
-        self.simulate_network_cached(arch, net, scales, &DecompCache::new())
-    }
-
-    /// [`Self::simulate_network_scaled`] against a shared decomposition
-    /// cache. Sweeps that run one network through several architecture
-    /// variants (fig10/fig11 run five) should share one cache: synthesis is
-    /// keyed by `(layer, seed)` and decomposition additionally by `repr`, so
-    /// each is paid once instead of once per variant. The result is
-    /// bit-identical with and without the cache.
+    /// Only the benchmark package calls this; it goes once that package
+    /// moves to [`GridRequest`] (ROADMAP item 10).
     ///
     /// # Panics
     ///
@@ -256,9 +206,13 @@ impl Simulator {
         scales: Option<&[f64]>,
         cache: &DecompCache,
     ) -> NetworkResult {
-        self.simulate_network_with(arch, net, scales, |l, i| {
-            self.decompose_layer(l, i, arch.repr, cache)
-        })
+        ParallelEngine::with_threads(1)
+            .run(GridRequest {
+                scales: scales.as_ref().map(std::slice::from_ref),
+                cache: Some(cache),
+                ..GridRequest::cell(self, arch, net)
+            })
+            .into_first()
     }
 
     /// Decomposes (or recalls) every layer of `net` under each of `reprs`
@@ -266,12 +220,13 @@ impl Simulator {
     /// `reprs` — the working set a grid row shares across its architecture
     /// variants.
     ///
-    /// A layer is synthesized at most once, however many representations
-    /// miss: the codes are measured under every missing `repr` and dropped
-    /// before the next layer. Only the decompositions enter `cache`; its
-    /// tensor level is neither read nor filled, so a whole-network walk
-    /// holds one layer's codes at a time.
-    pub fn decompose_network(
+    /// A layer that misses any of `reprs` is synthesized once. Its codes
+    /// are measured and cached under every representation the cache lacks,
+    /// needed or not, and dropped before the next layer: a later row for
+    /// the same `(layer, seed)` under the other representation is then a
+    /// decomposition hit. The cache's tensor level is neither read nor
+    /// filled, so a whole-network walk holds one layer's codes at a time.
+    pub(crate) fn decompose_network(
         &self,
         net: &Network,
         reprs: &[Repr],
@@ -291,21 +246,28 @@ impl Simulator {
                     }),
                 );
             }
+            if let Some(codes) = &codes {
+                for repr in [Repr::Sbr, Repr::Conventional] {
+                    if !reprs.contains(&repr) {
+                        cache.decomp(layer, self.seed, i, self.sample_cap, repr, || {
+                            Self::measure(layer, codes, repr)
+                        });
+                    }
+                }
+            }
         }
         decomps
     }
 
-    /// [`Self::simulate_network_cached`] from pre-computed per-layer
-    /// decompositions (see [`Self::decompose_network`]): identical spans and
-    /// result assembly, so the output is byte-identical to the cached path.
-    /// The grid decomposes a (network, seed) row once under every
-    /// representation its architectures need and feeds each architecture in
-    /// the row from those statistics.
+    /// Simulates `arch` on `net` from pre-computed per-layer decompositions
+    /// (see [`Self::decompose_network`]): the grid decomposes a (network,
+    /// seed) row once under every representation its architectures need
+    /// and feeds each architecture in the row from those statistics.
     ///
     /// # Panics
     ///
     /// Panics if `decomps` or `scales` length differs from the layer count.
-    pub fn simulate_network_from_decomps(
+    pub(crate) fn simulate_network_from_decomps(
         &self,
         arch: &ArchSpec,
         net: &Network,
@@ -317,18 +279,6 @@ impl Simulator {
             net.layers().len(),
             "one decomposition per layer"
         );
-        self.simulate_network_with(arch, net, scales, |_, i| Arc::clone(&decomps[i]))
-    }
-
-    /// The single simulation driver behind the cached and pre-decomposed
-    /// entry points: `decomp_for` supplies each layer's decomposition.
-    fn simulate_network_with(
-        &self,
-        arch: &ArchSpec,
-        net: &Network,
-        scales: Option<&[f64]>,
-        mut decomp_for: impl FnMut(&Layer, usize) -> Arc<LayerDecomp>,
-    ) -> NetworkResult {
         if let Some(s) = scales {
             assert_eq!(s.len(), net.layers().len(), "one scale per layer");
         }
@@ -341,13 +291,13 @@ impl Simulator {
         let layers: Vec<LayerResult> = net
             .layers()
             .iter()
+            .zip(decomps)
             .enumerate()
-            .map(|(i, l)| {
+            .map(|(i, (l, decomp))| {
                 let mut span = sibia_obs::tracer().span("sim.layer");
                 span.attr("layer", l.name());
                 let scale = scales.map_or(1.0, |s| s[i]);
-                let decomp = decomp_for(l, i);
-                let result = self.simulate_layer_from(arch, l, &decomp, scale);
+                let result = self.simulate_layer_from(arch, l, decomp, scale);
                 span.attr("cycles", result.cycles);
                 span.attr("skip_side", format!("{:?}", result.skip_side));
                 result
@@ -364,9 +314,14 @@ impl Simulator {
         }
     }
 
-    /// Synthesizes (or recalls) the operand tensors of one layer. The RNG
-    /// stream is derived from `(self.seed, layer_index)`, so the result
-    /// does not depend on which other layers have been synthesized.
+    /// Synthesizes (or recalls) the operand tensors of one layer through
+    /// the cache's tensor level. The RNG stream is derived from
+    /// `(self.seed, layer_index)`, so the result does not depend on which
+    /// other layers have been synthesized.
+    ///
+    /// The engine never calls this. Outside tests only the benchmark
+    /// package's per-layer walk does, and it goes with the tensor level once
+    /// that walk moves to the engine's own stage spans (ROADMAP item 10).
     pub fn synthesize_layer(
         &self,
         layer: &Layer,
@@ -380,9 +335,11 @@ impl Simulator {
 
     /// Measures (or recalls) the slice-decomposition statistics of one
     /// layer under `repr`. A miss synthesizes through
-    /// [`Self::synthesize_layer`], so the layer's codes stay memoized for
-    /// the other representation: the single-network path relies on this
-    /// when two representations of one layer arrive in separate calls.
+    /// [`Self::synthesize_layer`], so the layer's codes stay in the tensor
+    /// level for the other representation.
+    ///
+    /// Like [`Self::synthesize_layer`], outside tests only the benchmark
+    /// package's per-layer walk calls this (ROADMAP item 10).
     pub fn decompose_layer(
         &self,
         layer: &Layer,
@@ -715,8 +672,13 @@ mod tests {
     fn workload_scales_shrink_layers() {
         let sim = Simulator::new(13);
         let net = small_net();
-        let full = sim.simulate_network(&ArchSpec::bit_fusion(), &net);
-        let scaled = sim.simulate_network_scaled(&ArchSpec::bit_fusion(), &net, Some(&[1.0, 0.25]));
+        let arch = ArchSpec::bit_fusion();
+        let full = sim.simulate_network(&arch, &net);
+        let scaled = ParallelEngine::with_threads(1).run(GridRequest {
+            scales: Some(&[&[1.0, 0.25]]),
+            ..GridRequest::cell(&sim, &arch, &net)
+        });
+        let scaled = scaled.get(0, 0, 0);
         assert!(scaled.total_cycles() < full.total_cycles());
         assert_eq!(scaled.layers[1].macs, full.layers[1].macs / 4);
     }
@@ -762,10 +724,23 @@ mod tests {
     fn multi_seed_variance_is_small() {
         // The synthetic methodology is stable across seeds: the cycle-count
         // coefficient of variation stays within a few percent.
-        let sim = Simulator::new(0);
-        let net = small_net();
-        let (mean, std) =
-            sim.simulate_network_multi(&ArchSpec::sibia_hybrid(), &net, &[1, 2, 3, 4, 5]);
+        let archs = [ArchSpec::sibia_hybrid()];
+        let nets = [small_net()];
+        let grid = ParallelEngine::new().run(GridRequest::new(
+            Simulator::new(0),
+            &archs,
+            &nets,
+            &[1, 2, 3, 4, 5],
+        ));
+        let cycles: Vec<f64> = grid
+            .cells()
+            .iter()
+            .map(|c| c.result.total_cycles() as f64)
+            .collect();
+        let mean = cycles.iter().sum::<f64>() / cycles.len() as f64;
+        let var =
+            cycles.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (cycles.len() as f64 - 1.0);
+        let std = var.sqrt();
         assert!(mean > 0.0);
         // The tiny two-layer test net is the worst case; real benchmarks
         // average over many layers and land well below this.

@@ -1,11 +1,11 @@
 //! Read-through / write-back simulation against the persistent store.
 //!
-//! The store-backed entry points mirror the `*_cached` family one level
-//! up: where [`DecompCache`] memoizes synthesis and decomposition within a
-//! process, the [`Store`] memoizes whole [`NetworkResult`]s across
-//! processes. Soundness comes from determinism — a network result is a
-//! pure function of `(network, seed, repr, config)` — so the store key
-//! ([`network_key`]) captures exactly those coordinates:
+//! Where [`crate::DecompCache`] memoizes decompositions within a process,
+//! the [`Store`] memoizes whole [`NetworkResult`]s across processes: a
+//! [`crate::GridRequest`] with a store reads each cell through it and writes
+//! every computed cell back. Soundness comes from determinism — a network
+//! result is a pure function of `(network, seed, repr, config)` — so the
+//! store key ([`network_key`]) captures exactly those coordinates:
 //!
 //! * `kind` is [`KIND_NETWORK`];
 //! * `network` and `seed` are the cell's own;
@@ -15,6 +15,9 @@
 //!   external memory, and latency model (via their `Debug` forms, which
 //!   print every field — a changed field changes the fingerprint, so a
 //!   stale entry can never be served for a new configuration).
+//!
+//! The key holds no layer workload scales, so the engine refuses a scaled
+//! request with a store.
 //!
 //! Writes are best-effort: a failed `put` (disk full, permissions) bumps
 //! the `store.put_errors` counter in the process registry and the freshly
@@ -26,7 +29,6 @@
 use sibia_nn::Network;
 use sibia_store::{Store, StoreKey};
 
-use crate::cache::DecompCache;
 use crate::jsonio::{network_result_from_json, network_result_to_json};
 use crate::perf::{NetworkResult, Simulator};
 use crate::spec::{ArchSpec, Repr};
@@ -66,29 +68,6 @@ pub fn network_key(sim: &Simulator, arch: &ArchSpec, network: &str) -> StoreKey 
     )
 }
 
-/// [`Simulator::simulate_network_cached`] with store read-through: a valid
-/// stored result is returned without simulating; a miss (or an unparsable
-/// stored value) simulates, writes back, and returns the fresh result.
-/// Either way the value is bit-identical to a direct simulation.
-pub fn simulate_network_stored(
-    sim: &Simulator,
-    arch: &ArchSpec,
-    net: &Network,
-    cache: &DecompCache,
-    store: &Store,
-) -> NetworkResult {
-    let key = network_key(sim, arch, net.name());
-    if let Some(stored) = store.get(&key) {
-        if let Some(result) = network_result_from_json(&stored) {
-            return result;
-        }
-        // Parsable JSON, wrong shape: fall through and overwrite.
-    }
-    let result = sim.simulate_network_cached(arch, net, None, cache);
-    put_best_effort(store, &key, &result);
-    result
-}
-
 /// The stored result for one `(sim, arch, network)` cell, if present and
 /// parsable; never computes anything. The batched grid probes every
 /// architecture of a row through this before deciding which cells still
@@ -96,8 +75,8 @@ pub fn simulate_network_stored(
 /// The serve daemon's `lookup` verb (protocol revision 5) is a thin
 /// wrapper over this, which is why it is public: a peer's answer must be
 /// exactly what the local read-through would have served.
-/// An unparsable stored value reads as a miss, exactly as
-/// [`simulate_network_stored`] treats it.
+/// An unparsable stored value reads as a miss, so the grid recomputes and
+/// overwrites it.
 pub fn try_stored(
     sim: &Simulator,
     arch: &ArchSpec,
@@ -122,6 +101,7 @@ pub fn put_best_effort(store: &Store, key: &StoreKey, result: &NetworkResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{GridRequest, ParallelEngine};
     use sibia_nn::network::{DensityClass, TaskDomain};
     use sibia_nn::{Activation, Layer};
     use sibia_obs::Json;
@@ -145,6 +125,21 @@ mod tests {
         )
     }
 
+    /// One cell through a request with the store, on a fresh cache.
+    fn stored_cell(
+        sim: &Simulator,
+        arch: &ArchSpec,
+        net: &Network,
+        store: &Store,
+    ) -> NetworkResult {
+        ParallelEngine::with_threads(1)
+            .run(GridRequest {
+                store: Some(store),
+                ..GridRequest::cell(sim, arch, net)
+            })
+            .into_first()
+    }
+
     #[test]
     fn cold_miss_then_warm_hit_byte_identical() {
         let dir = temp_dir("warm");
@@ -154,14 +149,14 @@ mod tests {
         let cold_bytes;
         {
             let store = Store::open(&dir).unwrap();
-            let cold = simulate_network_stored(&sim, &arch, &net, &DecompCache::new(), &store);
+            let cold = stored_cell(&sim, &arch, &net, &store);
             cold_bytes = network_result_to_json(&cold).to_string();
             let stats = store.stats();
             assert_eq!((stats.hits, stats.misses, stats.puts), (0, 1, 1));
         }
         // A new process: the store is reopened from disk.
         let store = Store::open(&dir).unwrap();
-        let warm = simulate_network_stored(&sim, &arch, &net, &DecompCache::new(), &store);
+        let warm = stored_cell(&sim, &arch, &net, &store);
         assert_eq!(network_result_to_json(&warm).to_string(), cold_bytes);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.puts), (1, 0, 0));
@@ -173,13 +168,12 @@ mod tests {
         let dir = temp_dir("configs");
         let store = Store::open(&dir).unwrap();
         let net = tiny_net();
-        let cache = DecompCache::new();
         let sim = Simulator::new(3);
         let mut small = sim;
         small.sample_cap = 1024;
-        simulate_network_stored(&sim, &ArchSpec::sibia_hybrid(), &net, &cache, &store);
-        simulate_network_stored(&small, &ArchSpec::sibia_hybrid(), &net, &cache, &store);
-        simulate_network_stored(&sim, &ArchSpec::bit_fusion(), &net, &cache, &store);
+        stored_cell(&sim, &ArchSpec::sibia_hybrid(), &net, &store);
+        stored_cell(&small, &ArchSpec::sibia_hybrid(), &net, &store);
+        stored_cell(&sim, &ArchSpec::bit_fusion(), &net, &store);
         // Three distinct configurations → three entries, no false hits.
         assert_eq!(store.entries(), 3);
         assert_eq!(store.stats().hits, 0);
@@ -196,7 +190,7 @@ mod tests {
         let key = network_key(&sim, &arch, net.name());
         store.put(&key, &Json::from("not a result")).unwrap();
 
-        let result = simulate_network_stored(&sim, &arch, &net, &DecompCache::new(), &store);
+        let result = stored_cell(&sim, &arch, &net, &store);
         let direct = sim.simulate_network(&arch, &net);
         assert_eq!(result, direct);
         // The garbage was overwritten with the real result.
@@ -206,6 +200,22 @@ mod tests {
             "store should hold the recomputed value"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scaled request cannot use the store")]
+    fn a_scaled_request_with_a_store_is_refused() {
+        let dir = temp_dir("scaled");
+        let store = Store::open(&dir).unwrap();
+        let sim = Simulator::new(3);
+        let arch = ArchSpec::sibia_hybrid();
+        let net = tiny_net();
+        let _ = std::fs::remove_dir_all(&dir);
+        ParallelEngine::with_threads(1).run(GridRequest {
+            scales: Some(&[&[0.5]]),
+            store: Some(&store),
+            ..GridRequest::cell(&sim, &arch, &net)
+        });
     }
 
     #[test]

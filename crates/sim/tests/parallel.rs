@@ -1,17 +1,17 @@
 //! Determinism of the parallel grid engine.
 //!
 //! The acceptance bar for `sim::parallel` is not "statistically close": a
-//! grid simulated with any worker count must be **byte-identical** to a
-//! serial walk of the same cells. That holds because (1) each layer's RNG
+//! grid simulated with any worker count must be **byte-identical** to
+//! one-cell requests for each of its cells. That holds because (1) each layer's RNG
 //! stream is derived from `(seed, layer_index)` rather than draw order, and
 //! (2) the cycle model computes every float from cached integer counts with
 //! a fixed division order, so neither scheduling nor cache hits can perturb
 //! a result. `NetworkResult` contains `f64`s; `assert_eq!` on it therefore
-//! checks bit-level float equality.
+//! checks bit-level float equality. Every grid here is one `GridRequest`.
 
 use sibia_nn::network::{DensityClass, TaskDomain};
 use sibia_nn::{Activation, Layer, Network};
-use sibia_sim::{ArchSpec, DecompCache, GridCell, ParallelEngine, Simulator};
+use sibia_sim::{ArchSpec, DecompCache, GridCell, GridRequest, ParallelEngine, Simulator};
 
 fn nets() -> Vec<Network> {
     vec![
@@ -67,7 +67,7 @@ fn grid_is_bit_identical_to_serial_at_every_thread_count() {
     let nets = nets();
     let seeds = [1u64, 2, 42];
 
-    // Serial reference: plain per-cell simulation, no sharing, no pool.
+    // Serial reference: one-cell requests, no sharing, no pool.
     let mut serial = Vec::new();
     for arch in &archs {
         for net in &nets {
@@ -80,7 +80,8 @@ fn grid_is_bit_identical_to_serial_at_every_thread_count() {
     }
 
     for threads in [1usize, 2, 8] {
-        let grid = ParallelEngine::with_threads(threads).simulate_grid(&sim, &archs, &nets, &seeds);
+        let grid =
+            ParallelEngine::with_threads(threads).run(GridRequest::new(sim, &archs, &nets, &seeds));
         assert_eq!(grid.cells().len(), serial.len());
         for (cell, reference) in grid.cells().iter().zip(&serial) {
             // Full-struct equality: every cycle count, every f64 energy
@@ -96,48 +97,59 @@ fn grid_is_bit_identical_to_serial_at_every_thread_count() {
 
 #[test]
 fn shared_cache_does_not_perturb_results() {
+    // A one-arch request measures each layer under both representations, so
+    // a request for an arch of the other representation over the same cache
+    // is all decomposition hits, and neither differs from a fresh cache.
     let sim = small_sim();
     let cache = DecompCache::new();
     let net = &nets()[0];
-    for arch in archs() {
-        let cached = sim.simulate_network_cached(&arch, net, None, &cache);
-        let fresh = sim.simulate_network(&arch, net);
-        assert_eq!(cached, fresh, "arch={}", arch.name);
+    let layers = net.layers().len();
+    let engine = ParallelEngine::with_threads(1);
+    let shared = |arch: &ArchSpec| {
+        engine.run(GridRequest {
+            cache: Some(&cache),
+            ..GridRequest::cell(&sim, arch, net)
+        })
+    };
+    let sbr = ArchSpec::sibia_hybrid();
+    assert_eq!(shared(&sbr).get(0, 0, 0), &sim.simulate_network(&sbr, net));
+    assert_eq!(
+        (cache.tensor_entries(), cache.decomp_entries()),
+        (0, 2 * layers),
+        "both representations' decompositions and no codes"
+    );
+    for arch in archs().iter().filter(|a| a.repr != sbr.repr) {
+        let misses = cache.misses();
+        let result = shared(arch);
+        assert_eq!(cache.misses(), misses, "arch={} adds no miss", arch.name);
+        assert_eq!(result.get(0, 0, 0), &sim.simulate_network(arch, net));
     }
-    // Two representations were exercised → exactly two decomps per layer,
-    // one tensor entry per layer.
-    assert_eq!(cache.tensor_entries(), net.layers().len());
-    assert_eq!(cache.decomp_entries(), 2 * net.layers().len());
 }
 
 #[test]
 fn grid_rows_cache_decompositions_but_no_tensors() {
     // A row synthesizes each layer once, measures the codes under every
-    // representation its architectures need, and drops them: the cache
-    // keeps the decompositions only.
+    // representation, and drops them: the cache keeps the decompositions
+    // only.
     let sim = small_sim();
     let net = &nets()[0];
     let archs = [ArchSpec::hnpu(), ArchSpec::sibia_hybrid()];
     assert_ne!(archs[0].repr, archs[1].repr, "one arch per representation");
     let cache = DecompCache::new();
-    ParallelEngine::with_threads(2).simulate_grid_cached(
-        &sim,
-        &archs,
-        std::slice::from_ref(net),
-        &[1],
-        &cache,
-    );
+    ParallelEngine::with_threads(2).run(GridRequest {
+        cache: Some(&cache),
+        ..GridRequest::new(sim, &archs, std::slice::from_ref(net), &[1])
+    });
     assert_eq!(cache.tensor_entries(), 0);
     assert_eq!(cache.decomp_entries(), 2 * net.layers().len());
 }
 
 #[test]
 fn grid_over_a_prewarmed_cache_equals_the_cold_grid() {
-    // The single-network path leaves every layer's codes and one
-    // representation's decompositions in the cache. A grid over that cache
-    // recalls the decompositions it finds, synthesizes for the ones it
-    // misses, and must match a cold grid cell for cell without touching the
-    // tensors.
+    // A one-cell request leaves both representations' decompositions of its
+    // (network, seed) row in the cache and no codes. A grid over that cache
+    // recalls that row, synthesizes the rows it misses, and must match a
+    // cold grid cell for cell.
     let sim = small_sim();
     let archs = archs();
     let nets = nets();
@@ -145,15 +157,21 @@ fn grid_over_a_prewarmed_cache_equals_the_cold_grid() {
     let cache = DecompCache::new();
     let mut warm_sim = sim;
     warm_sim.seed = seeds[0];
-    warm_sim.simulate_network_cached(&ArchSpec::sibia_hybrid(), &nets[0], None, &cache);
+    let engine = ParallelEngine::with_threads(2);
+    engine.run(GridRequest {
+        cache: Some(&cache),
+        ..GridRequest::cell(&warm_sim, &ArchSpec::sibia_hybrid(), &nets[0])
+    });
     let layers = nets[0].layers().len();
     assert_eq!(
         (cache.tensor_entries(), cache.decomp_entries()),
-        (layers, layers)
+        (0, 2 * layers)
     );
-    let engine = ParallelEngine::with_threads(2);
-    let warm = engine.simulate_grid_cached(&sim, &archs, &nets, &seeds, &cache);
-    let cold = engine.simulate_grid(&sim, &archs, &nets, &seeds);
+    let warm = engine.run(GridRequest {
+        cache: Some(&cache),
+        ..GridRequest::new(sim, &archs, &nets, &seeds)
+    });
+    let cold = engine.run(GridRequest::new(sim, &archs, &nets, &seeds));
     assert_eq!(warm.cells().len(), cold.cells().len());
     for (w, c) in warm.cells().iter().zip(cold.cells()) {
         assert_eq!(
@@ -162,7 +180,7 @@ fn grid_over_a_prewarmed_cache_equals_the_cold_grid() {
             c.arch_index, c.network_index, c.seed
         );
     }
-    assert_eq!(cache.tensor_entries(), layers, "the grid added no tensors");
+    assert_eq!(cache.tensor_entries(), 0, "the grid added no tensors");
 }
 
 #[test]
@@ -180,8 +198,9 @@ fn zero_and_overflow_thread_counts_clamp_and_still_simulate() {
         ParallelEngine::with_threads(usize::MAX).threads(),
         ParallelEngine::MAX_THREADS
     );
-    let from_zero = clamped.simulate_grid(&sim, &archs, &nets, &seeds);
-    let from_two = ParallelEngine::with_threads(2).simulate_grid(&sim, &archs, &nets, &seeds);
+    let from_zero = clamped.run(GridRequest::new(sim, &archs, &nets, &seeds));
+    let from_two =
+        ParallelEngine::with_threads(2).run(GridRequest::new(sim, &archs, &nets, &seeds));
     assert_eq!(from_zero, from_two);
 }
 
@@ -196,11 +215,17 @@ fn shared_cache_grid_is_bit_identical_and_reuses_entries() {
     let seeds = [1u64, 2];
     let cache = DecompCache::with_capacity(256);
     let engine = ParallelEngine::with_threads(4);
-    let first = engine.simulate_grid_cached(&sim, &archs, &nets, &seeds, &cache);
-    let fresh = engine.simulate_grid(&sim, &archs, &nets, &seeds);
+    let shared = || {
+        engine.run(GridRequest {
+            cache: Some(&cache),
+            ..GridRequest::new(sim, &archs, &nets, &seeds)
+        })
+    };
+    let first = shared();
+    let fresh = engine.run(GridRequest::new(sim, &archs, &nets, &seeds));
     assert_eq!(first, fresh);
     let misses_after_first = cache.misses();
-    let second = engine.simulate_grid_cached(&sim, &archs, &nets, &seeds, &cache);
+    let second = shared();
     assert_eq!(second, fresh);
     assert_eq!(cache.misses(), misses_after_first, "second grid all hits");
     assert!(cache.hits() > 0);
@@ -227,15 +252,11 @@ fn observed_store_backed_grid_sees_every_cell_and_round_trips() {
         let count = |_: &GridCell| {
             seen.fetch_add(1, Ordering::Relaxed);
         };
-        let grid = engine.simulate_grid_observed(
-            &sim,
-            &archs,
-            &nets,
-            &seeds,
-            &DecompCache::new(),
-            Some(&store),
-            Some(&count),
-        );
+        let grid = engine.run(GridRequest {
+            store: Some(&store),
+            on_cell: Some(&count),
+            ..GridRequest::new(sim, &archs, &nets, &seeds)
+        });
         assert_eq!(seen.load(Ordering::Relaxed), cells, "one call per cell");
         grid
     };
@@ -254,29 +275,11 @@ fn observed_store_backed_grid_sees_every_cell_and_round_trips() {
         "warm run is all store hits"
     );
     assert_eq!(warm, cold);
-    assert_eq!(cold, engine.simulate_grid(&sim, &archs, &nets, &seeds));
+    assert_eq!(
+        cold,
+        engine.run(GridRequest::new(sim, &archs, &nets, &seeds))
+    );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn multi_seed_summary_matches_manual_serial_walk() {
-    let sim = small_sim();
-    let net = &nets()[1];
-    let arch = ArchSpec::sibia_hybrid();
-    let seeds = [3u64, 5, 7, 11];
-    let (mean, std) = sim.simulate_network_multi(&arch, net, &seeds);
-    let cycles: Vec<f64> = seeds
-        .iter()
-        .map(|&s| {
-            let mut cell = sim;
-            cell.seed = s;
-            cell.simulate_network(&arch, net).total_cycles() as f64
-        })
-        .collect();
-    let m = cycles.iter().sum::<f64>() / cycles.len() as f64;
-    let v = cycles.iter().map(|c| (c - m).powi(2)).sum::<f64>() / (cycles.len() as f64 - 1.0);
-    assert_eq!(mean, m);
-    assert_eq!(std, v.sqrt());
 }
 
 #[test]
@@ -310,12 +313,12 @@ fn a_one_worker_grid_runs_on_the_calling_thread() {
     tracer.enable();
     let caller = tracer.span("test.caller");
     let caller_id = caller.id().expect("an enabled tracer records");
-    ParallelEngine::with_threads(4).simulate_grid(
-        &small_sim(),
+    ParallelEngine::with_threads(4).run(GridRequest::new(
+        small_sim(),
         &archs,
         std::slice::from_ref(net),
         &[SEED],
-    );
+    ));
     drop(caller);
     tracer.disable();
 

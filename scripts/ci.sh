@@ -75,10 +75,13 @@ cargo test -q -p sibia-bench --test golden
 
 echo "==> obs smoke test"
 # A traced simulate must emit a Perfetto-loadable Chrome trace_event JSONL
-# profile with at least one span per layer; trace-check validates both.
+# profile with at least one span per layer; trace-check validates both. The
+# profile must come from the engine: a one-cell grid request, so every layer
+# span nests under sim.network, sim.cell and sim.grid.
 trace_out="$(mktemp)"
 ./target/release/sibia-cli simulate dgcnn --trace-out "$trace_out"
-./target/release/sibia-cli trace-check "$trace_out" --network dgcnn
+./target/release/sibia-cli trace-check "$trace_out" --network dgcnn \
+  --chain sim.grid,sim.cell,sim.network,sim.layer
 rm -f "$trace_out"
 # Disabled tracing must stay allocation-free (counting-allocator test).
 cargo test -q -p sibia-obs --test noalloc
