@@ -285,6 +285,48 @@ fn store_command(args: &[String]) -> ExitCode {
     }
 }
 
+/// The grid flags `fleet sweep` and `sweep` share, checked against the
+/// zoo and the arch table before anything is dialed.
+struct GridArgs {
+    archs: Vec<String>,
+    networks: Vec<String>,
+    seeds: Vec<u64>,
+    sample_cap: Option<usize>,
+}
+
+/// Parses `--networks N[,...]` (required), `--archs A[,...]` (default
+/// `sibia`), `--seeds S[,...]` (default `1`) and `--sample-cap N`.
+fn grid_args(args: &[String]) -> Result<GridArgs, String> {
+    let networks_raw = flag_value(args, "--networks").ok_or("need --networks N[,N...]")?;
+    let networks: Vec<String> = networks_raw.split(',').map(str::to_owned).collect();
+    if let Some(n) = networks.iter().find(|n| find_network(n).is_none()) {
+        return Err(format!("unknown network {n}"));
+    }
+    let archs: Vec<String> = flag_value(args, "--archs")
+        .map(|raw| raw.split(',').map(str::to_owned).collect())
+        .unwrap_or_else(|| vec!["sibia".to_owned()]);
+    if let Some(a) = archs.iter().find(|a| arch_by_name(a).is_none()) {
+        return Err(format!("unknown architecture {a}"));
+    }
+    let seeds = match flag_value(args, "--seeds") {
+        None => vec![1],
+        Some(raw) => {
+            let parsed: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
+            match parsed {
+                Ok(s) if !s.is_empty() => s,
+                _ => return Err(format!("--seeds: invalid value '{raw}'")),
+            }
+        }
+    };
+    let sample_cap = parse_flag::<usize>(args, "--sample-cap")?;
+    Ok(GridArgs {
+        archs,
+        networks,
+        seeds,
+        sample_cap,
+    })
+}
+
 /// `fleet sweep (--endpoints H:P[,...] | --local) --networks N[,...] ...`
 ///
 /// Exactly one of `--endpoints` / `--local` must be given: the first
@@ -328,35 +370,13 @@ fn fleet_command(args: &[String]) -> ExitCode {
     if endpoints.is_some() == local {
         return fail("fleet", "need exactly one of --endpoints or --local");
     }
-    let Some(networks_raw) = flag_value(args, "--networks") else {
-        return fail("fleet", "need --networks N[,N...]");
-    };
-    let networks: Vec<String> = networks_raw.split(',').map(str::to_owned).collect();
-    for n in &networks {
-        if find_network(n).is_none() {
-            return fail("fleet", &format!("unknown network {n}"));
-        }
-    }
-    let archs: Vec<String> = flag_value(args, "--archs")
-        .map(|raw| raw.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| vec!["sibia".to_owned()]);
-    for a in &archs {
-        if arch_by_name(a).is_none() {
-            return fail("fleet", &format!("unknown architecture {a}"));
-        }
-    }
-    let seeds: Vec<u64> = match flag_value(args, "--seeds") {
-        None => vec![1],
-        Some(raw) => {
-            let parsed: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
-            match parsed {
-                Ok(s) if !s.is_empty() => s,
-                _ => return fail("fleet", &format!("--seeds: invalid value '{raw}'")),
-            }
-        }
-    };
-    let sample_cap = match parse_flag::<usize>(args, "--sample-cap") {
-        Ok(c) => c,
+    let GridArgs {
+        archs,
+        networks,
+        seeds,
+        sample_cap,
+    } = match grid_args(args) {
+        Ok(grid) => grid,
         Err(e) => return fail("fleet", &e),
     };
     let trace_path = trace_out(args);
@@ -499,35 +519,13 @@ fn sweep_command(args: &[String]) -> ExitCode {
     let Some(endpoint) = flag_value(args, "--endpoint") else {
         return fail("sweep", "need --endpoint H:P");
     };
-    let Some(networks_raw) = flag_value(args, "--networks") else {
-        return fail("sweep", "need --networks N[,N...]");
-    };
-    let networks: Vec<String> = networks_raw.split(',').map(str::to_owned).collect();
-    for n in &networks {
-        if find_network(n).is_none() {
-            return fail("sweep", &format!("unknown network {n}"));
-        }
-    }
-    let archs: Vec<String> = flag_value(args, "--archs")
-        .map(|raw| raw.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| vec!["sibia".to_owned()]);
-    for a in &archs {
-        if arch_by_name(a).is_none() {
-            return fail("sweep", &format!("unknown architecture {a}"));
-        }
-    }
-    let seeds: Vec<u64> = match flag_value(args, "--seeds") {
-        None => vec![1],
-        Some(raw) => {
-            let parsed: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
-            match parsed {
-                Ok(s) if !s.is_empty() => s,
-                _ => return fail("sweep", &format!("--seeds: invalid value '{raw}'")),
-            }
-        }
-    };
-    let sample_cap = match parse_flag::<usize>(args, "--sample-cap") {
-        Ok(c) => c,
+    let GridArgs {
+        archs,
+        networks,
+        seeds,
+        sample_cap,
+    } = match grid_args(args) {
+        Ok(grid) => grid,
         Err(e) => return fail("sweep", &e),
     };
     let stream = args.iter().any(|a| a == "--stream");

@@ -251,6 +251,34 @@ fn fleet_subcommand_validates_its_input() {
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown flag"));
+
+    // `sweep` parses the same grid flags with the same messages, and
+    // rejects a bad grid before it dials (nothing listens on port 1).
+    for (grid, message) in [
+        (
+            &["--networks", "no-such-net"][..],
+            "sweep: unknown network no-such-net",
+        ),
+        (
+            &["--networks", "dgcnn", "--archs", "gpu"][..],
+            "sweep: unknown architecture gpu",
+        ),
+        (
+            &["--networks", "dgcnn", "--seeds", "1,x"][..],
+            "sweep: --seeds: invalid value '1,x'",
+        ),
+    ] {
+        let args: Vec<&str> = ["sweep", "--endpoint", "127.0.0.1:1"]
+            .iter()
+            .chain(grid)
+            .copied()
+            .collect();
+        let out = cli(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(!err.contains("cannot connect"), "{args:?}: {err}");
+    }
 }
 
 #[test]

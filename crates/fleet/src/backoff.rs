@@ -1,64 +1,47 @@
 //! Bounded exponential backoff with deterministic jitter.
 //!
-//! Retry delays grow as `base * 2^attempt`, capped at `cap`, with
+//! Retry delays grow as `50 ms * 2^attempt`, capped at 2 s, with
 //! *equal jitter*: the delay is `exp/2 + uniform(0, exp/2)`, so retries
 //! never collapse to zero (which would hammer an overloaded backend) and
 //! never exceed the exponential envelope.
 //!
 //! The jitter is **deterministic**: it is drawn from a [`SynthRng`] stream
-//! keyed by `(policy seed, cell, attempt)` — the same in-repo xoshiro256++
-//! generator the tensor synthesizer uses, not `rand` — so a coordinator run
-//! is exactly reproducible (the retry *schedule* is a pure function of the
-//! config and the observed failures), while distinct cells still spread
-//! their retries instead of thundering in lockstep.
+//! keyed by `(row, attempt)` — the same in-repo xoshiro256++ generator
+//! the tensor synthesizer uses, not `rand` — so a coordinator run is
+//! exactly reproducible (the retry *schedule* is a pure function of the
+//! observed failures), while distinct rows still spread their retries
+//! instead of thundering in lockstep.
 
 use std::time::Duration;
 
 use sibia_nn::rng::SynthRng;
 
-/// The retry delay policy: exponential envelope plus deterministic jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// First-retry envelope.
-    pub base: Duration,
-    /// Upper bound on the envelope regardless of attempt count.
-    pub cap: Duration,
-    /// Jitter stream seed; two policies with the same seed produce the same
-    /// schedule.
-    pub seed: u64,
-}
+/// First-retry envelope.
+const BASE: Duration = Duration::from_millis(50);
+/// Upper bound on the envelope regardless of attempt count.
+const CAP: Duration = Duration::from_secs(2);
+/// Jitter stream seed.
+const SEED: u64 = 0xF1EE7;
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-            seed: 0xF1EE7,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before retry number `attempt` (0-based) of `cell`.
-    ///
-    /// Pure function of `(self, cell, attempt)`: the jitter comes from an
-    /// independent `SynthRng` stream per `(cell, attempt)`, so callers need
-    /// no mutable generator state and concurrent cells cannot perturb each
-    /// other's schedules.
-    pub fn delay(&self, cell: u64, attempt: u32) -> Duration {
-        let base_us = self.base.as_micros().min(u128::from(u64::MAX)) as u64;
-        let cap_us = self.cap.as_micros().min(u128::from(u64::MAX)) as u64;
-        let exp_us = base_us
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(cap_us)
-            .max(2);
-        let mut rng = SynthRng::for_stream(
-            self.seed,
-            cell.wrapping_mul(1021).wrapping_add(u64::from(attempt)),
-        );
-        let half = exp_us / 2;
-        Duration::from_micros(half + (rng.unit_f64() * half as f64) as u64)
-    }
+/// The delay before retry number `attempt` (0-based) of `row`.
+///
+/// Pure function of `(row, attempt)`: the jitter comes from an independent
+/// `SynthRng` stream per `(row, attempt)`, so callers need no mutable
+/// generator state and concurrent rows cannot perturb each other's
+/// schedules.
+pub fn delay(row: u64, attempt: u32) -> Duration {
+    let base_us = BASE.as_micros() as u64;
+    let cap_us = CAP.as_micros() as u64;
+    let exp_us = base_us
+        .saturating_mul(1u64 << attempt.min(20))
+        .min(cap_us)
+        .max(2);
+    let mut rng = SynthRng::for_stream(
+        SEED,
+        row.wrapping_mul(1021).wrapping_add(u64::from(attempt)),
+    );
+    let half = exp_us / 2;
+    Duration::from_micros(half + (rng.unit_f64() * half as f64) as u64)
 }
 
 #[cfg(test)]
@@ -67,25 +50,20 @@ mod tests {
 
     #[test]
     fn delays_are_deterministic() {
-        let p = BackoffPolicy::default();
-        for cell in 0..8 {
+        for row in 0..8 {
             for attempt in 0..6 {
-                assert_eq!(p.delay(cell, attempt), p.delay(cell, attempt));
+                assert_eq!(delay(row, attempt), delay(row, attempt));
             }
         }
     }
 
     #[test]
     fn delays_stay_inside_the_equal_jitter_envelope() {
-        let p = BackoffPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(500),
-            seed: 7,
-        };
+        let (base_us, cap_us) = (BASE.as_micros() as u64, CAP.as_micros() as u64);
         for attempt in 0..10 {
-            let env_us = (10_000u64 << attempt.min(20)).min(500_000);
-            for cell in 0..32 {
-                let d = p.delay(cell, attempt).as_micros() as u64;
+            let env_us = (base_us << attempt).min(cap_us);
+            for row in 0..32 {
+                let d = delay(row, attempt).as_micros() as u64;
                 assert!(d >= env_us / 2, "attempt {attempt}: {d} < {}", env_us / 2);
                 assert!(d <= env_us, "attempt {attempt}: {d} > {env_us}");
             }
@@ -94,9 +72,8 @@ mod tests {
 
     #[test]
     fn distinct_cells_jitter_apart() {
-        let p = BackoffPolicy::default();
         let distinct: std::collections::BTreeSet<u64> = (0..64)
-            .map(|cell| p.delay(cell, 2).as_micros() as u64)
+            .map(|row| delay(row, 2).as_micros() as u64)
             .collect();
         assert!(
             distinct.len() > 32,
@@ -107,9 +84,8 @@ mod tests {
 
     #[test]
     fn huge_attempt_counts_saturate_at_the_cap() {
-        let p = BackoffPolicy::default();
-        let d = p.delay(3, u32::MAX);
-        assert!(d <= p.cap);
-        assert!(d >= p.cap / 2);
+        let d = delay(3, u32::MAX);
+        assert!(d <= CAP);
+        assert!(d >= CAP / 2);
     }
 }

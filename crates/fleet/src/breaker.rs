@@ -105,8 +105,11 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker is currently open (no trial admitted yet).
-    pub fn is_open(&self) -> bool {
+    /// Whether the breaker is currently open (no trial admitted yet). The
+    /// unit tests' window onto the state machine; dispatch asks
+    /// [`Self::is_available`].
+    #[cfg(test)]
+    fn is_open(&self) -> bool {
         matches!(self.state, State::Open { .. })
     }
 }

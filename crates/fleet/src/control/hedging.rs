@@ -28,7 +28,7 @@
 //! The hedge deadline is a **windowed p99** over row dispatches: the 99th
 //! percentile of the last [`LATENCY_WINDOW`] completed row latencies in
 //! the [`HedgeWindow`] (one sample per row, however many cells it
-//! carries), scaled by [`HedgeConfig::multiplier`] and floored at
+//! carries), scaled by [`HEDGE_MULTIPLIER`] and floored at
 //! [`HedgeConfig::min_deadline`]. Until [`HedgeConfig::min_completions`]
 //! rows have completed the estimate would be noise, so no hedging happens
 //! at all — except that a sweep of fewer rows than twice that trusts its
@@ -43,15 +43,16 @@ use sibia_obs::Json;
 use sibia_serve::CancelHandle;
 
 /// Completed row latencies feeding the deadline estimate.
-pub const LATENCY_WINDOW: usize = 64;
+const LATENCY_WINDOW: usize = 64;
+
+/// Deadline = windowed p99 × this.
+const HEDGE_MULTIPLIER: f64 = 2.0;
 
 /// Hedging policy knobs (a projection of `FleetConfig`).
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
     /// Master switch; off means the monitor never hedges.
     pub enabled: bool,
-    /// Deadline = windowed p99 × this.
-    pub multiplier: f64,
     /// Deadline floor, and the whole deadline while the window is empty.
     pub min_deadline: Duration,
     /// Completed row dispatches required before the p99 estimate is
@@ -65,7 +66,6 @@ impl Default for HedgeConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            multiplier: 2.0,
             min_deadline: Duration::from_millis(50),
             min_completions: 8,
         }
@@ -208,7 +208,7 @@ impl HedgeWindow {
         // Exact rank-ceil p99, matching the bench's quantile convention.
         let rank = ((sorted.len() as f64) * 0.99).ceil() as usize;
         let p99 = sorted[rank.clamp(1, sorted.len()) - 1];
-        let scaled = p99.mul_f64(config.multiplier.max(1.0));
+        let scaled = p99.mul_f64(HEDGE_MULTIPLIER);
         Some(scaled.max(config.min_deadline))
     }
 }
@@ -349,7 +349,6 @@ mod tests {
         let window = HedgeWindow::new(16);
         let config = HedgeConfig {
             enabled: true,
-            multiplier: 2.0,
             min_deadline: Duration::from_millis(1),
             min_completions: 4,
         };
@@ -381,7 +380,6 @@ mod tests {
         let window = HedgeWindow::new(1);
         let config = HedgeConfig {
             enabled: true,
-            multiplier: 1.0,
             min_deadline: Duration::from_millis(123),
             min_completions: 0,
         };

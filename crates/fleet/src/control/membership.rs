@@ -6,7 +6,7 @@
 //!             first success / probe ok
 //!   Joining ────────────────────────────► Active
 //!                                          │  │
-//!                 leave (CLI or API)       │  │  breaker newly opened
+//!                 planned leave            │  │  breaker newly opened
 //!                 ┌────────────────────────┘  │  (fault or probe)
 //!                 ▼                           ▼
 //!             Draining ──────────────────► Dead ──► Active
@@ -15,9 +15,9 @@
 //!                                           └─ queue resharded
 //! ```
 //!
-//! * **Joining** — added mid-sweep (CLI `--join` or [`super::super::Fleet`]
-//!   API); dispatchable immediately (stealing pulls work to it), promoted
-//!   to Active by its first completed row or successful probe.
+//! * **Joining** — added mid-sweep by a planned join (the CLI's `--join`);
+//!   dispatchable immediately (stealing pulls work to it), promoted to
+//!   Active by its first completed row or successful probe.
 //! * **Active** — the steady state.
 //! * **Draining** — asked to leave: takes no new work, its home queue is
 //!   drained and resharded across survivors, in-flight dispatches finish.
@@ -37,6 +37,11 @@ use crate::breaker::CircuitBreaker;
 use crate::pool::ClientPool;
 
 use super::stealing::StealQueue;
+
+/// Consecutive faults that open a member's circuit breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long an open breaker rejects before admitting a half-open trial.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// Where a member is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +132,7 @@ impl Member {
                 config.io_timeout,
                 config.max_idle,
             )),
-            breaker: Mutex::new(CircuitBreaker::new(
-                config.breaker_threshold,
-                config.breaker_cooldown,
-            )),
+            breaker: Mutex::new(CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN)),
             queue: StealQueue::new(),
             state: AtomicU8::new(state.as_u8()),
             left: AtomicBool::new(false),
@@ -167,8 +169,8 @@ impl Member {
     }
 }
 
-/// The pool/breaker parameters every member is built with (a projection
-/// of `FleetConfig`, so this module does not depend on the coordinator).
+/// The pool parameters every member is built with (a projection of
+/// `FleetConfig`, so this module does not depend on the coordinator).
 #[derive(Debug, Clone)]
 pub struct MemberConfig {
     /// Dial timeout per connection.
@@ -177,10 +179,6 @@ pub struct MemberConfig {
     pub io_timeout: Duration,
     /// Idle connections kept per backend.
     pub max_idle: usize,
-    /// Consecutive faults before the breaker opens.
-    pub breaker_threshold: u32,
-    /// How long an open breaker blocks dispatch before half-opening.
-    pub breaker_cooldown: Duration,
 }
 
 /// A planned membership change, relative to sweep start — the CLI's
@@ -231,16 +229,6 @@ impl Membership {
         self.members.read().unwrap().len()
     }
 
-    /// True when the roster is empty (never, after construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The member at a stable roster index.
-    pub fn get(&self, index: usize) -> Option<Arc<Member>> {
-        self.members.read().unwrap().get(index).cloned()
-    }
-
     /// The not-yet-departed member serving `endpoint`, if any.
     pub fn find(&self, endpoint: &str) -> Option<Arc<Member>> {
         self.members
@@ -286,8 +274,6 @@ mod tests {
             connect_timeout: Duration::from_millis(100),
             io_timeout: Duration::from_millis(100),
             max_idle: 1,
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(100),
         }
     }
 
@@ -298,7 +284,7 @@ mod tests {
         assert_eq!(joined.index, 2);
         assert_eq!(joined.state(), MemberState::Joining);
         assert_eq!(roster.len(), 3);
-        assert_eq!(roster.get(0).unwrap().endpoint, "a:1");
+        assert_eq!(roster.snapshot()[0].endpoint, "a:1");
     }
 
     #[test]
@@ -315,7 +301,7 @@ mod tests {
     #[test]
     fn dispatchable_filters_by_state() {
         let roster = Membership::new(&["a:1".into(), "b:2".into()], &config());
-        roster.get(1).unwrap().set_state(MemberState::Draining);
+        roster.snapshot()[1].set_state(MemberState::Draining);
         let dispatchable = roster.dispatchable();
         assert_eq!(dispatchable.len(), 1);
         assert_eq!(dispatchable[0].endpoint, "a:1");

@@ -12,16 +12,16 @@
 //!
 //! | module | what it provides |
 //! |---|---|
-//! | [`membership`] | the roster: Joining/Active/Draining/Dead state machine, mid-sweep join/leave |
-//! | [`stealing`] | two-ended home queues + the deepest-queue steal policy |
-//! | [`hedging`] | first-writer-wins completion board, in-flight registry, windowed-p99 hedge deadline |
+//! | `membership` | the roster: Joining/Active/Draining/Dead state machine, planned mid-sweep join/leave |
+//! | `stealing` | two-ended home queues + the deepest-queue steal policy |
+//! | `hedging` | first-writer-wins completion board, in-flight registry, windowed-p99 hedge deadline |
 
-pub mod hedging;
-pub mod membership;
-pub mod stealing;
+mod hedging;
+mod membership;
+mod stealing;
 
 pub use hedging::{Completion, CompletionBoard, HedgeConfig, HedgeWindow, InFlightTable};
 pub use membership::{
     Member, MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent,
 };
-pub use stealing::{pick_victim, RowJob, StealQueue};
+pub use stealing::{pick_victim, RowJob};

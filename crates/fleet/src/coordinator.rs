@@ -19,7 +19,7 @@
 //!    the deepest dispatchable queue instead of sleeping, so a straggler
 //!    cannot serialize the tail of a sweep;
 //! 3. `overloaded` / `deadline_exceeded` answers retry the **same**
-//!    backend after a deterministic-jitter backoff ([`crate::backoff`]) —
+//!    backend after a deterministic-jitter backoff (`crate::backoff`) —
 //!    the backend is healthy, just busy;
 //! 4. transport faults and server-side faults (`internal`,
 //!    `shutting_down`) trip the member's circuit breaker
@@ -34,10 +34,10 @@
 //!    member; the first completion wins each of the row's cells on the
 //!    [`CompletionBoard`], the loser's socket is cancelled, and a loser
 //!    that answers anyway is deduped (counted, not written);
-//! 7. members can join and leave mid-sweep — planned
-//!    ([`FleetConfig::membership_plan`]), requested ([`Fleet::join`] /
-//!    [`Fleet::leave`]), or forced by failure — with a departing member's
-//!    queue drained and resharded across the survivors;
+//! 7. members join and leave mid-sweep two ways — planned on the sweep
+//!    clock ([`FleetConfig::membership_plan`]) or forced by failure — with
+//!    a departing member's queue drained and resharded across the
+//!    survivors;
 //! 8. a row's answer lands cell by cell on the completion board indexed by
 //!    flat grid position, and the merged document is emitted in row-major
 //!    (arch, network, seed) order.
@@ -76,7 +76,6 @@ use sibia_obs::{registry, tracer, Counter, Histogram, Json, TraceContext};
 use sibia_serve::server::DEFAULT_SAMPLE_CAP;
 use sibia_serve::{Client, ClientError, ErrorCode, ServeError};
 
-use crate::backoff::BackoffPolicy;
 use crate::control::{
     pick_victim, Completion, CompletionBoard, HedgeConfig, HedgeWindow, InFlightTable, Member,
     MemberConfig, MemberState, Membership, MembershipAction, PlannedEvent, RowJob,
@@ -137,7 +136,10 @@ impl std::fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 /// Coordinator configuration. [`FleetConfig::new`] gives defaults tuned
-/// for LAN backends; every knob is public.
+/// for LAN backends; the fields are the settings some caller changes. The
+/// retry backoff (50 ms doubling to 2 s), the breaker (open after 3
+/// consecutive faults, 500 ms cooldown) and the hedge multiplier (2× the
+/// windowed p99) are constants.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Initial backend endpoints (`host:port`), order-significant: the
@@ -155,12 +157,6 @@ pub struct FleetConfig {
     /// (`overloaded`, `deadline_exceeded`); the total attempt budget of a
     /// row is `max_attempts_per_backend × roster size`.
     pub max_attempts_per_backend: u32,
-    /// Retry delay policy (deterministic jitter).
-    pub backoff: BackoffPolicy,
-    /// Consecutive faults that open a backend's circuit breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker rejects before admitting a trial.
-    pub breaker_cooldown: Duration,
     /// Health-probe (`ping`) period; probes feed the breakers and
     /// resurrect Dead-but-reachable members.
     pub probe_interval: Duration,
@@ -187,9 +183,6 @@ impl FleetConfig {
             connect_timeout: Duration::from_secs(5),
             request_timeout: Duration::from_secs(60),
             max_attempts_per_backend: 3,
-            backoff: BackoffPolicy::default(),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(500),
             probe_interval: Duration::from_millis(200),
             steal: true,
             hedge: HedgeConfig::default(),
@@ -209,8 +202,6 @@ fn member_config(config: &FleetConfig) -> MemberConfig {
         // needlessly count as a backend fault).
         io_timeout: config.request_timeout + Duration::from_secs(10),
         max_idle: config.connections_per_backend,
-        breaker_threshold: config.breaker_threshold,
-        breaker_cooldown: config.breaker_cooldown,
     }
 }
 
@@ -238,8 +229,6 @@ pub struct SweepStats {
     pub hedges: u64,
     /// Cells won by their hedge duplicate (the original lost the race).
     pub hedge_wins: u64,
-    /// Duplicate cell completions discarded by the board (never written).
-    pub hedge_duplicates: u64,
     /// Members that joined mid-sweep.
     pub joins: u64,
     /// Members that left mid-sweep (explicit leaves, not failures).
@@ -249,11 +238,6 @@ pub struct SweepStats {
     pub resharded_cells: u64,
     /// Cells completed per member (by stable roster index).
     pub per_backend_cells: Vec<u64>,
-    /// Cells of stolen rows executed per member (by stable roster index).
-    pub per_backend_stolen: Vec<u64>,
-    /// Cells of hedge duplicates placed per member (by stable roster
-    /// index).
-    pub per_backend_hedged: Vec<u64>,
     /// Final `(endpoint, state)` of every roster member, in index order.
     pub membership: Vec<(String, String)>,
     /// End-to-end latency of every completed cell, unsorted: its row's
@@ -518,9 +502,6 @@ pub struct Fleet {
     config: FleetConfig,
     membership: Membership,
     metrics: FleetMetrics,
-    /// Join/leave requests made between control-loop ticks (or between
-    /// sweeps), drained by the next tick.
-    commands: Mutex<Vec<MembershipAction>>,
     /// Trace id of the most recently started sweep (see
     /// [`Fleet::last_trace_id`]).
     last_trace_id: Mutex<Option<String>>,
@@ -554,48 +535,9 @@ impl Fleet {
             config,
             membership,
             metrics: FleetMetrics::new(),
-            commands: Mutex::new(Vec::new()),
             last_trace_id: Mutex::new(None),
             homes: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// The initially configured endpoints (joins do not appear here; see
-    /// [`Fleet::members`] for the live roster).
-    pub fn endpoints(&self) -> &[String] {
-        &self.config.endpoints
-    }
-
-    /// The live roster as `(endpoint, state)` pairs, in stable roster
-    /// index order.
-    pub fn members(&self) -> Vec<(String, MemberState)> {
-        self.membership
-            .snapshot()
-            .iter()
-            .map(|m| (m.endpoint.clone(), m.state()))
-            .collect()
-    }
-
-    /// Requests that `endpoint` join the fleet. Applied by the next
-    /// control-loop tick of the running sweep (or at the start of the
-    /// next one): a brand-new endpoint is appended in state Joining; a
-    /// Dead-but-known endpoint is put back in rotation.
-    pub fn join(&self, endpoint: impl Into<String>) {
-        self.commands
-            .lock()
-            .expect("commands lock")
-            .push(MembershipAction::Join(endpoint.into()));
-    }
-
-    /// Requests that `endpoint` drain out of the fleet: no new work, its
-    /// home queue resharded across the survivors, in-flight dispatches
-    /// allowed to finish. A departed member never rejoins under the same
-    /// roster slot ([`Fleet::join`] appends a fresh one).
-    pub fn leave(&self, endpoint: impl Into<String>) {
-        self.commands
-            .lock()
-            .expect("commands lock")
-            .push(MembershipAction::Leave(endpoint.into()));
     }
 
     /// The propagated trace id of the most recently started sweep (`fs1`,
@@ -610,7 +552,7 @@ impl Fleet {
     /// answer yields `Err(message)` — the merger skips it rather than
     /// failing the whole export.
     #[allow(clippy::type_complexity)]
-    pub fn pull_spans(
+    fn pull_spans(
         &self,
         trace_id: &str,
         limit: Option<usize>,
@@ -640,7 +582,7 @@ impl Fleet {
     /// Assembles the fleet-wide Chrome trace for `trace_id`: this process's
     /// `fleet.*` spans plus every backend's pulled spans, each process in
     /// its own `pid` lane with ids rewritten globally unique and propagated
-    /// parent links resolved (see [`crate::telemetry::merge_chrome_trace`]).
+    /// parent links resolved (see `telemetry::merge_chrome_trace`).
     pub fn merged_chrome_trace(&self, trace_id: &str, limit: Option<usize>) -> Json {
         let coordinator = tracer().records();
         let backends = self.pull_spans(trace_id, limit);
@@ -673,13 +615,6 @@ impl Fleet {
         sweep_span.attr("backends", self.membership.len());
         self.metrics.cells_total.add(cells as u64);
 
-        // Membership requests made between sweeps apply before sharding.
-        let pending: Vec<MembershipAction> =
-            std::mem::take(&mut *self.commands.lock().expect("commands lock"));
-        for action in pending {
-            self.apply_membership(action, &state);
-        }
-
         // Home every row among the members that can take work right now;
         // later joins pick rows up by stealing.
         let initial = self.membership.dispatchable();
@@ -692,15 +627,9 @@ impl Fleet {
         // Per-member baselines, so one Fleet can run many sweeps and the
         // stats still report this sweep's deltas.
         let roster_before = self.membership.snapshot();
-        let counters_before: Vec<(u64, u64, u64)> = roster_before
+        let completed_before: Vec<u64> = roster_before
             .iter()
-            .map(|m| {
-                (
-                    m.completed.load(Ordering::SeqCst),
-                    m.stolen.load(Ordering::SeqCst),
-                    m.hedged.load(Ordering::SeqCst),
-                )
-            })
+            .map(|m| m.completed.load(Ordering::SeqCst))
             .collect();
         let pool_before: Vec<(u64, u64)> = roster_before.iter().map(|m| m.pool.stats()).collect();
 
@@ -715,8 +644,8 @@ impl Fleet {
             }
             // The control loop runs right here on the sweeping thread:
             // spawn workers for every member (including mid-sweep joins),
-            // fire planned membership events, drain join/leave requests,
-            // finish drains, hedge the overdue, publish status.
+            // fire planned membership events, finish drains, hedge the
+            // overdue, publish status.
             let mut spawned = 0usize;
             let mut tick = 0u64;
             loop {
@@ -737,11 +666,6 @@ impl Fleet {
                 while next_event < plan.len() && plan[next_event].at <= elapsed {
                     self.apply_membership(plan[next_event].action.clone(), &state);
                     next_event += 1;
-                }
-                let pending: Vec<MembershipAction> =
-                    std::mem::take(&mut *self.commands.lock().expect("commands lock"));
-                for action in pending {
-                    self.apply_membership(action, &state);
                 }
 
                 for m in &roster {
@@ -802,9 +726,6 @@ impl Fleet {
             self.metrics.pool_dials.add(dials - bd);
             self.metrics.pool_reuses.add(reuses - br);
         }
-        let delta = |i: usize, now: u64, which: fn(&(u64, u64, u64)) -> u64| {
-            now - counters_before.get(i).map_or(0, which)
-        };
         let stats = SweepStats {
             cells,
             backends: roster.len(),
@@ -814,21 +735,15 @@ impl Fleet {
             steals: state.steals.load(Ordering::Relaxed),
             hedges: state.hedges.load(Ordering::Relaxed),
             hedge_wins: state.hedge_wins.load(Ordering::Relaxed),
-            hedge_duplicates: state.board.duplicates.load(Ordering::SeqCst),
             joins: state.joins.load(Ordering::Relaxed),
             leaves: state.leaves.load(Ordering::Relaxed),
             resharded_cells: state.resharded.load(Ordering::Relaxed),
             per_backend_cells: roster
                 .iter()
-                .map(|m| delta(m.index, m.completed.load(Ordering::SeqCst), |c| c.0))
-                .collect(),
-            per_backend_stolen: roster
-                .iter()
-                .map(|m| delta(m.index, m.stolen.load(Ordering::SeqCst), |c| c.1))
-                .collect(),
-            per_backend_hedged: roster
-                .iter()
-                .map(|m| delta(m.index, m.hedged.load(Ordering::SeqCst), |c| c.2))
+                .map(|m| {
+                    let before = completed_before.get(m.index).copied().unwrap_or(0);
+                    m.completed.load(Ordering::SeqCst) - before
+                })
                 .collect(),
             membership: roster
                 .iter()
@@ -1036,7 +951,7 @@ impl Fleet {
                             .to_owned(),
                         );
                     }
-                    let delay = self.config.backoff.delay(job.row as u64, local_attempt - 1);
+                    let delay = crate::backoff::delay(job.row as u64, local_attempt - 1);
                     let mut span = tracer().span("fleet.retry");
                     span.attr("backend", member.index);
                     span.attr("row", job.row);
@@ -1587,14 +1502,63 @@ mod tests {
         }
     }
 
+    /// A fleet over black-hole endpoints and an empty sweep to apply
+    /// membership events to; neither dials anything.
+    fn offline(endpoints: &[&str]) -> (Fleet, SweepState<'static>) {
+        let config = FleetConfig::new(endpoints.iter().map(|e| e.to_string()).collect());
+        let state = SweepState::new(&[], &[], &[], None, "fs-test");
+        (Fleet::new(config).unwrap(), state)
+    }
+
+    fn roster(fleet: &Fleet) -> Vec<(String, MemberState)> {
+        fleet
+            .membership
+            .snapshot()
+            .iter()
+            .map(|m| (m.endpoint.clone(), m.state()))
+            .collect()
+    }
+
     #[test]
-    fn join_and_leave_requests_survive_until_the_next_sweep() {
-        let fleet = Fleet::new(FleetConfig::new(vec!["127.0.0.1:1".into()])).unwrap();
-        fleet.join("127.0.0.1:2");
-        fleet.leave("127.0.0.1:1");
-        // Nothing applied yet: commands wait for a control-loop tick.
-        assert_eq!(fleet.members().len(), 1);
-        assert_eq!(fleet.members()[0].1, MemberState::Active);
-        assert_eq!(fleet.commands.lock().unwrap().len(), 2);
+    fn a_planned_join_of_a_dead_member_reuses_its_roster_slot() {
+        let (fleet, state) = offline(&["127.0.0.1:1", "127.0.0.1:2"]);
+        // Dead from failures, not from a leave: the prober would resurrect it.
+        fleet.membership.snapshot()[1].set_state(MemberState::Dead);
+        fleet.apply_membership(MembershipAction::Join("127.0.0.1:2".into()), &state);
+        let members = fleet.membership.snapshot();
+        assert_eq!(members.len(), 2, "no new slot for a known endpoint");
+        assert_eq!(members[1].state(), MemberState::Joining);
+        assert!(members[1].state().is_dispatchable());
+        assert_eq!(state.joins.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_join_after_a_leave_appends_a_fresh_slot() {
+        let (fleet, state) = offline(&["127.0.0.1:1", "127.0.0.1:2"]);
+        fleet.apply_membership(MembershipAction::Leave("127.0.0.1:2".into()), &state);
+        fleet.apply_membership(MembershipAction::Join("127.0.0.1:2".into()), &state);
+        let members = fleet.membership.snapshot();
+        assert_eq!(
+            members.len(),
+            3,
+            "a member that left never gets its slot back"
+        );
+        assert!(members[1].has_left());
+        assert_eq!(members[1].state(), MemberState::Draining);
+        assert_eq!(members[2].endpoint, "127.0.0.1:2");
+        assert_eq!(members[2].index, 2);
+        assert_eq!(members[2].state(), MemberState::Joining);
+        assert_eq!(state.leaves.load(Ordering::Relaxed), 1);
+        assert_eq!(state.joins.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_leave_of_an_unknown_endpoint_changes_nothing() {
+        let (fleet, state) = offline(&["127.0.0.1:1"]);
+        let before = roster(&fleet);
+        fleet.apply_membership(MembershipAction::Leave("127.0.0.1:9".into()), &state);
+        assert_eq!(roster(&fleet), before);
+        assert!(!fleet.membership.snapshot()[0].has_left());
+        assert_eq!(state.leaves.load(Ordering::Relaxed), 0);
     }
 }

@@ -9,15 +9,22 @@
 //! regardless of backend count, membership churn, failures, steals,
 //! hedges, retries, or completion order.
 //!
+//! The crate's public surface is what its callers name: [`Fleet`] with
+//! its [`FleetConfig`], [`FleetError`] and [`SweepStats`]; the planned
+//! membership events [`PlannedEvent`] and [`MembershipAction`] that the
+//! CLI's `--join`/`--leave` compile to; the per-cell [`CompletionBoard`]
+//! with its [`Completion`] verdicts; and the row shard [`backend_for_row`].
+//! Everything else is private to the coordinator:
+//!
 //! | module | what it provides |
 //! |---|---|
-//! | [`shard`] | deterministic, finalized FNV-1a row → backend assignment |
-//! | [`backoff`] | bounded exponential backoff with deterministic jitter (SynthRng, no `rand`) |
-//! | [`breaker`] | per-backend Closed/Open/HalfOpen circuit breaker |
-//! | [`pool`] | per-backend blocking connection pool over [`sibia_serve::Client`] |
-//! | [`control`] | the control plane: membership state machine, work-stealing queues, hedged dispatch |
-//! | [`coordinator`] | the [`Fleet`] itself: dispatch workers, retry/failover policy, hedge monitor, ping prober, result merge |
-//! | [`telemetry`] | fleet-wide Chrome trace assembly: per-process `pid` lanes, global span ids, propagated parent links |
+//! | `shard` | deterministic, finalized FNV-1a row → backend assignment |
+//! | `backoff` | bounded exponential backoff with deterministic jitter (SynthRng, no `rand`) |
+//! | `breaker` | per-backend Closed/Open/HalfOpen circuit breaker |
+//! | `pool` | per-backend blocking connection pool over [`sibia_serve::Client`] |
+//! | `control` | the control plane: membership state machine, work-stealing queues, hedged dispatch |
+//! | `coordinator` | the [`Fleet`] itself: dispatch workers, retry/failover policy, hedge monitor, ping prober, result merge |
+//! | `telemetry` | fleet-wide Chrome trace assembly: per-process `pid` lanes, global span ids, propagated parent links |
 //!
 //! ## Failure policy in one paragraph
 //!
@@ -40,17 +47,18 @@
 //! member that completed it in the fleet's previous sweep, whose store
 //! answers it, if that member is still dispatchable; such a row is pinned
 //! there. Every other row starts on its sharded home queue. Idle workers
-//! steal unpinned rows from the back of the deepest dispatchable queue
-//! ([`control::stealing`]), so a straggler sheds its backlog instead of
-//! serializing the sweep's tail. A row in flight past the windowed-p99
-//! hedge deadline ([`control::hedging`], a window of row latencies) is
-//! duplicated onto the least-loaded other member; the first completion
-//! wins each cell on the [`control::CompletionBoard`], the loser's socket
-//! is cancelled via [`sibia_serve::CancelHandle`], and a loser that
-//! answers anyway is deduped — never double-written. Members join and
-//! leave mid-sweep ([`control::membership`]); a departing member's queue
-//! is drained and resharded across the survivors. [`SweepStats`] and the
-//! `fleet.*` work counters count cells: a row counts its arch count.
+//! steal unpinned rows from the back of the deepest dispatchable queue,
+//! so a straggler sheds its backlog instead of serializing the sweep's
+//! tail. A row in flight past the windowed-p99 hedge deadline (a window
+//! of row latencies) is duplicated onto the least-loaded other member;
+//! the first completion wins each cell on the [`CompletionBoard`], the
+//! loser's socket is cancelled via [`sibia_serve::CancelHandle`], and a
+//! loser that answers anyway is deduped — never double-written. Members
+//! join and leave mid-sweep on the sweep clock
+//! ([`FleetConfig::membership_plan`]) and drop out when their breaker
+//! opens; a departing member's queue is drained and resharded across the
+//! survivors. [`SweepStats`] and the `fleet.*` work counters count cells:
+//! a row counts its arch count.
 //!
 //! Everything is observable through the global [`sibia_obs`] registry
 //! (`fleet.*` counters and histograms — `fleet.failover_total`,
@@ -58,20 +66,14 @@
 //! suite pins) and tracer (`fleet.sweep`, `fleet.dispatch`, `fleet.retry`,
 //! `fleet.steal`, `fleet.hedge`, `fleet.membership` spans).
 
-pub mod backoff;
-pub mod breaker;
-pub mod control;
-pub mod coordinator;
-pub mod pool;
-pub mod shard;
-pub mod telemetry;
+mod backoff;
+mod breaker;
+mod control;
+mod coordinator;
+mod pool;
+mod shard;
+mod telemetry;
 
-pub use backoff::BackoffPolicy;
-pub use breaker::CircuitBreaker;
-pub use control::{
-    CompletionBoard, HedgeConfig, MemberState, Membership, MembershipAction, PlannedEvent,
-};
+pub use control::{Completion, CompletionBoard, MembershipAction, PlannedEvent};
 pub use coordinator::{Fleet, FleetConfig, FleetError, SweepStats};
-pub use pool::ClientPool;
-pub use shard::{backend_for_row, row_key};
-pub use telemetry::{backend_pid, merge_chrome_trace, COORDINATOR_PID};
+pub use shard::backend_for_row;

@@ -59,11 +59,6 @@ impl ClientPool {
         }
     }
 
-    /// The `host:port` this pool dials.
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
-    }
-
     /// An idle connection if one is parked, otherwise a fresh dial.
     pub fn checkout(&self) -> Result<Client, ClientError> {
         if let Some(client) = self.idle.lock().expect("pool lock").pop() {
@@ -85,11 +80,6 @@ impl ClientPool {
         if idle.len() < self.max_idle {
             idle.push(client);
         }
-    }
-
-    /// Drops every parked connection.
-    pub fn drain(&self) {
-        self.idle.lock().expect("pool lock").clear();
     }
 
     /// Lifetime (dials, reuses) counts.

@@ -20,8 +20,7 @@
 //! event that also carries the process's `dropped_spans` count, so a
 //! reader can tell a complete lane from a truncated one.
 
-use std::collections::HashMap;
-
+use sibia_obs::trace::select_trace;
 use sibia_obs::{Json, SpanRecord};
 
 /// The coordinator's fixed pid lane in a merged trace.
@@ -36,26 +35,6 @@ pub fn backend_pid(index: usize) -> u64 {
 /// `i64::MAX` (canonical JSON integers are i64) for any realistic pid.
 fn gid(pid: u64, local: u64) -> u64 {
     (pid << 32) | (local & 0xFFFF_FFFF)
-}
-
-/// Selects the records belonging to `trace_id`: those whose `trace_id`
-/// attribute matches, plus every span whose parent chain reaches one
-/// (parent ids are always lower than child ids, so the walk terminates).
-fn select_trace<'a>(records: &'a [SpanRecord], trace_id: &str) -> Vec<&'a SpanRecord> {
-    let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
-    records
-        .iter()
-        .filter(|r| {
-            let mut cur = Some(*r);
-            while let Some(s) = cur {
-                if s.attr("trace_id") == Some(trace_id) {
-                    return true;
-                }
-                cur = s.parent.and_then(|p| by_id.get(&p).copied());
-            }
-            false
-        })
-        .collect()
 }
 
 /// One `process_name` metadata event announcing a pid lane.

@@ -83,8 +83,6 @@ fn grid_bytes(
 
 fn fleet_config(endpoints: Vec<String>) -> FleetConfig {
     let mut config = FleetConfig::new(endpoints);
-    config.backoff.base = Duration::from_millis(1);
-    config.backoff.cap = Duration::from_millis(20);
     // Keep the prober out of the deterministic tests' way; the breakers
     // are exercised through request outcomes.
     config.probe_interval = Duration::from_secs(30);
@@ -276,7 +274,12 @@ fn overloaded_backend_is_retried_then_failed_over_with_identical_bytes() {
     let endpoints = vec![healthy.addr().to_string(), busy_addr.to_string()];
 
     let seeds: Vec<u64> = (1..=6).collect();
-    let config = fleet_config(endpoints);
+    let mut config = fleet_config(endpoints);
+    // Stealing and hedging off, so the busy backend's rows leave it only
+    // by retry exhaustion: under the backoff's 50 ms envelope the healthy
+    // backend would otherwise steal or hedge them before the third try.
+    config.steal = false;
+    config.hedge.enabled = false;
     let request_timeout = config.request_timeout;
     let fleet = Fleet::new(config).unwrap();
     let started = std::time::Instant::now();
@@ -429,6 +432,7 @@ fn plans_always_exercise_kill_and_join() {
 #[test]
 fn seeded_chaos_schedules_keep_bytes_identical() {
     use chaos::{ChaosAction, ChaosPlan, SlowProxy};
+    use sibia_fleet::{MembershipAction, PlannedEvent};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use std::time::Instant;
@@ -452,7 +456,19 @@ fn seeded_chaos_schedules_keep_bytes_identical() {
         }
         let endpoints: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
         let plan = ChaosPlan::generate(chaos_seed, 3, Duration::from_millis(500));
-        let fleet = Fleet::new(fleet_config(endpoints)).unwrap();
+        // The plan's joins are the fleet's own planned events, fired on the
+        // sweep clock; this thread fires the kills, stalls and heals.
+        let mut config = fleet_config(endpoints);
+        config.membership_plan = plan
+            .events
+            .iter()
+            .filter(|e| e.action == ChaosAction::Join)
+            .map(|e| PlannedEvent {
+                at: e.at,
+                action: MembershipAction::Join(spare.addr().to_string()),
+            })
+            .collect();
+        let fleet = Fleet::new(config).unwrap();
 
         let done = AtomicBool::new(false);
         let bytes = std::thread::scope(|s| {
@@ -479,7 +495,7 @@ fn seeded_chaos_schedules_keep_bytes_identical() {
                                 server.shutdown();
                             }
                         }
-                        ChaosAction::Join => fleet.join(spare.addr().to_string()),
+                        ChaosAction::Join => {} // planned on the fleet above
                         ChaosAction::Stall(i, delay) => proxies[i].set_delay(delay),
                         ChaosAction::Heal(i) => proxies[i].set_delay(Duration::ZERO),
                     }
@@ -742,6 +758,9 @@ struct Counts {
     store_hits: u64,
     store_probes: u64,
     peer_hits: u64,
+    peer_errors: u64,
+    /// Connections accepted, this reading's own included.
+    connections: u64,
 }
 
 fn counts(servers: &[&Server]) -> Counts {
@@ -761,6 +780,8 @@ fn counts(servers: &[&Server]) -> Counts {
         sum.store_hits += at(&["store", "hits"]);
         sum.store_probes += at(&["store", "hits"]) + at(&["store", "misses"]);
         sum.peer_hits += at(&["registry", "counters", "serve.peer.hits"]);
+        sum.peer_errors += at(&["registry", "counters", "serve.peer.errors"]);
+        sum.connections += at(&["connections"]);
     }
     sum
 }
@@ -896,6 +917,60 @@ fn a_cold_daemon_answers_a_fleet_sweep_from_its_warm_peer() {
     );
     assert_eq!(
         after.cache_misses, before.cache_misses,
+        "nothing recomputed"
+    );
+    warm.shutdown();
+    cold.shutdown();
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// A request asks each peer over one connection, and a peer that fails
+/// once is not asked again: a cold daemon whose first peer is a closed
+/// port answers a one-row sweep of five archs from its second, warm peer,
+/// byte-identically, with one peer error and one connection to the warm
+/// peer, not one of each per cell.
+#[test]
+fn a_broken_peer_costs_one_error_and_a_warm_peer_one_connection() {
+    let dirs = [temp_dir("peers-warm"), temp_dir("peers-cold")];
+    let warm = start_store_server(&dirs[0], Vec::new());
+    let expected = grid_bytes(&FIG_ARCHS, &NETWORKS, &[1], SAMPLE_CAP, &DecompCache::new());
+    let sweep = |server: &Server| {
+        Client::connect(server.addr())
+            .expect("connect")
+            .sweep(&FIG_ARCHS, &NETWORKS, &[1], Some(SAMPLE_CAP))
+            .expect("sweep")
+            .to_string()
+    };
+    assert_eq!(sweep(&warm), expected);
+    let closed = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port");
+    let cold = start_store_server(&dirs[1], vec![closed.to_string(), warm.addr().to_string()]);
+
+    let (cold_before, warm_before) = (counts(&[&cold]), counts(&[&warm]));
+    let answer = sweep(&cold);
+    let (cold_after, warm_after) = (counts(&[&cold]), counts(&[&warm]));
+
+    assert_eq!(answer, expected);
+    assert_eq!(
+        cold_after.peer_hits - cold_before.peer_hits,
+        FIG_ARCHS.len() as u64,
+        "every cell must come from the warm peer"
+    );
+    assert_eq!(
+        cold_after.peer_errors - cold_before.peer_errors,
+        1,
+        "the closed port must be dialed once, not once per cell"
+    );
+    assert_eq!(
+        warm_after.connections - warm_before.connections - 1,
+        1,
+        "the warm peer must see one connection, besides the reading's own"
+    );
+    assert_eq!(
+        cold_after.cache_misses, cold_before.cache_misses,
         "nothing recomputed"
     );
     warm.shutdown();

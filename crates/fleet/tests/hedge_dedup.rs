@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use sibia_fleet::control::{Completion, CompletionBoard};
+use sibia_fleet::{Completion, CompletionBoard};
 use sibia_nn::rng::SynthRng;
 use sibia_obs::Json;
 use sibia_store::{Store, StoreKey};

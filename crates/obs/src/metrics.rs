@@ -148,31 +148,13 @@ impl Histogram {
         self.max_us.load(Ordering::Relaxed)
     }
 
-    /// Mean in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.total_us() as f64 / n as f64 / 1e3
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) in milliseconds, as the upper bound
-    /// of the bucket holding the rank-`ceil(q*n)` observation; 0 when
-    /// empty. The saturating top bucket reports the exact observed maximum
-    /// (its nominal upper edge would not be an upper bound at all).
-    ///
-    /// Legacy numeric API: a `0.0` return is ambiguous between "empty" and
-    /// "genuinely sub-microsecond". Prefer [`Self::quantile_us`], which is
-    /// typed `None` when the histogram cannot support the estimate.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.snapshot().quantile_ms(q)
-    }
-
-    /// The `q`-quantile in microseconds, or `None` when the histogram holds
-    /// fewer than two observations (an empty or single-observation
-    /// histogram has no meaningful quantile spread — reporting the lone
-    /// bucket's upper edge as "p999" is garbage).
+    /// The `q`-quantile (`0 < q <= 1`) in microseconds, as the upper bound
+    /// of the bucket holding the rank-`ceil(q*n)` observation, or `None`
+    /// when the histogram holds fewer than two observations (an empty or
+    /// single-observation histogram has no meaningful quantile spread —
+    /// reporting the lone bucket's upper edge as "p999" is garbage). The
+    /// saturating top bucket reports the exact observed maximum (its
+    /// nominal upper edge would not be an upper bound at all).
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
         self.snapshot().quantile_us(q)
     }
@@ -272,29 +254,6 @@ impl HistogramSnapshot {
             }
         }
         Some(self.max_us)
-    }
-
-    /// Legacy numeric quantile (see [`Histogram::quantile_ms`]): bucket
-    /// upper bound in ms, `0.0` when empty, the lone bucket's upper bound
-    /// on a single observation.
-    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
-        let n = self.count;
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return if i == Histogram::BUCKETS - 1 {
-                    self.max_us as f64 / 1e3
-                } else {
-                    (1u64 << (i + 1)) as f64 / 1e3
-                };
-            }
-        }
-        self.max_us as f64 / 1e3
     }
 
     /// Compact JSON summary; quantiles are `null` below two observations.
@@ -447,28 +406,28 @@ mod tests {
     #[test]
     fn histogram_empty_single_and_saturating() {
         let h = Histogram::new();
-        // Empty: everything is 0, no division by zero.
+        // Empty: no mean, no division by zero.
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ms(), 0.0);
-        assert_eq!(h.quantile_ms(0.5), 0.0);
-        assert_eq!(h.quantile_ms(1.0), 0.0);
+        assert_eq!(h.snapshot().mean_us(), None);
 
-        // Single observation: every quantile lands in its bucket and
-        // reports that bucket's upper bound ([64, 128) µs → 0.128 ms).
+        // Two observations in one bucket: every quantile reports that
+        // bucket's upper bound ([64, 128) µs → 128 µs), the mean is exact.
         h.record(Duration::from_micros(100));
+        h.record(Duration::from_micros(110));
         for q in [0.001, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile_ms(q), 0.128, "q={q}");
+            assert_eq!(h.quantile_us(q), Some(128), "q={q}");
         }
-        assert_eq!(h.mean_ms(), 0.1);
-        assert_eq!(h.max_us(), 100);
+        assert_eq!(h.snapshot().mean_us(), Some(105.0));
+        assert_eq!(h.max_us(), 110);
 
         // Saturating top bucket: the nominal upper edge of bucket 47 would
         // *under*-report a larger sample; the observed max must win.
         let h = Histogram::new();
         let big_us = (1u64 << 50) + 12345;
         h.record(Duration::from_micros(big_us));
-        assert_eq!(h.quantile_ms(1.0), big_us as f64 / 1e3);
-        assert_eq!(h.quantile_ms(0.5), big_us as f64 / 1e3);
+        h.record(Duration::from_micros(big_us - 1));
+        assert_eq!(h.quantile_us(1.0), Some(big_us));
+        assert_eq!(h.quantile_us(0.5), Some(big_us));
     }
 
     #[test]
@@ -480,10 +439,10 @@ mod tests {
         h.record_us(1500);
         h.record_us(1600);
         // Rank math: q=0.5 → rank 2 → still the fast bucket (upper bound
-        // 2 µs = 0.002 ms); q=0.75 → rank 3 → slow bucket (2048 µs).
-        assert_eq!(h.quantile_ms(0.5), 0.002);
-        assert_eq!(h.quantile_ms(0.75), 2.048);
-        assert_eq!(h.quantile_ms(1.0), 2.048);
+        // 2 µs); q=0.75 → rank 3 → slow bucket (2048 µs).
+        assert_eq!(h.quantile_us(0.5), Some(2));
+        assert_eq!(h.quantile_us(0.75), Some(2048));
+        assert_eq!(h.quantile_us(1.0), Some(2048));
         assert_eq!(h.total_us(), 1 + 1 + 1500 + 1600);
     }
 

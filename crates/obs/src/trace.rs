@@ -35,7 +35,7 @@
 //! bounded.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -350,6 +350,28 @@ impl Drop for AdoptedParent {
     }
 }
 
+/// The spans of one trace among `records`: each span whose `trace_id`
+/// attribute is `trace_id`, and each span whose parent chain reaches one
+/// (parent ids are always lower than child ids, so the walk terminates).
+/// Input order is kept. This is how a served request's spans, and a fleet
+/// sweep's spans in every process, are told apart from the rest.
+pub fn select_trace<'a>(records: &'a [SpanRecord], trace_id: &str) -> Vec<&'a SpanRecord> {
+    let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
+    records
+        .iter()
+        .filter(|r| {
+            let mut cur = Some(*r);
+            while let Some(s) = cur {
+                if s.attr("trace_id") == Some(trace_id) {
+                    return true;
+                }
+                cur = s.parent.and_then(|p| by_id.get(&p).copied());
+            }
+            false
+        })
+        .collect()
+}
+
 static GLOBAL_TRACER: OnceLock<Tracer> = OnceLock::new();
 
 /// The process-wide tracer: the one tracer every span of the stack records
@@ -531,5 +553,33 @@ mod tests {
             assert!(v.get("ts").is_some() && v.get("dur").is_some());
             assert_eq!(v.to_string(), **line, "canonical round trip");
         }
+    }
+
+    #[test]
+    fn select_trace_keeps_the_tagged_spans_and_their_descendants() {
+        let t = Tracer::new();
+        t.enable();
+        {
+            let mut request = t.span("request");
+            request.attr("trace_id", "t1");
+            let _cell = t.span("cell");
+            let _layer = t.span("layer");
+        }
+        {
+            let mut other = t.span("other");
+            other.attr("trace_id", "t2");
+            let _child = t.span("other.child");
+        }
+        drop(t.span("untagged"));
+        let records = t.records();
+        let names = |id: &str| -> Vec<String> {
+            select_trace(&records, id)
+                .iter()
+                .map(|r| r.name.clone())
+                .collect()
+        };
+        assert_eq!(names("t1"), ["request", "cell", "layer"]);
+        assert_eq!(names("t2"), ["other", "other.child"]);
+        assert!(names("t3").is_empty());
     }
 }

@@ -332,22 +332,23 @@ mod tests {
     #[test]
     fn histogram_quantiles_bracket_observations() {
         let h = Histogram::new();
-        assert_eq!(h.quantile_ms(0.5), 0.0);
+        assert_eq!(h.quantile_us(0.5), None);
         // 99 fast samples (~100 µs) and one slow (~50 ms).
         for _ in 0..99 {
             h.record(Duration::from_micros(100));
         }
         h.record(Duration::from_millis(50));
         assert_eq!(h.count(), 100);
-        let p50 = h.quantile_ms(0.5);
-        let p99 = h.quantile_ms(0.99);
-        let p100 = h.quantile_ms(1.0);
-        // p50 lands in the [64, 128) µs bucket → upper bound 0.128 ms.
-        assert!((0.1..0.3).contains(&p50), "p50 {p50}");
-        assert!(p99 <= p50 * 2.0, "p99 {p99} is still a fast sample");
-        // The slow sample is rank 100: [32768, 65536) µs → 65.536 ms.
-        assert!((50.0..132.0).contains(&p100), "p100 {p100}");
-        assert!(h.mean_ms() > 0.4 && h.mean_ms() < 1.0, "{}", h.mean_ms());
+        let p50 = h.quantile_us(0.5).unwrap();
+        let p99 = h.quantile_us(0.99).unwrap();
+        let p100 = h.quantile_us(1.0).unwrap();
+        // p50 lands in the [64, 128) µs bucket → upper bound 128 µs.
+        assert!((100..300).contains(&p50), "p50 {p50}");
+        assert!(p99 <= p50 * 2, "p99 {p99} is still a fast sample");
+        // The slow sample is rank 100: [32768, 65536) µs → 65536 µs.
+        assert!((50_000..132_000).contains(&p100), "p100 {p100}");
+        let mean = h.snapshot().mean_us().unwrap();
+        assert!(mean > 400.0 && mean < 1000.0, "{mean}");
     }
 
     #[test]

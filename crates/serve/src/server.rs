@@ -80,6 +80,10 @@ pub const DEFAULT_SAMPLE_CAP: usize = 32_768;
 /// How often the foreground daemon checks the signal latch.
 const SIGNAL_TICK: Duration = Duration::from_millis(20);
 
+/// Background telemetry sampling interval (the `stats` verb also forces a
+/// sample, so scrapes are never stale).
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Longest accepted request line (16 MiB covers ~2M-value encode payloads).
 pub(crate) const MAX_LINE_BYTES: usize = 16 << 20;
 
@@ -131,9 +135,6 @@ pub struct ServeConfig {
     /// mergeable into a fleet-wide trace). Off by default: the global
     /// tracer stays a single relaxed atomic load per span site.
     pub trace: bool,
-    /// Background telemetry sampling interval in milliseconds (the `stats`
-    /// verb also forces a sample, so scrapes are never stale).
-    pub sample_interval_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -151,7 +152,6 @@ impl Default for ServeConfig {
             pipeline_depth: 64,
             write_budget_bytes: 1 << 20,
             trace: false,
-            sample_interval_ms: 500,
         }
     }
 }
@@ -248,28 +248,9 @@ impl Shared {
     /// the daemon was started with tracing enabled.
     pub(crate) fn spans_json(&self, limit: usize, trace_id: Option<&str>) -> Json {
         let records = sibia_obs::tracer().records();
-        let selected: Vec<&sibia_obs::SpanRecord> = match trace_id {
+        let selected = match trace_id {
             None => records.iter().collect(),
-            Some(tid) => {
-                // A span belongs to the trace when walking its parent chain
-                // (parent ids are always lower, so the walk terminates)
-                // reaches a span whose `trace_id` attribute equals `tid`.
-                let by_id: std::collections::HashMap<u64, &sibia_obs::SpanRecord> =
-                    records.iter().map(|r| (r.id, r)).collect();
-                records
-                    .iter()
-                    .filter(|r| {
-                        let mut cur = Some(*r);
-                        while let Some(s) = cur {
-                            if s.attr("trace_id") == Some(tid) {
-                                return true;
-                            }
-                            cur = s.parent.and_then(|p| by_id.get(&p).copied());
-                        }
-                        false
-                    })
-                    .collect()
-            }
+            Some(tid) => sibia_obs::trace::select_trace(&records, tid),
         };
         let newest = &selected[selected.len().saturating_sub(limit)..];
         let spans: Vec<Json> = newest.iter().map(|r| r.to_chrome_json()).collect();
@@ -350,63 +331,20 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Peer-lookup IO timeout: a store probe is a read + one response line.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Cross-backend warm start for one cell: asks each configured peer (in
-/// order) whether its store already holds the cell. First parsable hit
-/// wins. Every failure mode — dial, IO, protocol, unparsable result —
-/// counts in `serve.peer.errors` and falls through to the next peer, then
-/// to local simulation: a broken peer must never fail a request that this
-/// daemon can compute itself.
-fn peer_warm_start(
-    shared: &Shared,
-    arch: &str,
-    network: &str,
-    seed: u64,
-    sample_cap: usize,
-) -> Option<sibia_sim::perf::NetworkResult> {
-    let registry = shared.metrics.registry();
-    for peer in &shared.peers {
-        let mut client = match crate::client::Client::with_timeouts(
-            peer.as_str(),
-            Some(PEER_CONNECT_TIMEOUT),
-            Some(PEER_IO_TIMEOUT),
-            Some(PEER_IO_TIMEOUT),
-        ) {
-            Ok(c) => c,
-            Err(_) => {
-                registry.counter("serve.peer.errors").add(1);
-                continue;
-            }
-        };
-        match client.lookup(arch, network, seed, Some(sample_cap)) {
-            Ok(resp) => {
-                if matches!(resp.get("found"), Some(Json::Bool(true))) {
-                    match resp
-                        .get("result")
-                        .and_then(sibia_sim::network_result_from_json)
-                    {
-                        Some(result) => {
-                            registry.counter("serve.peer.hits").add(1);
-                            return Some(result);
-                        }
-                        None => registry.counter("serve.peer.errors").add(1),
-                    }
-                } else {
-                    registry.counter("serve.peer.misses").add(1);
-                }
-            }
-            Err(_) => registry.counter("serve.peer.errors").add(1),
-        }
-    }
-    None
-}
-
 /// A request's peer warm start (a `simulate` is one cell, a `sweep` its
-/// whole grid): every cell missing from the local store is looked up on
-/// the peers ([`peer_warm_start`]) and a hit is written back, so the grid's
-/// store read-through then answers it without simulating. Archs and
-/// networks come as `(protocol name, resolved)` pairs. Only called with
-/// peers configured; without them a request probes each cell's key once,
-/// in the grid.
+/// whole grid). The cells missing from the local store are looked up on
+/// each peer in order, over one connection per peer, and a hit is written
+/// back, so the grid's store read-through then answers it without
+/// simulating. A peer is asked only for the cells still missing, so each
+/// cell comes from the first peer in order that holds it. The first dial,
+/// IO or protocol error (an unparsable result included) counts in
+/// `serve.peer.errors` and ends that peer for the rest of the request, so
+/// a peer that refuses, stalls or garbles costs the request at most one
+/// connect timeout and one IO timeout, however many cells are missing,
+/// and never fails a request this daemon can compute itself. Archs and
+/// networks come as `(protocol name, resolved)` pairs.
+/// Only called with peers configured; without them a request probes each
+/// cell's key once, in the grid.
 fn warm_from_peers<'a>(
     shared: &Shared,
     store: &Store,
@@ -415,22 +353,62 @@ fn warm_from_peers<'a>(
     nets: impl Iterator<Item = (&'a str, &'a Network)> + Clone,
     seeds: &[u64],
 ) {
+    let mut missing = Vec::new();
     for (arch, spec) in archs {
         for (network, net) in nets.clone() {
             for &seed in seeds {
                 let mut cell_sim = *sim;
                 cell_sim.seed = seed;
-                if sibia_sim::try_stored(&cell_sim, spec, net, store).is_some() {
-                    continue;
-                }
-                if let Some(fetched) =
-                    peer_warm_start(shared, arch, network, seed, cell_sim.sample_cap)
-                {
-                    let key = sibia_sim::network_key(&cell_sim, spec, net.name());
-                    sibia_sim::stored::put_best_effort(store, &key, &fetched);
+                if sibia_sim::try_stored(&cell_sim, spec, net, store).is_none() {
+                    missing.push((arch, spec, network, net, cell_sim));
                 }
             }
         }
+    }
+    let registry = shared.metrics.registry();
+    for peer in &shared.peers {
+        if missing.is_empty() {
+            return;
+        }
+        let Ok(mut client) = crate::client::Client::with_timeouts(
+            peer.as_str(),
+            Some(PEER_CONNECT_TIMEOUT),
+            Some(PEER_IO_TIMEOUT),
+            Some(PEER_IO_TIMEOUT),
+        ) else {
+            registry.counter("serve.peer.errors").add(1);
+            continue;
+        };
+        let mut broken = false;
+        missing.retain(|&(arch, spec, network, net, cell_sim)| {
+            if broken {
+                return true;
+            }
+            let seed = cell_sim.seed;
+            let fetched = match client.lookup(arch, network, seed, Some(cell_sim.sample_cap)) {
+                Ok(resp) if matches!(resp.get("found"), Some(Json::Bool(true))) => resp
+                    .get("result")
+                    .and_then(sibia_sim::network_result_from_json),
+                Ok(_) => {
+                    registry.counter("serve.peer.misses").add(1);
+                    return true;
+                }
+                Err(_) => None,
+            };
+            match fetched {
+                Some(result) => {
+                    registry.counter("serve.peer.hits").add(1);
+                    let key = sibia_sim::network_key(&cell_sim, spec, net.name());
+                    sibia_sim::stored::put_best_effort(store, &key, &result);
+                    false
+                }
+                None => {
+                    registry.counter("serve.peer.errors").add(1);
+                    broken = true;
+                    true
+                }
+            }
+        });
     }
 }
 
@@ -683,10 +661,7 @@ impl Server {
                 s.refresh_gauges();
             }
         });
-        let sampler = Sampler::start(
-            telemetry,
-            Duration::from_millis(config.sample_interval_ms.max(1)),
-        );
+        let sampler = Sampler::start(telemetry, SAMPLE_INTERVAL);
         let workers = (0..config.workers.clamp(1, 256))
             .map(|_| {
                 let shared = Arc::clone(&shared);
