@@ -142,7 +142,7 @@ fn write_merged_trace(fleet: &sibia::fleet::Fleet, path: &str) -> ExitCode {
         eprintln!("trace-out: no sweep ran, nothing to export");
         return ExitCode::FAILURE;
     };
-    let merged = fleet.merged_chrome_trace(&trace_id, None);
+    let merged = fleet.merged_chrome_trace(&trace_id);
     let events = merged
         .get("events")
         .and_then(sibia::obs::Json::as_array)
@@ -335,7 +335,6 @@ fn grid_args(args: &[String]) -> Result<GridArgs, String> {
 /// `diff <(… --local …) <(… --endpoints … )` is the determinism check.
 fn fleet_command(args: &[String]) -> ExitCode {
     use sibia::fleet::{Fleet, FleetConfig, MembershipAction, PlannedEvent};
-    use sibia::serve::protocol::grid_to_json;
 
     match args.get(1).map(String::as_str) {
         Some("sweep") => {}
@@ -383,7 +382,7 @@ fn fleet_command(args: &[String]) -> ExitCode {
 
     if local {
         // The in-process baseline: the same grid through the same engine
-        // semantics the daemons use, serialized canonically.
+        // semantics the daemons use, written by the daemons' result writer.
         let specs: Vec<ArchSpec> = archs.iter().map(|a| arch_by_name(a).unwrap()).collect();
         let nets: Vec<Network> = networks.iter().map(|n| find_network(n).unwrap()).collect();
         let mut sim = Simulator::new(seeds[0]);
@@ -391,7 +390,9 @@ fn fleet_command(args: &[String]) -> ExitCode {
             sim.sample_cap = cap.max(1);
         }
         let grid = ParallelEngine::new().run(GridRequest::new(sim, &specs, &nets, &seeds));
-        println!("{}", grid_to_json(&grid));
+        let mut doc = String::new();
+        sibia::sim::write_grid(&grid, &mut doc);
+        println!("{doc}");
         return match trace_path {
             Some(path) => write_trace(&path),
             None => ExitCode::SUCCESS,

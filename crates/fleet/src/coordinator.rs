@@ -49,17 +49,17 @@
 //!
 //! The server's `sweep` handler computes a row with the same grid engine
 //! and `Simulator` configuration a direct grid gives it (same seed
-//! override, same default sample cap) and serializes it with
-//! [`sibia_serve::protocol::grid_to_json`], whose per-cell `result` is the
-//! *pure* [`sibia_serve::protocol::network_result_to_json`]. The canonical
-//! JSON layer makes `parse ∘ serialize` the identity on canonical text, so
-//! each `result` the coordinator reads back is byte-for-byte what
-//! `grid_to_json` embeds for that cell in the whole grid. Everything the
+//! override, same default sample cap) and writes it with
+//! `sibia_sim::jsonio::write_grid`, whose per-cell `result` is the *pure*
+//! `sibia_sim::jsonio::write_network_result`. The canonical JSON layer
+//! makes `parse ∘ serialize` the identity on canonical text, so each
+//! `result` the coordinator reads back is byte-for-byte what `write_grid`
+//! writes for that cell in the whole grid. Everything the
 //! control plane does — stealing, hedging, joins, leaves, breaker-driven
 //! reshards — only changes **which backend computes a row and when**,
 //! never a cell's bytes; hedge twins are first-writer-wins deduped per
 //! cell on the board, and the merge reads the slots back in flat order.
-//! Reassembling therefore reproduces `grid_to_json` of the direct grid
+//! Reassembling therefore reproduces `write_grid` of the direct grid
 //! exactly — regardless of backend count, membership churn, steals,
 //! hedges, retries, or completion order. The integration suite pins this
 //! against live servers, including seeded chaos schedules (mid-sweep
@@ -327,7 +327,7 @@ enum Verdict {
     Failover(String),
 }
 
-/// Splits a row's `sweep` answer — the `grid_to_json` document of one
+/// Splits a row's `sweep` answer — the `write_grid` document of one
 /// network and one seed — into its per-arch `result` payloads, in arch
 /// order. `None` when the answer is not that shape.
 fn row_results(doc: &Json, archs: usize) -> Option<Vec<Json>> {
@@ -552,11 +552,7 @@ impl Fleet {
     /// answer yields `Err(message)` — the merger skips it rather than
     /// failing the whole export.
     #[allow(clippy::type_complexity)]
-    fn pull_spans(
-        &self,
-        trace_id: &str,
-        limit: Option<usize>,
-    ) -> Vec<(String, Result<Json, String>)> {
+    fn pull_spans(&self, trace_id: &str) -> Vec<(String, Result<Json, String>)> {
         self.membership
             .snapshot()
             .iter()
@@ -567,7 +563,7 @@ impl Fleet {
                     .map_err(|e| format!("connect: {e}"))
                     .and_then(|mut client| {
                         let pulled = client
-                            .spans(limit, Some(trace_id))
+                            .spans(None, Some(trace_id))
                             .map_err(|e| e.to_string());
                         if pulled.is_ok() {
                             member.pool.checkin(client);
@@ -583,16 +579,16 @@ impl Fleet {
     /// `fleet.*` spans plus every backend's pulled spans, each process in
     /// its own `pid` lane with ids rewritten globally unique and propagated
     /// parent links resolved (see `telemetry::merge_chrome_trace`).
-    pub fn merged_chrome_trace(&self, trace_id: &str, limit: Option<usize>) -> Json {
+    pub fn merged_chrome_trace(&self, trace_id: &str) -> Json {
         let coordinator = tracer().records();
-        let backends = self.pull_spans(trace_id, limit);
+        let backends = self.pull_spans(trace_id);
         crate::telemetry::merge_chrome_trace(trace_id, &coordinator, &backends)
     }
 }
 
 impl Fleet {
     /// Runs the (archs × networks × seeds) grid and returns the merged
-    /// document — byte-identical to `grid_to_json` of the same grid run
+    /// document — byte-identical to `write_grid` of the same grid run
     /// in process (`ParallelEngine::run`) — plus dispatch statistics.
     pub fn sweep_with_stats(
         &self,

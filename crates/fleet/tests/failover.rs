@@ -1,7 +1,7 @@
 //! Fleet integration: live backends, byte-identity, and failover.
 //!
 //! The acceptance property pinned here: a fleet sweep's merged document is
-//! **byte-identical** to `grid_to_json` of a direct grid request —
+//! **byte-identical** to `write_grid` of a direct grid request —
 //! for 1, 2, and 4 backends, when a backend answers `overloaded`, when a
 //! backend drops every connection mid-request, and when a real backend is
 //! shut down mid-sweep. The crash-backend test additionally asserts
@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 use sibia_fleet::{Fleet, FleetConfig, FleetError};
 use sibia_obs::json::Json;
 use sibia_obs::registry;
-use sibia_serve::protocol::{arch_by_name, error_response, grid_to_json, ErrorCode, ServeError};
+use sibia_serve::protocol::{arch_by_name, ErrorCode};
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::Client;
-use sibia_sim::{DecompCache, GridRequest, ParallelEngine, Simulator};
+use sibia_sim::{write_grid, DecompCache, GridRequest, ParallelEngine, Simulator};
 
 const ARCHS: [&str; 2] = ["sibia", "bitfusion"];
 const NETWORKS: [&str; 1] = ["dgcnn"];
@@ -78,7 +78,9 @@ fn grid_bytes(
         cache: Some(cache),
         ..GridRequest::new(sim, &specs, &networks, seeds)
     });
-    grid_to_json(&grid).to_string()
+    let mut text = String::new();
+    write_grid(&grid, &mut text);
+    text
 }
 
 fn fleet_config(endpoints: Vec<String>) -> FleetConfig {
@@ -249,14 +251,12 @@ fn spawn_overloaded_backend() -> SocketAddr {
                     }
                     let id = Json::parse(line.trim_end())
                         .ok()
-                        .and_then(|v| v.get("id").cloned());
-                    let mut reply = error_response(
-                        id.as_ref(),
-                        None,
-                        &ServeError::new(ErrorCode::Overloaded, "synthetic overload"),
-                    )
-                    .to_string();
-                    reply.push('\n');
+                        .and_then(|v| v.get("id").cloned())
+                        .unwrap_or(Json::Null);
+                    let reply = format!(
+                        "{{\"id\":{id},\"ok\":false,\"error\":{{\"code\":\"overloaded\",\
+                         \"message\":\"synthetic overload\"}}}}\n"
+                    );
                     if writer.write_all(reply.as_bytes()).is_err() {
                         break;
                     }
@@ -756,6 +756,7 @@ fn start_store_server(dir: &Path, peers: Vec<String>) -> Server {
 struct Counts {
     cache_misses: u64,
     store_hits: u64,
+    store_misses: u64,
     store_probes: u64,
     peer_hits: u64,
     peer_errors: u64,
@@ -778,6 +779,7 @@ fn counts(servers: &[&Server]) -> Counts {
         };
         sum.cache_misses += at(&["cache", "misses"]);
         sum.store_hits += at(&["store", "hits"]);
+        sum.store_misses += at(&["store", "misses"]);
         sum.store_probes += at(&["store", "hits"]) + at(&["store", "misses"]);
         sum.peer_hits += at(&["registry", "counters", "serve.peer.hits"]);
         sum.peer_errors += at(&["registry", "counters", "serve.peer.errors"]);
@@ -973,7 +975,54 @@ fn a_broken_peer_costs_one_error_and_a_warm_peer_one_connection() {
         cold_after.cache_misses, cold_before.cache_misses,
         "nothing recomputed"
     );
+    // The peers filled every cell before the grid's read-through, the one
+    // counted probe of each cell.
+    assert_eq!(
+        (
+            cold_after.store_hits - cold_before.store_hits,
+            cold_after.store_misses - cold_before.store_misses
+        ),
+        (FIG_ARCHS.len() as u64, 0),
+        "store (hits, misses)"
+    );
     warm.shutdown();
+    cold.shutdown();
+    for d in &dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// Asking the peers is no store probe: a daemon whose only peer holds
+/// nothing counts one store miss per cold cell, as a daemon without peers
+/// does, and one hit per cell when the same sweep comes again.
+#[test]
+fn a_daemon_with_peers_counts_each_cold_cell_once_in_its_store() {
+    let dirs = [temp_dir("probe-peer"), temp_dir("probe-cold")];
+    let peer = start_store_server(&dirs[0], Vec::new());
+    let cold = start_store_server(&dirs[1], vec![peer.addr().to_string()]);
+    let expected = grid_bytes(&FIG_ARCHS, &NETWORKS, &[1], SAMPLE_CAP, &DecompCache::new());
+    let cells = FIG_ARCHS.len() as u64;
+    let mut client = Client::connect(cold.addr()).expect("connect");
+    for (round, (hits, misses)) in [(0, cells), (cells, 0)].into_iter().enumerate() {
+        let before = counts(&[&cold]);
+        let answer = client
+            .sweep(&FIG_ARCHS, &NETWORKS, &[1], Some(SAMPLE_CAP))
+            .expect("sweep")
+            .to_string();
+        let after = counts(&[&cold]);
+        assert_eq!(answer, expected, "round {round}");
+        assert_eq!(
+            (
+                after.store_hits - before.store_hits,
+                after.store_misses - before.store_misses
+            ),
+            (hits, misses),
+            "round {round}: store (hits, misses)"
+        );
+    }
+    let peer_misses = counts(&[&peer]).store_misses;
+    assert_eq!(peer_misses, cells, "the peer's lookups probe its own store");
+    peer.shutdown();
     cold.shutdown();
     for d in &dirs {
         let _ = std::fs::remove_dir_all(d);

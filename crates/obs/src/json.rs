@@ -19,11 +19,19 @@
 //!    [`JsonError`], never a panic, so one bad client line cannot take a
 //!    connection handler down.
 //!
+//! Each scalar has one formatting, in one public writer: [`write_str`]
+//! (escaped), [`write_i64`] and [`write_f64`] (shortest round trip,
+//! non-finite as `null`). [`Json::write_to`] calls them, and so do the
+//! writers that emit a document without building a tree first, such as
+//! `sibia_sim::jsonio`'s result writer.
+//!
 //! A served `simulate` answer is 3–35 KB of it, so both directions take
-//! fast paths: the parser copies a string's unescaped run as one slice and
-//! accumulates an integer's digits as it scans them, and the serializer
-//! writes numbers straight into its output and copies unescaped runs
-//! whole. The tests compare both with the former char-at-a-time codec.
+//! fast paths: the parser copies a string's unescaped run as one slice,
+//! accumulates an integer's digits as it scans them, and keeps the members
+//! and items of the objects and arrays it is inside on two parser-owned
+//! stacks, so each finished object or array is one `Vec` of exact size;
+//! the writers put numbers and unescaped runs straight into their output.
+//! The tests compare both with the former char-at-a-time codec.
 
 use std::fmt::{self, Write as _};
 
@@ -74,6 +82,8 @@ impl Json {
             text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            members: Vec::new(),
+            items: Vec::new(),
         };
         p.skip_ws();
         let v = p.value(0)?;
@@ -167,12 +177,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                // Writing into a `String` cannot fail.
-                let _ = write!(out, "{n}");
-            }
+            Json::Int(n) => write_i64(*n, out),
             Json::Float(x) => write_f64(*x, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_str(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -189,7 +196,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write_to(out);
                 }
@@ -255,9 +262,16 @@ impl From<bool> for Json {
     }
 }
 
-/// Shortest round-trip float formatting; non-finite values (which valid
-/// simulation output never contains) degrade to `null`.
-fn write_f64(x: f64, out: &mut String) {
+/// Appends `n` in decimal: the canonical integer.
+pub fn write_i64(n: i64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// Appends the shortest round-trip form of `x`: the canonical float.
+/// Non-finite values (which valid simulation output never contains)
+/// degrade to `null`.
+pub fn write_f64(x: f64, out: &mut String) {
     if x.is_finite() {
         // `{}` prints integral floats without a fractional part ("1"); that
         // is fine — the reparse yields Int(1) which serializes identically.
@@ -273,7 +287,8 @@ fn needs_escape(b: u8) -> bool {
     b == b'"' || b == b'\\' || b < 0x20
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string: the canonical string.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let bytes = s.as_bytes();
     let mut start = 0;
@@ -310,6 +325,12 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Members of the objects being parsed, innermost last. A finished
+    /// object drains its own run into one `Vec` of exact size, so no
+    /// object's member list grows by doubling.
+    members: Vec<(String, Json)>,
+    /// Items of the arrays being parsed, kept the same way.
+    items: Vec<Json>,
 }
 
 impl<'a> Parser<'a> {
@@ -369,23 +390,28 @@ impl<'a> Parser<'a> {
         }
     }
 
+    // An array or object pushes onto its stack above `start` and drains
+    // exactly that run when it closes; nested values drain theirs first.
+    // An error abandons the stacks with the parser, so nothing a failed
+    // parse pushed outlives it.
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            return Ok(Json::Array(Vec::new()));
         }
+        let start = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(Json::Array(self.items.drain(start..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
@@ -394,12 +420,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(members));
+            return Ok(Json::Object(Vec::new()));
         }
+        let start = self.members.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -407,13 +433,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            members.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(members));
+                    return Ok(Json::Object(self.members.drain(start..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -662,6 +688,38 @@ mod tests {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.to_string(), "{\"a\":[1,2]}");
     }
+
+    /// Asserts that every object and array in `v` holds exactly its
+    /// members: one allocation of exact size, never a doubled buffer.
+    fn assert_exact(v: &Json) {
+        match v {
+            Json::Array(items) => {
+                assert_eq!(items.capacity(), items.len(), "{v}");
+                items.iter().for_each(assert_exact);
+            }
+            Json::Object(members) => {
+                assert_eq!(members.capacity(), members.len(), "{v}");
+                members.iter().for_each(|(_, m)| assert_exact(m));
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn parsed_objects_and_arrays_are_exactly_sized() {
+        let layer = |i: usize| {
+            format!(
+                "{{\"name\":\"l{i}\",\"a\":1,\"b\":2,\"c\":3,\"d\":4.5,\"e\":[{i},[],{{}}],\
+                 \"events\":{{\"x\":1,\"y\":2,\"z\":[1,2,3,4,5]}}}}"
+            )
+        };
+        let layers: Vec<String> = (0..53).map(layer).collect();
+        let doc = format!("{{\"cells\":[{}],\"n\":[[1],[2,3]]}}", layers.join(","));
+        let v = Json::parse(&doc).unwrap();
+        assert_exact(&v);
+        assert_eq!(v.to_string(), doc);
+    }
+
     /// The former codec, kept verbatim as the reference the fast paths are
     /// compared against: one `from_utf8` and `push_str` per string char, one
     /// `str::parse` per number, and a temporary `String` per serialized

@@ -85,23 +85,22 @@
 //!
 //! ## Determinism guarantee
 //!
-//! `simulate` and `sweep` responses are serialized with
-//! [`network_result_to_json`] / [`grid_to_json`], which are pure functions
-//! of the simulation result; combined with the engine's seed-derived RNG
+//! `simulate`, `sweep` and `lookup` results are written with
+//! [`write_network_result`] / [`write_grid`], which are pure functions of
+//! the simulation result; combined with the engine's seed-derived RNG
 //! streams this makes a served response **byte-identical** to serializing
 //! the direct library call's result, regardless of server thread counts,
-//! cache state, or request interleaving.
+//! cache state, or request interleaving. Every response line, inline or
+//! queued, ok or error, comes from one envelope writer
+//! (`response_line`), which writes the result text in place: the daemon
+//! builds no `Json` tree for a result.
 
-use sibia_obs::json::Json;
+use sibia_obs::json::{self, Json};
 use sibia_obs::TraceContext;
 use sibia_sbr::{gsbr::GenSlices, kernels, Precision};
 use sibia_sim::cache::DMU_INDEX_BITS;
-use sibia_sim::ArchSpec;
-
-// The canonical result serializers moved down into `sibia_sim::jsonio` so
-// the persistent store can share them; re-exported here unchanged for
-// protocol consumers.
-pub use sibia_sim::jsonio::{grid_to_json, network_result_to_json};
+use sibia_sim::jsonio::{write_grid, write_network_result};
+use sibia_sim::{ArchSpec, GridResult, NetworkResult};
 
 /// Protocol revision, echoed by the `version` request. Bump when the wire
 /// grammar changes in a way a client must gate on (revision 2 added the
@@ -512,20 +511,75 @@ pub fn parse_request(line: &str) -> Result<Envelope, ServeError> {
     })
 }
 
-/// Builds a success response line (without the trailing newline).
+/// A successful request's result, kept typed until its response line is
+/// written: `simulate`, `sweep` and `lookup` never build a `Json` tree.
+pub(crate) enum Answer {
+    /// A `simulate`'s cell.
+    Network(NetworkResult),
+    /// A `sweep`'s grid.
+    Grid(GridResult),
+    /// A `lookup`: the stored cell, or `None` when the store lacks it.
+    Lookup(Option<NetworkResult>),
+    /// Every other verb's document.
+    Doc(Json),
+}
+
+impl Answer {
+    /// Appends the `result` text: the library serialization, byte for
+    /// byte.
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Answer::Network(result) => write_network_result(result, out),
+            Answer::Grid(grid) => write_grid(grid, out),
+            Answer::Lookup(Some(result)) => {
+                out.push_str("{\"found\":true,\"result\":");
+                write_network_result(result, out);
+                out.push('}');
+            }
+            Answer::Lookup(None) => out.push_str("{\"found\":false}"),
+            Answer::Doc(doc) => doc.write_to(out),
+        }
+    }
+}
+
+/// The one response-line writer, for every reply the daemon sends:
+/// `{["id":…,]"ok":…,"trace_id":…,` then `"result":…}` or
+/// `"error":{"code":…,"message":…}}`, and the trailing `\n`, in one buffer.
 /// `trace_id` goes in the envelope only — `result` stays the byte-identical
 /// library serialization.
-pub fn ok_response(id: Option<&Json>, trace_id: Option<&str>, result: Json) -> Json {
-    let mut members = Vec::with_capacity(4);
+pub(crate) fn response_line(
+    id: Option<&Json>,
+    trace_id: &str,
+    outcome: &Result<Answer, ServeError>,
+) -> Vec<u8> {
+    let mut line = String::new();
+    line.push('{');
     if let Some(id) = id {
-        members.push(("id".to_owned(), id.clone()));
+        line.push_str("\"id\":");
+        id.write_to(&mut line);
+        line.push(',');
     }
-    members.push(("ok".to_owned(), Json::Bool(true)));
-    if let Some(t) = trace_id {
-        members.push(("trace_id".to_owned(), Json::from(t)));
+    line.push_str(if outcome.is_ok() {
+        "\"ok\":true,\"trace_id\":"
+    } else {
+        "\"ok\":false,\"trace_id\":"
+    });
+    json::write_str(trace_id, &mut line);
+    match outcome {
+        Ok(answer) => {
+            line.push_str(",\"result\":");
+            answer.write_to(&mut line);
+        }
+        Err(e) => {
+            line.push_str(",\"error\":{\"code\":");
+            json::write_str(e.code.as_str(), &mut line);
+            line.push_str(",\"message\":");
+            json::write_str(&e.message, &mut line);
+            line.push('}');
+        }
     }
-    members.push(("result".to_owned(), result));
-    Json::Object(members)
+    line.push_str("}\n");
+    line.into_bytes()
 }
 
 /// Builds a progress frame (revision 6, without the trailing newline):
@@ -554,26 +608,6 @@ pub(crate) fn wire_line(frame: &Json) -> Vec<u8> {
     frame.write_to(&mut line);
     line.push('\n');
     line.into_bytes()
-}
-
-/// Builds an error response line (without the trailing newline).
-pub fn error_response(id: Option<&Json>, trace_id: Option<&str>, error: &ServeError) -> Json {
-    let mut members = Vec::with_capacity(4);
-    if let Some(id) = id {
-        members.push(("id".to_owned(), id.clone()));
-    }
-    members.push(("ok".to_owned(), Json::Bool(false)));
-    if let Some(t) = trace_id {
-        members.push(("trace_id".to_owned(), Json::from(t)));
-    }
-    members.push((
-        "error".to_owned(),
-        Json::obj(vec![
-            ("code", Json::from(error.code.as_str())),
-            ("message", Json::from(error.message.as_str())),
-        ]),
-    ));
-    Json::Object(members)
 }
 
 /// Parses a response object into `Ok(result)` / `Err(ServeError)`.
@@ -891,40 +925,42 @@ mod tests {
         }
     }
 
+    /// `response_line`'s text, without its trailing newline.
+    fn line_of(id: Option<&Json>, trace_id: &str, outcome: &Result<Answer, ServeError>) -> String {
+        let line = String::from_utf8(response_line(id, trace_id, outcome)).unwrap();
+        line.strip_suffix('\n').expect("one line").to_owned()
+    }
+
     #[test]
     fn response_round_trip() {
         let id = Json::Str("r1".to_owned());
-        let ok = ok_response(Some(&id), None, Json::obj(vec![("x", Json::Int(1))]));
-        assert_eq!(
-            ok.to_string(),
-            "{\"id\":\"r1\",\"ok\":true,\"result\":{\"x\":1}}"
-        );
-        assert_eq!(
-            parse_response(ok.clone()).unwrap(),
-            Json::obj(vec![("x", Json::Int(1))])
-        );
-
+        let doc = || Ok(Answer::Doc(Json::obj(vec![("x", Json::Int(1))])));
         // trace_id rides in the envelope, between "ok" and "result", and
         // never perturbs the result payload.
-        let traced = ok_response(Some(&id), Some("t42"), Json::obj(vec![("x", Json::Int(1))]));
+        let ok = line_of(Some(&id), "t42", &doc());
         assert_eq!(
-            traced.to_string(),
+            ok,
             "{\"id\":\"r1\",\"ok\":true,\"trace_id\":\"t42\",\"result\":{\"x\":1}}"
         );
-        assert_eq!(parse_response(traced).unwrap(), parse_response(ok).unwrap());
-
-        let err = error_response(
-            None,
-            None,
-            &ServeError::new(ErrorCode::Overloaded, "queue full"),
+        assert_eq!(
+            parse_response(Json::parse(&ok).unwrap()).unwrap(),
+            Json::obj(vec![("x", Json::Int(1))])
         );
         assert_eq!(
-            err.to_string(),
-            "{\"ok\":false,\"error\":{\"code\":\"overloaded\",\"message\":\"queue full\"}}"
+            line_of(None, "t\"1", &doc()),
+            "{\"ok\":true,\"trace_id\":\"t\\\"1\",\"result\":{\"x\":1}}"
         );
-        let back = parse_response(err).unwrap_err();
+
+        let overloaded = Err(ServeError::new(ErrorCode::Overloaded, "queue \"full\""));
+        let err = line_of(None, "t7", &overloaded);
+        assert_eq!(
+            err,
+            "{\"ok\":false,\"trace_id\":\"t7\",\"error\":{\"code\":\"overloaded\",\
+             \"message\":\"queue \\\"full\\\"\"}}"
+        );
+        let back = parse_response(Json::parse(&err).unwrap()).unwrap_err();
         assert_eq!(back.code, ErrorCode::Overloaded);
-        assert_eq!(back.message, "queue full");
+        assert_eq!(back.message, "queue \"full\"");
     }
 
     #[test]
@@ -1037,7 +1073,7 @@ mod tests {
 
     #[test]
     fn network_result_serialization_is_deterministic() {
-        use sibia_sim::Simulator;
+        use sibia_sim::{network_result_to_json, Simulator};
         let sim = Simulator::new(3);
         let net = zoo::dgcnn();
         let a = network_result_to_json(&sim.simulate_network(&ArchSpec::sibia_hybrid(), &net));

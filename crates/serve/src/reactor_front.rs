@@ -5,10 +5,11 @@
 //! thread, answering cheap requests (`ping`, `version`, `lookup`,
 //! `metrics`, `spans`, `stats`) inline and admitting work requests into
 //! the bounded [`JobQueue`](crate::queue::JobQueue) the worker pool
-//! drains. Workers finish jobs themselves ([`finish_job`]): serialize,
-//! record metrics, then hand the complete response line to the reactor
+//! drains. Workers finish jobs themselves ([`finish_job`]): write the
+//! response line, record metrics, then hand the line to the reactor
 //! through the frame's [`Completer`] — which is what lets pipelined
-//! responses on one connection complete out of request order.
+//! responses on one connection complete out of request order. Every line,
+//! inline or queued, comes from `protocol::response_line`.
 //!
 //! ## Backpressure (all typed, in-protocol)
 //!
@@ -29,7 +30,7 @@ use sibia_obs::json::Json;
 
 use crate::metrics::PhaseTimings;
 use crate::protocol::{
-    error_response, ok_response, parse_request, wire_line, Envelope, ErrorCode, Request, ServeError,
+    parse_request, response_line, Answer, Envelope, ErrorCode, Request, ServeError,
 };
 use crate::queue::PushError;
 use crate::server::{Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMIT};
@@ -91,8 +92,8 @@ struct ReactorHandler {
 }
 
 impl ReactorHandler {
-    /// Finishes a request entirely on the reactor thread: serialize,
-    /// record, and return the response line as an inline reply.
+    /// Finishes a request entirely on the reactor thread: write, record,
+    /// and return the response line as an inline reply.
     fn reply_now(
         &self,
         id: Option<&Json>,
@@ -100,11 +101,11 @@ impl ReactorHandler {
         kind: &'static str,
         received: Instant,
         mut phases: PhaseTimings,
-        outcome: Result<Json, ServeError>,
+        outcome: Result<Answer, ServeError>,
     ) -> FrameOutcome {
         let outcome_code = outcome.as_ref().map(|_| ()).map_err(|e| e.code);
         let serialize_start = Instant::now();
-        let line = serialize_response(id, trace_id, outcome);
+        let line = response_line(id, trace_id, &outcome);
         phases.serialize = serialize_start.elapsed();
         self.shared
             .metrics
@@ -162,7 +163,7 @@ impl FrameHandler for ReactorHandler {
         let inline = |handler: &dyn Fn() -> Json| {
             let mut phases = PhaseTimings::default();
             let compute_start = Instant::now();
-            let result = handler();
+            let result = Answer::Doc(handler());
             phases.compute = compute_start.elapsed();
             self.reply_now(id.as_ref(), &trace_id, kind, received, phases, Ok(result))
         };
@@ -186,9 +187,13 @@ impl FrameHandler for ReactorHandler {
                 // is one read, no simulation), but fallible — unknown
                 // arch/network come back as typed errors — so it calls
                 // `reply_now` directly instead of the infallible helper.
+                // The stored cell stays typed until the line is written.
                 let mut phases = PhaseTimings::default();
                 let compute_start = Instant::now();
-                let outcome = self.shared.lookup_json(arch, network, *seed, *sample_cap);
+                let outcome = self
+                    .shared
+                    .lookup(arch, network, *seed, *sample_cap)
+                    .map(Answer::Lookup);
                 phases.compute = compute_start.elapsed();
                 return self.reply_now(id.as_ref(), &trace_id, kind, received, phases, outcome);
             }
@@ -288,13 +293,14 @@ fn submit(
     }
 }
 
-/// Worker-side completion of a reactor job: serialize the response line,
-/// record metrics, then deliver the bytes to the reactor for flushing.
-/// Runs on a worker thread, never on the reactor.
+/// Worker-side completion of a reactor job: write the response line (the
+/// `serialize` phase: the envelope and the result's text, straight from
+/// the typed result), record metrics, then deliver the bytes to the
+/// reactor for flushing. Runs on a worker thread, never on the reactor.
 pub(crate) fn finish_job(
     shared: &Shared,
     rj: ReactorJob,
-    outcome: Result<Json, ServeError>,
+    outcome: Result<Answer, ServeError>,
     queue_wait: Duration,
     compute: Duration,
 ) {
@@ -305,24 +311,10 @@ pub(crate) fn finish_job(
     };
     let outcome_code = outcome.as_ref().map(|_| ()).map_err(|e| e.code);
     let serialize_start = Instant::now();
-    let line = serialize_response(rj.id.as_ref(), &rj.trace_id, outcome);
+    let line = response_line(rj.id.as_ref(), &rj.trace_id, &outcome);
     phases.serialize = serialize_start.elapsed();
     shared
         .metrics
         .request(rj.kind, outcome_code, rj.received.elapsed(), phases);
     rj.completer.complete(line);
-}
-
-/// One complete response line, trailing `\n` included. The result moves
-/// into the envelope: a `simulate` or `sweep` reply is never copied.
-fn serialize_response(
-    id: Option<&Json>,
-    trace_id: &str,
-    outcome: Result<Json, ServeError>,
-) -> Vec<u8> {
-    let response = match outcome {
-        Ok(result) => ok_response(id, Some(trace_id), result),
-        Err(e) => error_response(id, Some(trace_id), &e),
-    };
-    wire_line(&response)
 }

@@ -62,14 +62,15 @@ use sibia_nn::{zoo, Network};
 use sibia_obs::json::Json;
 use sibia_obs::{Counter, Sampler, SamplerSource, Telemetry};
 use sibia_sim::{
-    ArchSpec, DecompCache, GridCell, GridRequest, GridResult, ParallelEngine, Simulator,
+    ArchSpec, DecompCache, GridCell, GridRequest, GridResult, NetworkResult, ParallelEngine,
+    Simulator,
 };
 use sibia_store::Store;
 
 use crate::metrics::{GaugeSample, ServeMetrics};
 use crate::protocol::{
-    arch_by_name, encode_stats, grid_to_json, network_result_to_json, progress_frame, wire_line,
-    Envelope, ErrorCode, Request, ServeError, PROTOCOL_REVISION,
+    arch_by_name, encode_stats, progress_frame, wire_line, Answer, Envelope, ErrorCode, Request,
+    ServeError, PROTOCOL_REVISION,
 };
 use crate::queue::JobQueue;
 use crate::reactor_front::ReactorJob;
@@ -267,20 +268,21 @@ impl Shared {
         self.telemetry.stats_json()
     }
 
-    /// The `lookup` response (revision 5): a store-only probe for one
-    /// cell. Derives the store key exactly as the equivalent `simulate`
-    /// would (same seed-fresh [`Simulator`], same resolved sample cap) and
-    /// answers `found: true` with the canonical serialization on a hit —
-    /// byte-identical to what `simulate` would return — or `found: false`
-    /// on a miss or when this daemon has no store. Never computes, never
-    /// consults this daemon's own peers.
-    pub(crate) fn lookup_json(
+    /// The `lookup` answer (revision 5): a store-only probe for one cell.
+    /// Derives the store key exactly as the equivalent `simulate` would
+    /// (same seed-fresh [`Simulator`], same resolved sample cap) and yields
+    /// the stored result on a hit — written as `found: true` with the
+    /// canonical serialization, byte-identical to what `simulate` would
+    /// return — or `None` (`found: false`) on a miss or when this daemon
+    /// has no store. Never computes, never consults this daemon's own
+    /// peers.
+    pub(crate) fn lookup(
         &self,
         arch: &str,
         network: &str,
         seed: u64,
         sample_cap: Option<usize>,
-    ) -> Result<Json, ServeError> {
+    ) -> Result<Option<NetworkResult>, ServeError> {
         let spec = resolve_arch(arch)?;
         let net = resolve_network(network)?;
         let mut sim = Simulator::new(seed);
@@ -289,22 +291,13 @@ impl Shared {
             .store
             .as_ref()
             .and_then(|store| sibia_sim::try_stored(&sim, &spec, &net, store));
-        Ok(match hit {
-            Some(result) => {
-                self.metrics.registry().counter("serve.lookup.hits").add(1);
-                Json::obj(vec![
-                    ("found", Json::Bool(true)),
-                    ("result", network_result_to_json(&result)),
-                ])
-            }
-            None => {
-                self.metrics
-                    .registry()
-                    .counter("serve.lookup.misses")
-                    .add(1);
-                Json::obj(vec![("found", Json::Bool(false))])
-            }
-        })
+        let counter = if hit.is_some() {
+            "serve.lookup.hits"
+        } else {
+            "serve.lookup.misses"
+        };
+        self.metrics.registry().counter(counter).add(1);
+        Ok(hit)
     }
 }
 
@@ -335,7 +328,10 @@ const PEER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// whole grid). The cells missing from the local store are looked up on
 /// each peer in order, over one connection per peer, and a hit is written
 /// back, so the grid's store read-through then answers it without
-/// simulating. A peer is asked only for the cells still missing, so each
+/// simulating. Which cells are missing is a presence check that counts
+/// no store hit or miss: the grid's read-through is the one counted probe
+/// of each cell, with peers or without (a present but unparsable value is
+/// then recomputed by the grid, not fetched). A peer is asked only for the cells still missing, so each
 /// cell comes from the first peer in order that holds it. The first dial,
 /// IO or protocol error (an unparsable result included) counts in
 /// `serve.peer.errors` and ends that peer for the rest of the request, so
@@ -343,8 +339,7 @@ const PEER_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// connect timeout and one IO timeout, however many cells are missing,
 /// and never fails a request this daemon can compute itself. Archs and
 /// networks come as `(protocol name, resolved)` pairs.
-/// Only called with peers configured; without them a request probes each
-/// cell's key once, in the grid.
+/// Only called with peers configured.
 fn warm_from_peers<'a>(
     shared: &Shared,
     store: &Store,
@@ -359,7 +354,7 @@ fn warm_from_peers<'a>(
             for &seed in seeds {
                 let mut cell_sim = *sim;
                 cell_sim.seed = seed;
-                if sibia_sim::try_stored(&cell_sim, spec, net, store).is_none() {
+                if !store.contains(&sibia_sim::network_key(&cell_sim, spec, net.name())) {
                     missing.push((arch, spec, network, net, cell_sim));
                 }
             }
@@ -414,18 +409,19 @@ fn warm_from_peers<'a>(
 
 /// Executes one work request against the shared cache/engine. `progress`
 /// is present only for streamed sweeps: the worker-side emitter that turns
-/// completed cells into wire frames.
+/// completed cells into wire frames. The answer stays typed: its text is
+/// written with the response line, in the `serialize` phase.
 pub(crate) fn execute(
     shared: &Shared,
     request: &Request,
     progress: Option<&ProgressEmitter>,
-) -> Result<Json, ServeError> {
+) -> Result<Answer, ServeError> {
     match request {
         Request::Encode {
             values,
             bits,
             gsbr_width,
-        } => encode_stats(values, *bits, *gsbr_width),
+        } => encode_stats(values, *bits, *gsbr_width).map(Answer::Doc),
         Request::Simulate {
             arch,
             network,
@@ -440,7 +436,7 @@ pub(crate) fn execute(
                 *sample_cap,
                 None,
             )?;
-            Ok(network_result_to_json(grid.get(0, 0, 0)))
+            Ok(Answer::Network(grid.into_first()))
         }
         Request::Sweep {
             archs,
@@ -451,7 +447,7 @@ pub(crate) fn execute(
         } => {
             let progress = progress.filter(|_| *stream);
             let grid = run_grid(shared, archs, networks, seeds, *sample_cap, progress)?;
-            Ok(grid_to_json(&grid))
+            Ok(Answer::Grid(grid))
         }
         // Ping/Version/Lookup/Metrics/Spans/Stats are answered inline by the
         // reactor thread.
@@ -527,10 +523,10 @@ fn run_grid(
 /// Runs one request's work, turning a panic into a typed `internal` error
 /// counted in `panics`: a bug that one request reaches costs that request
 /// its answer, not the pool a worker thread for the daemon's lifetime.
-fn contain_panic(
+fn contain_panic<T>(
     panics: &Counter,
-    work: impl FnOnce() -> Result<Json, ServeError>,
-) -> Result<Json, ServeError> {
+    work: impl FnOnce() -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
     // Unwind safety: the work shares only atomics and mutex-guarded state.
     // A panic under a lock poisons it, and the lock's `expect` then fails
     // every later request that takes it, each one contained here.
@@ -719,16 +715,16 @@ mod tests {
     #[test]
     fn a_panicking_request_is_answered_and_counted() {
         let panics = Counter::new();
-        let err = contain_panic(&panics, || panic!("boom")).unwrap_err();
+        let err = contain_panic::<()>(&panics, || panic!("boom")).unwrap_err();
         assert_eq!(err.code, ErrorCode::Internal);
         assert_eq!(err.message, "request panicked: boom");
-        let err = contain_panic(&panics, || panic!("layer {} of {}", 3, 7)).unwrap_err();
+        let err = contain_panic::<()>(&panics, || panic!("layer {} of {}", 3, 7)).unwrap_err();
         assert_eq!(err.message, "request panicked: layer 3 of 7");
         assert_eq!(panics.get(), 2);
         // Work that returns passes through untouched and is not counted.
         let ok = contain_panic(&panics, || Ok(Json::Int(1)));
         assert_eq!(ok.unwrap(), Json::Int(1));
-        let typed = contain_panic(&panics, || {
+        let typed = contain_panic::<()>(&panics, || {
             Err(ServeError::new(ErrorCode::BadRequest, "no"))
         });
         assert_eq!(typed.unwrap_err().code, ErrorCode::BadRequest);

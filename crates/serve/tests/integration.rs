@@ -2,7 +2,10 @@
 //!
 //! The load-bearing assertions here are the **byte-identity** checks: a
 //! served `simulate`/`sweep` response's `result`, re-serialized, must equal
-//! the canonical serialization of the direct library call byte for byte.
+//! the canonical serialization of the direct library call byte for byte,
+//! and the raw response lines themselves must be exactly the envelope
+//! around the library writer's text (a re-serialization would hide number
+//! text that is not canonical: `1.0` reparses and re-serializes as `1`).
 //! The remaining tests pin the protocol's failure modes — typed errors for
 //! bad input, `overloaded` (not a hang) past the queue bound, and a
 //! graceful drain on shutdown.
@@ -14,10 +17,13 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use sibia_obs::json::Json;
-use sibia_serve::protocol::{arch_by_name, grid_to_json, network_result_to_json};
+use sibia_serve::protocol::arch_by_name;
 use sibia_serve::server::{ServeConfig, Server};
 use sibia_serve::{Client, ClientError, ErrorCode};
-use sibia_sim::{GridRequest, ParallelEngine, Simulator};
+use sibia_sim::{
+    grid_to_json, network_result_to_json, write_grid, write_network_result, GridRequest,
+    ParallelEngine, Simulator,
+};
 
 fn start(config: ServeConfig) -> Server {
     Server::start(config).expect("bind ephemeral port")
@@ -87,6 +93,105 @@ fn served_sweep_is_byte_identical_to_direct_engine_grid() {
         ParallelEngine::with_threads(1).run(GridRequest::new(sim, &specs, &networks, &seeds));
     assert_eq!(served.to_string(), grid_to_json(&grid).to_string());
     server.shutdown();
+}
+
+#[test]
+fn response_lines_are_the_envelope_around_the_writer_text() {
+    let mut store_dir = std::env::temp_dir();
+    store_dir.push(format!("sibia-serve-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let server = start(ServeConfig {
+        workers: 2,
+        engine_threads: 2,
+        store_dir: Some(store_dir.clone()),
+        ..ServeConfig::default()
+    });
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // Sends one request line and returns the exact response line plus the
+    // trace_id it echoed.
+    let mut exchange = |request: &str| {
+        writer.write_all(request.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let trace_id = Json::parse(line.trim_end())
+            .expect("response is json")
+            .get("trace_id")
+            .and_then(Json::as_str)
+            .expect("every response carries a trace_id")
+            .to_owned();
+        (line, trace_id)
+    };
+    let ok_line = |id: u64, trace_id: &str, result: &str| {
+        format!("{{\"id\":{id},\"ok\":true,\"trace_id\":\"{trace_id}\",\"result\":{result}}}\n")
+    };
+
+    let mut sim = Simulator::new(7);
+    sim.sample_cap = 4096;
+    let mut cell = String::new();
+    write_network_result(
+        &sim.simulate_network(
+            &arch_by_name("sibia").unwrap(),
+            &sibia_nn::zoo::by_name("dgcnn").unwrap(),
+        ),
+        &mut cell,
+    );
+    let (line, tid) = exchange(
+        "{\"id\":1,\"kind\":\"simulate\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\
+         \"seed\":7,\"sample_cap\":4096}",
+    );
+    assert_eq!(line, ok_line(1, &tid, &cell), "simulate");
+
+    let specs = [
+        arch_by_name("bitfusion").unwrap(),
+        arch_by_name("sibia").unwrap(),
+    ];
+    let mut sim = Simulator::new(1);
+    sim.sample_cap = 2048;
+    let grid = ParallelEngine::with_threads(1).run(GridRequest::new(
+        sim,
+        &specs,
+        &[sibia_nn::zoo::by_name("dgcnn").unwrap()],
+        &[1, 2],
+    ));
+    let mut grid_text = String::new();
+    write_grid(&grid, &mut grid_text);
+    let (line, tid) = exchange(
+        "{\"id\":2,\"kind\":\"sweep\",\"archs\":[\"bitfusion\",\"sibia\"],\
+         \"networks\":[\"dgcnn\"],\"seeds\":[1,2],\"sample_cap\":2048}",
+    );
+    assert_eq!(line, ok_line(2, &tid, &grid_text), "sweep");
+
+    // The simulate above stored its cell: a lookup hit serves its text.
+    let (line, tid) = exchange(
+        "{\"id\":3,\"kind\":\"lookup\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\
+         \"seed\":7,\"sample_cap\":4096}",
+    );
+    let hit = format!("{{\"found\":true,\"result\":{cell}}}");
+    assert_eq!(line, ok_line(3, &tid, &hit), "lookup hit");
+    let (line, tid) = exchange(
+        "{\"id\":5,\"kind\":\"lookup\",\"arch\":\"sibia\",\"network\":\"dgcnn\",\
+         \"seed\":8,\"sample_cap\":4096}",
+    );
+    assert_eq!(line, ok_line(5, &tid, "{\"found\":false}"), "lookup miss");
+
+    let (line, tid) =
+        exchange("{\"id\":4,\"kind\":\"simulate\",\"arch\":\"gpu\",\"network\":\"dgcnn\"}");
+    assert_eq!(
+        line,
+        format!(
+            "{{\"id\":4,\"ok\":false,\"trace_id\":\"{tid}\",\"error\":{{\"code\":\"unknown_arch\",\
+             \"message\":\"unknown arch 'gpu'\"}}}}\n"
+        ),
+        "error"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 #[test]

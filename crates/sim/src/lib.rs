@@ -42,7 +42,10 @@ pub mod trace;
 
 pub use cache::DecompCache;
 pub use functional::{PeRun, PeSim};
-pub use jsonio::{grid_to_json, network_result_from_json, network_result_to_json};
+pub use jsonio::{
+    grid_to_json, network_result_from_json, network_result_to_json, write_grid,
+    write_network_result,
+};
 pub use parallel::{GridCell, GridRequest, GridResult, ParallelEngine};
 pub use perf::{LayerResult, NetworkResult, Simulator};
 pub use stored::{config_fingerprint, network_key, try_stored};

@@ -85,7 +85,7 @@ impl GridResult {
 
     /// The first cell's result, moved out: a one-cell request's answer
     /// without a copy.
-    pub(crate) fn into_first(mut self) -> NetworkResult {
+    pub fn into_first(mut self) -> NetworkResult {
         self.cells.swap_remove(0).result
     }
 }

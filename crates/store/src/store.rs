@@ -156,6 +156,16 @@ impl Store {
         found
     }
 
+    /// Whether `key` has a live entry. Counts neither a hit nor a miss: a
+    /// caller deciding whether to fetch a value from elsewhere leaves the
+    /// counters to the read that follows.
+    pub fn contains(&self, key: &StoreKey) -> bool {
+        self.index
+            .lock()
+            .expect("store index lock")
+            .contains_key(&key.canonical())
+    }
+
     /// Writes a key/value pair: appends one fsync'd record, then updates
     /// the index. Durable when this returns. Overwriting an existing key is
     /// allowed (last write wins) and marks the buried record stale.
@@ -276,11 +286,15 @@ impl Store {
     }
 }
 
-/// Encodes one record payload: canonical JSON `{"k":<key>,"v":<value>}`.
+/// Encodes one record payload: canonical JSON `{"k":<key>,"v":<value>}`,
+/// the value written in place rather than cloned into a wrapper object.
 fn encode_record(key: &StoreKey, value: &Json) -> Vec<u8> {
-    Json::obj(vec![("k", key.to_json()), ("v", value.clone())])
-        .to_string()
-        .into_bytes()
+    let mut out = String::from("{\"k\":");
+    key.to_json().write_to(&mut out);
+    out.push_str(",\"v\":");
+    value.write_to(&mut out);
+    out.push('}');
+    out.into_bytes()
 }
 
 /// Decodes a record payload; `None` for anything that is not a well-formed
@@ -323,6 +337,37 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get(&key(1)), Some(value));
         assert_eq!(store.stats().recovered_records, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_are_the_canonical_key_value_object() {
+        let value = Json::obj(vec![
+            ("a", Json::Float(1.0)),
+            ("b", Json::from("x\"y")),
+            ("c", Json::Array(vec![Json::Null, Json::Float(0.25)])),
+        ]);
+        assert_eq!(
+            encode_record(&key(4), &value),
+            Json::obj(vec![("k", key(4).to_json()), ("v", value.clone())])
+                .to_string()
+                .into_bytes()
+        );
+        assert_eq!(
+            decode_record(&encode_record(&key(4), &value)),
+            Some((key(4), Json::parse(&value.to_string()).unwrap()))
+        );
+    }
+
+    #[test]
+    fn contains_counts_no_probe() {
+        let dir = temp_dir("contains");
+        let store = Store::open(&dir).unwrap();
+        assert!(!store.contains(&key(1)));
+        store.put(&key(1), &Json::from(1u64)).unwrap();
+        assert!(store.contains(&key(1)));
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

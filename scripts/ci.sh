@@ -108,7 +108,9 @@ cargo test -q -p sibia-serve --test warm_restart
 echo "==> serve smoke test"
 # One daemon on an ephemeral port: a sweep with --stream must put at least
 # one per-cell progress frame on stderr and end in a document byte-identical
-# to the plain sweep of the same grid; then SIGTERM must drain it cleanly.
+# to the plain sweep of the same grid, and the plain sweep must be
+# byte-identical to `fleet sweep --local`, the same grid in process written
+# by the library's result writer; then SIGTERM must drain it cleanly.
 # The load suite (8 and 1,000 pipelined connections, zero protocol errors)
 # runs explicitly so a workspace test filter can never silently skip it.
 serve_dir="$(mktemp -d)"
@@ -131,6 +133,9 @@ grep -q "^progress: " "$serve_dir/progress.log" \
   || { echo "streamed sweep emitted no progress frames"; cat "$serve_dir/progress.log"; exit 1; }
 cmp "$serve_dir/plain.json" "$serve_dir/stream.json" \
   || { echo "streamed final document differs from the plain sweep"; exit 1; }
+./target/release/sibia-cli fleet sweep --local "${stream_grid[@]}" >"$serve_dir/local.json"
+cmp "$serve_dir/plain.json" "$serve_dir/local.json" \
+  || { echo "the daemon's sweep differs from the in-process grid"; exit 1; }
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 trap - EXIT
