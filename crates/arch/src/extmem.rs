@@ -20,7 +20,7 @@ pub struct HyperRam {
 
 impl HyperRam {
     /// The 166 MHz ×8 DDR part the paper cites (≈333 MB/s peak).
-    pub fn cypress_64mbit() -> Self {
+    pub const fn cypress_64mbit() -> Self {
         Self {
             bus_mhz: 166,
             bus_bits: 8,

@@ -46,17 +46,10 @@ use sibia::nn::zoo;
 use sibia::prelude::*;
 use sibia::sbr::conv::MsbSlices;
 use sibia::sbr::stats::SparsityReport;
+// One registry for CLI and daemon: the protocol module owns the arch names.
+use sibia::serve::protocol::arch_by_name;
 use sibia::serve::server::{ServeConfig, Server};
 use sibia::store::Store;
-
-fn find_network(name: &str) -> Option<Network> {
-    zoo::by_name(name)
-}
-
-// One registry for CLI and daemon: the protocol module owns the names.
-fn arch_by_name(name: &str) -> Option<ArchSpec> {
-    sibia::serve::protocol::arch_by_name(name)
-}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -299,7 +292,7 @@ struct GridArgs {
 fn grid_args(args: &[String]) -> Result<GridArgs, String> {
     let networks_raw = flag_value(args, "--networks").ok_or("need --networks N[,N...]")?;
     let networks: Vec<String> = networks_raw.split(',').map(str::to_owned).collect();
-    if let Some(n) = networks.iter().find(|n| find_network(n).is_none()) {
+    if let Some(n) = networks.iter().find(|n| zoo::by_name(n).is_none()) {
         return Err(format!("unknown network {n}"));
     }
     let archs: Vec<String> = flag_value(args, "--archs")
@@ -384,7 +377,7 @@ fn fleet_command(args: &[String]) -> ExitCode {
         // The in-process baseline: the same grid through the same engine
         // semantics the daemons use, written by the daemons' result writer.
         let specs: Vec<ArchSpec> = archs.iter().map(|a| arch_by_name(a).unwrap()).collect();
-        let nets: Vec<Network> = networks.iter().map(|n| find_network(n).unwrap()).collect();
+        let nets: Vec<Network> = networks.iter().map(|n| zoo::by_name(n).unwrap()).collect();
         let mut sim = Simulator::new(seeds[0]);
         if let Some(cap) = sample_cap {
             sim.sample_cap = cap.max(1);
@@ -991,7 +984,7 @@ fn trace_check_command(args: &[String]) -> ExitCode {
         }
     }
     if let Some(name) = flag_value(args, "--network") {
-        let Some(net) = find_network(&name) else {
+        let Some(net) = zoo::by_name(&name) else {
             eprintln!("trace-check: unknown network {name}");
             return ExitCode::FAILURE;
         };
@@ -1080,7 +1073,7 @@ fn main() -> ExitCode {
             if let Err(e) = check_flags(&args, &[]) {
                 return fail("sparsity", &e);
             }
-            let Some(net) = args.get(1).and_then(|n| find_network(n)) else {
+            let Some(net) = args.get(1).and_then(|n| zoo::by_name(n)) else {
                 return fail("sparsity", "unknown network (try `sibia-cli networks`)");
             };
             let mut src = SynthSource::new(1);
@@ -1111,7 +1104,7 @@ fn main() -> ExitCode {
             {
                 return fail("simulate", &e);
             }
-            let Some(net) = args.get(1).and_then(|n| find_network(n)) else {
+            let Some(net) = args.get(1).and_then(|n| zoo::by_name(n)) else {
                 return fail("simulate", "unknown network (try `sibia-cli networks`)");
             };
             let arch = match flag_value(&args, "--arch") {
@@ -1172,7 +1165,7 @@ fn main() -> ExitCode {
             if let Err(e) = check_flags(&args, &["--seed", "--trace-out"]) {
                 return fail("compare", &e);
             }
-            let Some(net) = args.get(1).and_then(|n| find_network(n)) else {
+            let Some(net) = args.get(1).and_then(|n| zoo::by_name(n)) else {
                 return fail("compare", "unknown network (try `sibia-cli networks`)");
             };
             let seed = match parse_flag::<u64>(&args, "--seed") {

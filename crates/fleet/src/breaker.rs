@@ -75,8 +75,8 @@ impl CircuitBreaker {
     }
 
     /// Record a failed request or probe. Returns `true` when this failure
-    /// is the one that opened the breaker (for the `fleet.breaker_open_total`
-    /// counter — re-opening from `HalfOpen` counts too).
+    /// is the one that opened the breaker (the coordinator then takes the
+    /// member out of rotation — re-opening from `HalfOpen` counts too).
     pub fn record_failure(&mut self) -> bool {
         match self.state {
             State::Closed {

@@ -17,11 +17,11 @@
 //!
 //! A loser that completes anyway (the race is real) is **deduped** here:
 //! each cell's slot on the board is written once, by the winner, and the
-//! duplicate is only counted. Determinism makes this safe — both copies
-//! compute the same bytes (the debug assertion in
-//! [`CompletionBoard::complete`] documents exactly that claim) — and the
-//! backends' stores stay byte-identical because each write-back stores the
-//! same canonical value under the same key.
+//! duplicate is answered [`Completion::Duplicate`] and dropped.
+//! Determinism makes this safe — both copies compute the same bytes (the
+//! debug assertion in [`CompletionBoard::complete`] documents exactly that
+//! claim) — and the backends' stores stay byte-identical because each
+//! write-back stores the same canonical value under the same key.
 //!
 //! ## Deadline
 //!
@@ -35,7 +35,7 @@
 //! window once half its rows are in, or it could never hedge.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -90,8 +90,6 @@ pub enum Completion {
 pub struct CompletionBoard {
     slots: Vec<Mutex<Option<Json>>>,
     remaining: AtomicUsize,
-    /// Duplicate completions discarded (the dedup count).
-    pub duplicates: AtomicU64,
 }
 
 impl CompletionBoard {
@@ -100,13 +98,12 @@ impl CompletionBoard {
         Self {
             slots: (0..cells).map(|_| Mutex::new(None)).collect(),
             remaining: AtomicUsize::new(cells),
-            duplicates: AtomicU64::new(0),
         }
     }
 
     /// Records one completed cell. The first writer wins the slot and
     /// decrements the remaining count exactly once; every later arrival
-    /// is a duplicate and only counted. Never double-writes: whoever
+    /// is a duplicate and changes nothing. Never double-writes: whoever
     /// writes back to a store downstream must gate on [`Completion::Win`].
     pub fn complete(&self, flat: usize, result: Json) -> Completion {
         let mut slot = self.slots[flat].lock().unwrap();
@@ -120,7 +117,6 @@ impl CompletionBoard {
                     result.to_string(),
                     "hedge twins disagreed for cell {flat}"
                 );
-                self.duplicates.fetch_add(1, Ordering::SeqCst);
                 Completion::Duplicate
             }
             None => {
@@ -341,7 +337,6 @@ mod tests {
         assert_eq!(board.complete(0, cell(7)), Completion::Win);
         assert_eq!(board.complete(0, cell(7)), Completion::Duplicate);
         assert_eq!(board.remaining(), 1);
-        assert_eq!(board.duplicates.load(Ordering::SeqCst), 1);
     }
 
     #[test]

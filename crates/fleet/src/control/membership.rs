@@ -26,7 +26,7 @@
 //!   Active when the probe succeeds; a member that left stays gone.
 //!
 //! Members are never removed from the roster vector: indexes are handed
-//! out once and stay stable, so per-backend metrics, failover rotation,
+//! out once and stay stable, so per-backend counts, failover rotation,
 //! and the status file all keep meaning across joins and leaves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -93,7 +93,9 @@ impl MemberState {
 }
 
 /// One backend in the fleet: its connections, health, home queue, and
-/// per-sweep accounting.
+/// this sweep's accounting. The coordinator zeroes the counts at the start
+/// of each sweep; they are the one count of what a member completed, stole
+/// and was hedged, and the status file and the sweep's stats read them.
 #[derive(Debug)]
 pub struct Member {
     /// Stable roster index (never reused).
@@ -101,7 +103,7 @@ pub struct Member {
     /// The backend's `host:port`.
     pub endpoint: String,
     /// Pooled connections to this backend.
-    pub pool: Arc<ClientPool>,
+    pub pool: ClientPool,
     /// This backend's circuit breaker.
     pub breaker: Mutex<CircuitBreaker>,
     /// Rows currently homed here (front = owner, back = thieves).
@@ -126,12 +128,7 @@ impl Member {
         Self {
             index,
             endpoint: endpoint.clone(),
-            pool: Arc::new(ClientPool::new(
-                endpoint,
-                config.connect_timeout,
-                config.io_timeout,
-                config.max_idle,
-            )),
+            pool: ClientPool::new(endpoint, config.io_timeout, config.max_idle),
             breaker: Mutex::new(CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN)),
             queue: StealQueue::new(),
             state: AtomicU8::new(state.as_u8()),
@@ -163,6 +160,13 @@ impl Member {
         self.left.store(true, Ordering::SeqCst);
     }
 
+    /// Zeroes this member's per-sweep counts.
+    pub fn reset_counts(&self) {
+        for count in [&self.completed, &self.stolen, &self.hedged] {
+            count.store(0, Ordering::SeqCst);
+        }
+    }
+
     /// Breaker check without holding the lock across IO.
     pub fn breaker_available(&self) -> bool {
         self.breaker.lock().unwrap().is_available()
@@ -173,8 +177,6 @@ impl Member {
 /// `FleetConfig`, so this module does not depend on the coordinator).
 #[derive(Debug, Clone)]
 pub struct MemberConfig {
-    /// Dial timeout per connection.
-    pub connect_timeout: Duration,
     /// Read/write timeout per request.
     pub io_timeout: Duration,
     /// Idle connections kept per backend.
@@ -271,7 +273,6 @@ mod tests {
 
     fn config() -> MemberConfig {
         MemberConfig {
-            connect_timeout: Duration::from_millis(100),
             io_timeout: Duration::from_millis(100),
             max_idle: 1,
         }

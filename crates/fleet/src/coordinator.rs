@@ -33,7 +33,7 @@
 //!    window of row dispatch latencies) gets a duplicate raced on a second
 //!    member; the first completion wins each of the row's cells on the
 //!    [`CompletionBoard`], the loser's socket is cancelled, and a loser
-//!    that answers anyway is deduped (counted, not written);
+//!    that answers anyway is deduped (dropped, not written);
 //! 7. members join and leave mid-sweep two ways — planned on the sweep
 //!    clock ([`FleetConfig::membership_plan`]) or forced by failure — with
 //!    a departing member's queue drained and resharded across the
@@ -44,6 +44,17 @@
 //!
 //! [`SweepStats`] counts in cells throughout: a row attempt, steal, hedge,
 //! retry or failover counts the grid's arch count.
+//!
+//! ## One ledger
+//!
+//! Each sweep event is counted at one site. A member's `completed`,
+//! `stolen` and `hedged` cells (zeroed at sweep start) back both the
+//! `--status-out` snapshot and the stats, whose `per_backend_cells`,
+//! `steals` and `hedges` are read off them; every other count lives on the
+//! sweep's state. Nothing goes to the metrics registry: the processes a
+//! coordinator runs in (`sibia-cli fleet sweep`, the repository
+//! benchmark) export none. Where the time went is in the tracer's
+//! `fleet.*` spans.
 //!
 //! ## Why the merge is still byte-identical
 //!
@@ -72,7 +83,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sibia_obs::{registry, tracer, Counter, Histogram, Json, TraceContext};
+use sibia_obs::{tracer, Json, TraceContext};
 use sibia_serve::server::DEFAULT_SAMPLE_CAP;
 use sibia_serve::{Client, ClientError, ErrorCode, ServeError};
 
@@ -137,9 +148,9 @@ impl std::error::Error for FleetError {}
 
 /// Coordinator configuration. [`FleetConfig::new`] gives defaults tuned
 /// for LAN backends; the fields are the settings some caller changes. The
-/// retry backoff (50 ms doubling to 2 s), the breaker (open after 3
-/// consecutive faults, 500 ms cooldown) and the hedge multiplier (2× the
-/// windowed p99) are constants.
+/// dial timeout (5 s), the retry backoff (50 ms doubling to 2 s), the
+/// breaker (open after 3 consecutive faults, 500 ms cooldown) and the
+/// hedge multiplier (2× the windowed p99) are constants.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Initial backend endpoints (`host:port`), order-significant: the
@@ -148,8 +159,6 @@ pub struct FleetConfig {
     pub endpoints: Vec<String>,
     /// Concurrent dispatch workers (and pooled connections) per backend.
     pub connections_per_backend: usize,
-    /// TCP connect timeout per dial.
-    pub connect_timeout: Duration,
     /// Per-request deadline, sent as `timeout_ms` and enforced locally via
     /// the socket read timeout (with slack for transit).
     pub request_timeout: Duration,
@@ -180,7 +189,6 @@ impl FleetConfig {
         Self {
             endpoints,
             connections_per_backend: 2,
-            connect_timeout: Duration::from_secs(5),
             request_timeout: Duration::from_secs(60),
             max_attempts_per_backend: 3,
             probe_interval: Duration::from_millis(200),
@@ -195,7 +203,6 @@ impl FleetConfig {
 /// The [`MemberConfig`] projection of a [`FleetConfig`].
 fn member_config(config: &FleetConfig) -> MemberConfig {
     MemberConfig {
-        connect_timeout: config.connect_timeout,
         // Socket read timeout = request deadline + slack, so the server
         // gets to answer `deadline_exceeded` itself before the client cuts
         // the connection (a typed answer retries; a cut connection would
@@ -236,7 +243,7 @@ pub struct SweepStats {
     /// Cells of queued rows moved to a survivor when a member died or
     /// drained.
     pub resharded_cells: u64,
-    /// Cells completed per member (by stable roster index).
+    /// Cells completed per member in this sweep (by stable roster index).
     pub per_backend_cells: Vec<u64>,
     /// Final `(endpoint, state)` of every roster member, in index order.
     pub membership: Vec<(String, String)>,
@@ -244,57 +251,6 @@ pub struct SweepStats {
     /// dispatch latency (first dispatch to answer), so the cells of one
     /// row share one latency.
     pub cell_latencies: Vec<Duration>,
-}
-
-/// Cached handles to the `fleet.*` instruments in the global registry.
-/// The work counters count cells, like [`SweepStats`].
-struct FleetMetrics {
-    cells_total: Arc<Counter>,
-    dispatch_total: Arc<Counter>,
-    retry_total: Arc<Counter>,
-    failover_total: Arc<Counter>,
-    overloaded_total: Arc<Counter>,
-    breaker_open_total: Arc<Counter>,
-    probe_total: Arc<Counter>,
-    probe_failures: Arc<Counter>,
-    pool_dials: Arc<Counter>,
-    pool_reuses: Arc<Counter>,
-    steal_total: Arc<Counter>,
-    hedge_total: Arc<Counter>,
-    hedge_win_total: Arc<Counter>,
-    hedge_duplicate_total: Arc<Counter>,
-    join_total: Arc<Counter>,
-    leave_total: Arc<Counter>,
-    reshard_cells_total: Arc<Counter>,
-    cell_us: Arc<Histogram>,
-    attempt_us: Arc<Histogram>,
-}
-
-impl FleetMetrics {
-    fn new() -> Self {
-        let r = registry();
-        Self {
-            cells_total: r.counter("fleet.cells_total"),
-            dispatch_total: r.counter("fleet.dispatch_total"),
-            retry_total: r.counter("fleet.retry_total"),
-            failover_total: r.counter("fleet.failover_total"),
-            overloaded_total: r.counter("fleet.overloaded_total"),
-            breaker_open_total: r.counter("fleet.breaker_open_total"),
-            probe_total: r.counter("fleet.probe_total"),
-            probe_failures: r.counter("fleet.probe_failures"),
-            pool_dials: r.counter("fleet.pool.dials"),
-            pool_reuses: r.counter("fleet.pool.reuses"),
-            steal_total: r.counter("fleet.steal_total"),
-            hedge_total: r.counter("fleet.hedge_total"),
-            hedge_win_total: r.counter("fleet.hedge_win_total"),
-            hedge_duplicate_total: r.counter("fleet.hedge_duplicate_total"),
-            join_total: r.counter("fleet.join_total"),
-            leave_total: r.counter("fleet.leave_total"),
-            reshard_cells_total: r.counter("fleet.reshard_cells_total"),
-            cell_us: r.histogram("fleet.cell_us"),
-            attempt_us: r.histogram("fleet.attempt_us"),
-        }
-    }
 }
 
 /// Process-wide sweep sequence feeding per-sweep trace ids (`fs1`,
@@ -373,8 +329,6 @@ struct SweepState<'a> {
     attempts: AtomicU64,
     retries: AtomicU64,
     failovers: AtomicU64,
-    steals: AtomicU64,
-    hedges: AtomicU64,
     hedge_wins: AtomicU64,
     joins: AtomicU64,
     leaves: AtomicU64,
@@ -417,8 +371,6 @@ impl<'a> SweepState<'a> {
             attempts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
             hedge_wins: AtomicU64::new(0),
             joins: AtomicU64::new(0),
             leaves: AtomicU64::new(0),
@@ -501,7 +453,6 @@ impl<'a> SweepState<'a> {
 pub struct Fleet {
     config: FleetConfig,
     membership: Membership,
-    metrics: FleetMetrics,
     /// Trace id of the most recently started sweep (see
     /// [`Fleet::last_trace_id`]).
     last_trace_id: Mutex<Option<String>>,
@@ -528,13 +479,9 @@ impl Fleet {
             return Err(FleetError::NoEndpoints);
         }
         let membership = Membership::new(&config.endpoints, &member_config(&config));
-        registry()
-            .gauge("fleet.backends")
-            .set(config.endpoints.len() as i64);
         Ok(Self {
             config,
             membership,
-            metrics: FleetMetrics::new(),
             last_trace_id: Mutex::new(None),
             homes: Mutex::new(HashMap::new()),
         })
@@ -609,7 +556,10 @@ impl Fleet {
         sweep_span.attr("cells", cells);
         sweep_span.attr("rows", state.rows());
         sweep_span.attr("backends", self.membership.len());
-        self.metrics.cells_total.add(cells as u64);
+        // Member counts are this sweep's: the stats read them at the end.
+        for member in self.membership.snapshot() {
+            member.reset_counts();
+        }
 
         // Home every row among the members that can take work right now;
         // later joins pick rows up by stealing.
@@ -619,15 +569,6 @@ impl Fleet {
         }
         let cap = sample_cap.unwrap_or(DEFAULT_SAMPLE_CAP).max(1);
         self.place_rows(&initial, cap, &state);
-
-        // Per-member baselines, so one Fleet can run many sweeps and the
-        // stats still report this sweep's deltas.
-        let roster_before = self.membership.snapshot();
-        let completed_before: Vec<u64> = roster_before
-            .iter()
-            .map(|m| m.completed.load(Ordering::SeqCst))
-            .collect();
-        let pool_before: Vec<(u64, u64)> = roster_before.iter().map(|m| m.pool.stats()).collect();
 
         let mut plan = self.config.membership_plan.clone();
         plan.sort_by_key(|e| e.at);
@@ -682,9 +623,6 @@ impl Fleet {
                     }
                 }
 
-                registry()
-                    .gauge("fleet.backends")
-                    .set(self.membership.dispatchable().len() as i64);
                 if tick % 20 == 0 {
                     self.write_status(&state);
                 }
@@ -716,30 +654,21 @@ impl Fleet {
         }
 
         let roster = self.membership.snapshot();
-        for m in &roster {
-            let (dials, reuses) = m.pool.stats();
-            let (bd, br) = pool_before.get(m.index).copied().unwrap_or((0, 0));
-            self.metrics.pool_dials.add(dials - bd);
-            self.metrics.pool_reuses.add(reuses - br);
-        }
         let stats = SweepStats {
             cells,
             backends: roster.len(),
             attempts: state.attempts.load(Ordering::Relaxed),
             retries: state.retries.load(Ordering::Relaxed),
             failovers: state.failovers.load(Ordering::Relaxed),
-            steals: state.steals.load(Ordering::Relaxed),
-            hedges: state.hedges.load(Ordering::Relaxed),
+            steals: roster.iter().map(|m| m.stolen.load(Ordering::SeqCst)).sum(),
+            hedges: roster.iter().map(|m| m.hedged.load(Ordering::SeqCst)).sum(),
             hedge_wins: state.hedge_wins.load(Ordering::Relaxed),
             joins: state.joins.load(Ordering::Relaxed),
             leaves: state.leaves.load(Ordering::Relaxed),
             resharded_cells: state.resharded.load(Ordering::Relaxed),
             per_backend_cells: roster
                 .iter()
-                .map(|m| {
-                    let before = completed_before.get(m.index).copied().unwrap_or(0);
-                    m.completed.load(Ordering::SeqCst) - before
-                })
+                .map(|m| m.completed.load(Ordering::SeqCst))
                 .collect(),
             membership: roster
                 .iter()
@@ -848,10 +777,7 @@ impl Fleet {
         let members = self.membership.snapshot();
         let victim = pick_victim(&members, thief.index)?;
         let job = victim.queue.steal_back()?;
-        let cells = state.row_cells();
-        thief.stolen.fetch_add(cells, Ordering::SeqCst);
-        state.steals.fetch_add(cells, Ordering::Relaxed);
-        self.metrics.steal_total.add(cells);
+        thief.stolen.fetch_add(state.row_cells(), Ordering::SeqCst);
         let mut span = tracer().span("fleet.steal");
         span.attr("trace_id", state.trace_id);
         span.attr("thief", thief.index);
@@ -901,8 +827,6 @@ impl Fleet {
             }
             job.attempts += 1;
             state.attempts.fetch_add(cells, Ordering::Relaxed);
-            self.metrics.dispatch_total.add(cells);
-            let attempt_start = Instant::now();
             let outcome = {
                 let mut span = tracer().span("fleet.dispatch");
                 span.attr("trace_id", state.trace_id);
@@ -912,7 +836,6 @@ impl Fleet {
                 span.attr("hedge", u64::from(job.hedge));
                 self.attempt_row(member, job.row, span.id(), state)
             };
-            self.metrics.attempt_us.record(attempt_start.elapsed());
             match outcome {
                 Attempt::Done(results) => {
                     member
@@ -931,11 +854,7 @@ impl Fleet {
                     // Healthy-but-busy: the breaker is NOT fed, the row
                     // stays on its backend, and the retry waits out a
                     // deterministic-jitter backoff.
-                    if overloaded {
-                        self.metrics.overloaded_total.add(cells);
-                    }
                     state.retries.fetch_add(cells, Ordering::Relaxed);
-                    self.metrics.retry_total.add(cells);
                     local_attempt += 1;
                     if local_attempt >= self.config.max_attempts_per_backend {
                         return Verdict::Failover(
@@ -972,7 +891,6 @@ impl Fleet {
                         .expect("breaker lock")
                         .record_failure();
                     if newly_opened {
-                        self.metrics.breaker_open_total.inc();
                         self.on_breaker_opened(member, state);
                     }
                     return Verdict::Failover(message);
@@ -995,12 +913,9 @@ impl Fleet {
     ) {
         let mut won = 0u64;
         for (arch_index, result) in results.into_iter().enumerate() {
-            match state
-                .board
-                .complete(state.flat(arch_index, job.row), result)
-            {
-                Completion::Win => won += 1,
-                Completion::Duplicate => self.metrics.hedge_duplicate_total.inc(),
+            let flat = state.flat(arch_index, job.row);
+            if state.board.complete(flat, result) == Completion::Win {
+                won += 1;
             }
         }
         if won == 0 {
@@ -1008,9 +923,6 @@ impl Fleet {
         }
         member.completed.fetch_add(won, Ordering::SeqCst);
         state.window.record(latency);
-        for _ in 0..won {
-            self.metrics.cell_us.record(latency);
-        }
         state
             .latencies
             .lock()
@@ -1018,7 +930,6 @@ impl Fleet {
             .extend(std::iter::repeat(latency).take(won as usize));
         if job.hedge {
             state.hedge_wins.fetch_add(won, Ordering::Relaxed);
-            self.metrics.hedge_win_total.add(won);
         }
         state.completers.lock().expect("completers lock")[job.row] = Some(member.index);
         let (arch, network, seed) = state.cell_coords(state.flat(state.archs.len() - 1, job.row));
@@ -1138,7 +1049,6 @@ impl Fleet {
         }
         let cells = state.row_cells();
         state.failovers.fetch_add(cells, Ordering::Relaxed);
-        self.metrics.failover_total.add(cells);
         // Rotation from the next slot: prefer dispatchable members whose
         // breaker admits traffic, then any dispatchable member, then the
         // next slot outright (its worker will bounce the job back here,
@@ -1180,9 +1090,6 @@ impl Fleet {
         span.attr("endpoint", member.endpoint.as_str());
         drop(span);
         self.reshard(member, state);
-        registry()
-            .gauge("fleet.backends")
-            .set(self.membership.dispatchable().len() as i64);
     }
 
     /// Drains `member`'s home queue and re-homes the rows across the
@@ -1209,9 +1116,9 @@ impl Fleet {
             }
             return;
         }
-        let cells = jobs.len() as u64 * state.row_cells();
-        state.resharded.fetch_add(cells, Ordering::Relaxed);
-        self.metrics.reshard_cells_total.add(cells);
+        state
+            .resharded
+            .fetch_add(jobs.len() as u64 * state.row_cells(), Ordering::Relaxed);
         for job in jobs {
             let (network, seed) = state.row_coords(job.row);
             let target = &survivors[backend_for_row(network, seed, survivors.len())];
@@ -1240,10 +1147,7 @@ impl Fleet {
         // Mark before pushing: the monitor must never double-hedge a row
         // it sees overdue on two consecutive ticks.
         state.inflight.mark_hedged(row);
-        let cells = state.row_cells();
-        target.hedged.fetch_add(cells, Ordering::SeqCst);
-        state.hedges.fetch_add(cells, Ordering::Relaxed);
-        self.metrics.hedge_total.add(cells);
+        target.hedged.fetch_add(state.row_cells(), Ordering::SeqCst);
         let mut span = tracer().span("fleet.hedge");
         span.attr("trace_id", state.trace_id);
         span.attr("row", row);
@@ -1270,7 +1174,6 @@ impl Fleet {
                         .join(endpoint.clone(), &member_config(&self.config));
                 }
                 state.joins.fetch_add(1, Ordering::Relaxed);
-                self.metrics.join_total.inc();
                 let mut span = tracer().span("fleet.membership");
                 span.attr("trace_id", state.trace_id);
                 span.attr("action", "join");
@@ -1284,22 +1187,18 @@ impl Fleet {
                 member.set_state(MemberState::Draining);
                 self.reshard(&member, state);
                 state.leaves.fetch_add(1, Ordering::Relaxed);
-                self.metrics.leave_total.inc();
                 let mut span = tracer().span("fleet.membership");
                 span.attr("trace_id", state.trace_id);
                 span.attr("action", "leave");
                 span.attr("endpoint", endpoint.as_str());
             }
         }
-        registry()
-            .gauge("fleet.backends")
-            .set(self.membership.dispatchable().len() as i64);
     }
 
     /// Atomically rewrites the status file (tmp + rename) with a roster
     /// snapshot, when [`FleetConfig::status_path`] is set. A member's
     /// `queued` and `inflight` count rows; `completed`, `stolen` and
-    /// `hedged` count cells, like the progress object.
+    /// `hedged` count this sweep's cells, like the progress object.
     fn write_status(&self, state: &SweepState<'_>) {
         let Some(path) = &self.config.status_path else {
             return;
@@ -1364,10 +1263,9 @@ impl Fleet {
                 if member.has_left() {
                     continue;
                 }
-                self.metrics.probe_total.inc();
                 let alive = Client::with_timeouts(
                     member.endpoint.as_str(),
-                    Some(self.config.connect_timeout.min(Duration::from_millis(500))),
+                    Some(Duration::from_millis(500)),
                     Some(Duration::from_secs(1)),
                     Some(Duration::from_secs(1)),
                 )
@@ -1407,14 +1305,12 @@ impl Fleet {
                         _ => {}
                     }
                 } else {
-                    self.metrics.probe_failures.inc();
                     let newly_opened = member
                         .breaker
                         .lock()
                         .expect("breaker lock")
                         .record_failure();
                     if newly_opened {
-                        self.metrics.breaker_open_total.inc();
                         self.on_breaker_opened(&member, state);
                     }
                 }
@@ -1489,7 +1385,6 @@ mod tests {
         drop((l1, l2));
         let mut config = FleetConfig::new(vec![a1.to_string(), a2.to_string()]);
         config.max_attempts_per_backend = 1;
-        config.connect_timeout = Duration::from_millis(200);
         config.probe_interval = Duration::from_secs(30); // stay out of the way
         let fleet = Fleet::new(config).unwrap();
         match fleet.sweep(&["sibia".into()], &["dgcnn".into()], &[1], Some(64)) {

@@ -57,14 +57,15 @@
 //! join and leave mid-sweep on the sweep clock
 //! ([`FleetConfig::membership_plan`]) and drop out when their breaker
 //! opens; a departing member's queue is drained and resharded across the
-//! survivors. [`SweepStats`] and the `fleet.*` work counters count cells:
-//! a row counts its arch count.
+//! survivors. [`SweepStats`] counts cells: a row counts its arch count.
 //!
-//! Everything is observable through the global [`sibia_obs`] registry
-//! (`fleet.*` counters and histograms — `fleet.failover_total`,
-//! `fleet.steal_total`, and `fleet.hedge_total` are ones the integration
-//! suite pins) and tracer (`fleet.sweep`, `fleet.dispatch`, `fleet.retry`,
-//! `fleet.steal`, `fleet.hedge`, `fleet.membership` spans).
+//! A sweep's counts have one home: [`SweepStats`] (the CLI's stats line)
+//! and the per-member counts of the `--status-out` snapshot — the stats'
+//! per-backend cells are the members' completed cells, and its steals and
+//! hedges are the sums of their stolen and hedged cells. Its schedule is
+//! in the global [`sibia_obs`] tracer (`fleet.sweep`, `fleet.dispatch`,
+//! `fleet.retry`, `fleet.steal`, `fleet.hedge`, `fleet.membership` spans);
+//! the coordinator writes nothing to the metrics registry.
 
 mod backoff;
 mod breaker;

@@ -8,24 +8,22 @@
 //!
 //! The pool never blocks waiting for a free connection — the coordinator
 //! bounds concurrency by its worker-thread count, so an empty idle stack
-//! just means "dial". Dial and reuse counts feed the `fleet.pool.*`
-//! counters for observability.
+//! just means "dial".
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use sibia_serve::{Client, ClientError};
 
+/// TCP connect timeout per dial.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A pool of blocking connections to one backend endpoint.
 pub struct ClientPool {
     endpoint: String,
-    connect_timeout: Duration,
     io_timeout: Duration,
     idle: Mutex<Vec<Client>>,
     max_idle: usize,
-    dials: AtomicU64,
-    reuses: AtomicU64,
 }
 
 impl std::fmt::Debug for ClientPool {
@@ -33,8 +31,6 @@ impl std::fmt::Debug for ClientPool {
         f.debug_struct("ClientPool")
             .field("endpoint", &self.endpoint)
             .field("max_idle", &self.max_idle)
-            .field("dials", &self.dials.load(Ordering::Relaxed))
-            .field("reuses", &self.reuses.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -42,33 +38,23 @@ impl std::fmt::Debug for ClientPool {
 impl ClientPool {
     /// A pool for `endpoint` (`host:port`) holding at most `max_idle`
     /// parked connections.
-    pub fn new(
-        endpoint: impl Into<String>,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-        max_idle: usize,
-    ) -> Self {
+    pub fn new(endpoint: impl Into<String>, io_timeout: Duration, max_idle: usize) -> Self {
         Self {
             endpoint: endpoint.into(),
-            connect_timeout,
             io_timeout,
             idle: Mutex::new(Vec::new()),
             max_idle: max_idle.max(1),
-            dials: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
         }
     }
 
     /// An idle connection if one is parked, otherwise a fresh dial.
     pub fn checkout(&self) -> Result<Client, ClientError> {
         if let Some(client) = self.idle.lock().expect("pool lock").pop() {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
             return Ok(client);
         }
-        self.dials.fetch_add(1, Ordering::Relaxed);
         Client::with_timeouts(
             self.endpoint.as_str(),
-            Some(self.connect_timeout),
+            Some(CONNECT_TIMEOUT),
             Some(self.io_timeout),
             Some(self.io_timeout),
         )
@@ -81,49 +67,48 @@ impl ClientPool {
             idle.push(client);
         }
     }
-
-    /// Lifetime (dials, reuses) counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.dials.load(Ordering::Relaxed),
-            self.reuses.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
-    fn local_pool(addr: std::net::SocketAddr) -> ClientPool {
-        ClientPool::new(
-            addr.to_string(),
-            Duration::from_secs(2),
-            Duration::from_secs(2),
-            4,
-        )
+    /// A bare listener is enough: `Client` construction does no handshake.
+    /// Non-blocking, so [`dials`] can drain its accept queue.
+    fn listener() -> TcpListener {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        listener
+    }
+
+    /// Connections dialed to `listener` since the last call: a loopback
+    /// connect returns once the connection is in the accept queue.
+    fn dials(listener: &TcpListener) -> usize {
+        std::iter::from_fn(|| listener.accept().ok()).count()
+    }
+
+    fn local_pool(addr: std::net::SocketAddr, max_idle: usize) -> ClientPool {
+        ClientPool::new(addr.to_string(), Duration::from_secs(2), max_idle)
     }
 
     #[test]
     fn checkout_dials_and_checkin_parks_for_reuse() {
-        // A bare listener is enough: Client construction does no handshake.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let pool = local_pool(listener.local_addr().unwrap());
+        let listener = listener();
+        let pool = local_pool(listener.local_addr().unwrap(), 4);
 
         let c = pool.checkout().expect("dial");
-        assert_eq!(pool.stats(), (1, 0));
+        assert_eq!(dials(&listener), 1);
         pool.checkin(c);
         let _again = pool.checkout().expect("reuse");
-        assert_eq!(pool.stats(), (1, 1));
+        assert_eq!(dials(&listener), 0, "a parked connection is reused");
     }
 
     #[test]
     fn dead_endpoint_fails_fast_instead_of_hanging() {
         // Bind, grab the port, drop the listener: dialing it must error.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener);
-        let pool = local_pool(addr);
+        let addr = listener().local_addr().unwrap();
+        let pool = local_pool(addr, 4);
         let started = std::time::Instant::now();
         assert!(pool.checkout().is_err());
         assert!(started.elapsed() < Duration::from_secs(10));
@@ -131,20 +116,16 @@ mod tests {
 
     #[test]
     fn full_pool_drops_extra_checkins() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let pool = ClientPool::new(
-            addr.to_string(),
-            Duration::from_secs(2),
-            Duration::from_secs(2),
-            1,
-        );
+        let listener = listener();
+        let pool = local_pool(listener.local_addr().unwrap(), 1);
         let a = pool.checkout().unwrap();
         let b = pool.checkout().unwrap();
+        assert_eq!(dials(&listener), 2);
         pool.checkin(a);
         pool.checkin(b); // over capacity: dropped
         let _ = pool.checkout().unwrap(); // the parked one
+        assert_eq!(dials(&listener), 0, "the parked connection is reused");
         let _ = pool.checkout().unwrap(); // forces a new dial
-        assert_eq!(pool.stats().0, 3, "third dial after over-capacity drop");
+        assert_eq!(dials(&listener), 1, "third dial after over-capacity drop");
     }
 }

@@ -7,7 +7,7 @@
 //! timing (deterministic schedule per seed, genuinely concurrent threads)
 //! and pins the three invariants the byte-identity argument rests on:
 //!
-//! 1. exactly one twin per cell wins; the other is counted as a duplicate;
+//! 1. exactly one twin per cell wins; the other is answered `Duplicate`;
 //! 2. the backing store receives exactly one `put` per cell — duplicate
 //!    completions never double-write, however the race interleaves;
 //! 3. the merged result order is the flat row-major grid order, untouched
@@ -102,11 +102,6 @@ fn racing_twins_write_the_store_once_and_keep_merge_order() {
             duplicates_seen.load(Ordering::SeqCst),
             CELLS as u64,
             "seed {race_seed}: the losing twin must be deduped, not dropped"
-        );
-        assert_eq!(
-            board.duplicates.load(Ordering::SeqCst),
-            CELLS as u64,
-            "seed {race_seed}: the board must count every duplicate"
         );
         assert_eq!(board.remaining(), 0);
 

@@ -270,9 +270,14 @@ pub fn write_i64(n: i64, out: &mut String) {
 
 /// Appends the shortest round-trip form of `x`: the canonical float.
 /// Non-finite values (which valid simulation output never contains)
-/// degrade to `null`.
+/// degrade to `null`, and `-0.0` is spelled `0`, as ECMAScript's
+/// `JSON.stringify` and RFC 8785 spell it.
 pub fn write_f64(x: f64, out: &mut String) {
-    if x.is_finite() {
+    if x == 0.0 {
+        // `-0` would parse back as Int(0) and re-serialize as `0`, so the
+        // canonical text of both zeros is `0`.
+        out.push('0');
+    } else if x.is_finite() {
         // `{}` prints integral floats without a fractional part ("1"); that
         // is fine — the reparse yields Int(1) which serializes identically.
         let _ = write!(out, "{x}");
@@ -640,7 +645,7 @@ mod tests {
 
     #[test]
     fn float_serialization_round_trips_bytes() {
-        for x in [0.1, 1.0 / 3.0, 123456.789, 1e-12, f64::MAX] {
+        for x in [0.1, 1.0 / 3.0, 123456.789, 1e-12, f64::MAX, -0.0] {
             let s = Json::Float(x).to_string();
             let back = Json::parse(&s).unwrap();
             assert_eq!(back.as_f64(), Some(x), "{s}");
@@ -740,7 +745,9 @@ mod tests {
                 Json::Bool(false) => out.push_str("false"),
                 Json::Int(n) => out.push_str(&n.to_string()),
                 Json::Float(x) => {
-                    if x.is_finite() {
+                    if *x == 0.0 {
+                        out.push('0');
+                    } else if x.is_finite() {
                         out.push_str(&format!("{x}"));
                     } else {
                         out.push_str("null");

@@ -286,16 +286,6 @@ pub struct Envelope {
 /// (network, seed) row.
 const MAX_SWEEP_CELLS: usize = 1024;
 
-/// The CLI/protocol architecture registry.
-pub const ARCH_NAMES: [&str; 6] = [
-    "bitfusion",
-    "hnpu",
-    "no-sbr",
-    "input-skip",
-    "sibia",
-    "output-skip",
-];
-
 /// Resolves a protocol architecture name (the same names `sibia-cli`
 /// accepts).
 pub fn arch_by_name(name: &str) -> Option<ArchSpec> {
@@ -981,7 +971,14 @@ mod tests {
 
     #[test]
     fn arch_registry_matches_cli_names() {
-        for name in ARCH_NAMES {
+        for name in [
+            "bitfusion",
+            "hnpu",
+            "no-sbr",
+            "input-skip",
+            "sibia",
+            "output-skip",
+        ] {
             assert!(arch_by_name(name).is_some(), "{name}");
         }
         assert!(arch_by_name("gpu").is_none());

@@ -17,7 +17,7 @@
 //! full, checked in order:
 //!
 //! 1. its connection already has `pipeline_depth` requests in flight;
-//! 2. its connection has more than `write_budget_bytes` of unread
+//! 2. its connection has more than [`WRITE_BUDGET_BYTES`] of unread
 //!    response bytes queued (a client that pipelines but never reads);
 //! 3. the shared job queue is at capacity.
 
@@ -39,6 +39,11 @@ use crate::server::{Job, ServeConfig, Shared, MAX_LINE_BYTES, SPANS_DEFAULT_LIMI
 /// the tracer the ids select spans from, so daemons sharing a process
 /// never assign the same id.
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Per-connection write budget. A work request arriving while more than
+/// this many response bytes are queued unread is rejected with a typed
+/// `overloaded` error.
+const WRITE_BUDGET_BYTES: usize = 1 << 20;
 
 /// Everything a worker needs to finish one reactor-admitted request after
 /// computing its outcome.
@@ -71,15 +76,14 @@ pub(crate) fn start(config: &ServeConfig, shared: Arc<Shared>) -> std::io::Resul
         port: config.port,
         max_frame_bytes: MAX_LINE_BYTES,
         max_connections: 16_384,
-        // The handler rejects work past `write_budget_bytes`; the hard cap
+        // The handler rejects work past `WRITE_BUDGET_BYTES`; the hard cap
         // only guards against a client that pipelines inline requests
         // forever without ever reading.
-        hard_write_cap: (config.write_budget_bytes.max(1 << 20)) * 8,
+        hard_write_cap: WRITE_BUDGET_BYTES * 8,
     };
     let handler = Arc::new(ReactorHandler {
         shared: Arc::clone(&shared),
         pipeline_depth: config.pipeline_depth.max(1),
-        write_budget_bytes: config.write_budget_bytes.max(1),
     });
     Reactor::start(reactor_config, handler, shared.metrics.registry())
 }
@@ -88,7 +92,6 @@ pub(crate) fn start(config: &ServeConfig, shared: Arc<Shared>) -> std::io::Resul
 struct ReactorHandler {
     shared: Arc<Shared>,
     pipeline_depth: usize,
-    write_budget_bytes: usize,
 }
 
 impl ReactorHandler {
@@ -216,7 +219,7 @@ impl FrameHandler for ReactorHandler {
                 ),
             );
         }
-        if cx.buffered_write_bytes > self.write_budget_bytes {
+        if cx.buffered_write_bytes > WRITE_BUDGET_BYTES {
             return self.reject(
                 id.as_ref(),
                 &trace_id,

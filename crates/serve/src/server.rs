@@ -126,10 +126,6 @@ pub struct ServeConfig {
     /// are already in flight on its connection is rejected with a typed
     /// `overloaded` error.
     pub pipeline_depth: usize,
-    /// Per-connection write budget. A work request arriving while more
-    /// than this many response bytes are queued unread is rejected with a
-    /// typed `overloaded` error.
-    pub write_budget_bytes: usize,
     /// Enable the process-global tracer for the daemon's lifetime, so work
     /// requests record the full `serve.request` → `sim.network` →
     /// `sim.layer` span hierarchy (readable via the `spans` verb and
@@ -151,7 +147,6 @@ impl Default for ServeConfig {
             store_dir: None,
             peers: Vec::new(),
             pipeline_depth: 64,
-            write_budget_bytes: 1 << 20,
             trace: false,
         }
     }

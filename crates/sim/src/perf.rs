@@ -41,6 +41,10 @@ const SRAM_PER_NOC_HOP: u64 = 2;
 /// External-memory burst size in bytes.
 const DRAM_BURST_BYTES: u64 = 1024;
 
+/// The external memory every simulation reads and writes through: the
+/// paper's HyperRAM part.
+pub(crate) const EXTMEM: HyperRam = HyperRam::cypress_64mbit();
+
 /// Simulation result for one layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerResult {
@@ -163,8 +167,6 @@ pub struct Simulator {
     pub sample_cap: usize,
     /// Technology node for the energy model.
     pub tech: TechNode,
-    /// External memory model.
-    pub extmem: HyperRam,
     /// Latency composition.
     pub latency_model: LatencyModel,
 }
@@ -176,7 +178,6 @@ impl Simulator {
             seed,
             sample_cap: 32_768,
             tech: TechNode::samsung_28nm(),
-            extmem: HyperRam::cypress_64mbit(),
             latency_model: LatencyModel::ComputeOnly,
         }
     }
@@ -515,7 +516,7 @@ impl Simulator {
         let output_bits =
             layer.kind().output_len() as u64 * u64::from(layer.input_precision().bits());
         let dram_bits = input_bits + weight_bits + output_bits;
-        let memory_cycles = self.extmem.transfer_cycles(
+        let memory_cycles = EXTMEM.transfer_cycles(
             dram_bits.div_ceil(8),
             DRAM_BURST_BYTES,
             arch.core.frequency_mhz,

@@ -53,7 +53,10 @@ pub fn repr_label(repr: Repr) -> &'static str {
 pub fn config_fingerprint(sim: &Simulator, arch: &ArchSpec) -> String {
     format!(
         "arch={arch:?}|cap={}|tech={:?}|extmem={:?}|latency={:?}",
-        sim.sample_cap, sim.tech, sim.extmem, sim.latency_model
+        sim.sample_cap,
+        sim.tech,
+        crate::perf::EXTMEM,
+        sim.latency_model
     )
 }
 

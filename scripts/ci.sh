@@ -230,8 +230,15 @@ grep -q "joins 1" "$chaos_dir/fleet.log" \
   || { echo "mid-sweep join was not recorded"; cat "$chaos_dir/fleet.log"; exit 1; }
 grep -q '"endpoint":"'"${chaos_addrs[3]}"'"' "$chaos_dir/status.json" \
   || { echo "status snapshot is missing the joined member"; cat "$chaos_dir/status.json"; exit 1; }
-grep -q '"progress"' "$chaos_dir/status.json" \
-  || { echo "status snapshot is missing the progress object"; cat "$chaos_dir/status.json"; exit 1; }
+# The final snapshot is the sweep's ledger: every cell done, and the
+# members' completed cells (this sweep's, one count per cell won) sum to the
+# grid, whichever member died or joined.
+grep -q '"progress":{"done":96,"total":96,' "$chaos_dir/status.json" \
+  || { echo "final status snapshot is not 96 of 96 cells"; cat "$chaos_dir/status.json"; exit 1; }
+chaos_completed="$(grep -o '"completed":[0-9]*' "$chaos_dir/status.json" \
+  | awk -F: '{sum += $2} END {print sum + 0}')"
+[ "$chaos_completed" -eq 96 ] \
+  || { echo "members completed $chaos_completed cells, not 96"; cat "$chaos_dir/status.json"; exit 1; }
 kill -TERM "${chaos_pids[@]}" 2>/dev/null || true
 for p in "${chaos_pids[@]}"; do wait "$p" 2>/dev/null || true; done
 trap - EXIT
@@ -275,6 +282,11 @@ cmp "$tel_dir/direct.json" "$tel_dir/fleet.json" \
 tel_busy="$(sed -n 's/.*per-backend \[\(.*\)\]$/\1/p' "$tel_dir/fleet.log" \
   | tr ',' '\n' | awk '$1+0 > 0' | wc -l)"
 tel_min_pids=$((tel_busy + 1 > 2 ? tel_busy + 1 : 2))
+# The per-backend cells are the sweep's own: they sum to its 12 cells.
+tel_cells="$(sed -n 's/.*per-backend \[\(.*\)\]$/\1/p' "$tel_dir/fleet.log" \
+  | tr ',' '\n' | awk '{sum += $1} END {print sum + 0}')"
+[ "$tel_cells" -eq 12 ] \
+  || { echo "per-backend cells sum to $tel_cells, not 12"; cat "$tel_dir/fleet.log"; exit 1; }
 ./target/release/sibia-cli trace-check "$tel_dir/merged.jsonl" --min-pids "$tel_min_pids" \
   --chain fleet.dispatch,serve.request,sim.network
 # Counters are cumulative: a later scrape can never read lower. (The first
