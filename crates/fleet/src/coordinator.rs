@@ -460,6 +460,9 @@ pub struct Fleet {
     /// previous sweep. Only the last sweep's rows are kept, so this is
     /// bounded by one sweep.
     homes: Mutex<HashMap<RowKey, usize>>,
+    /// Held for the whole of a sweep: the members' row queues and counts
+    /// are one sweep's, so sweeps on one fleet run one at a time.
+    sweeping: Mutex<()>,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -484,6 +487,7 @@ impl Fleet {
             membership,
             last_trace_id: Mutex::new(None),
             homes: Mutex::new(HashMap::new()),
+            sweeping: Mutex::new(()),
         })
     }
 
@@ -537,6 +541,7 @@ impl Fleet {
     /// Runs the (archs × networks × seeds) grid and returns the merged
     /// document — byte-identical to `write_grid` of the same grid run
     /// in process (`ParallelEngine::run`) — plus dispatch statistics.
+    /// Overlapping calls on one fleet run one after the other.
     pub fn sweep_with_stats(
         &self,
         archs: &[String],
@@ -547,6 +552,12 @@ impl Fleet {
         if archs.is_empty() || networks.is_empty() || seeds.is_empty() {
             return Err(FleetError::EmptyGrid);
         }
+        // A sweep that panicked leaves nothing the next one reads: the
+        // queues are drained and the counts reset below.
+        let _sweeping = self
+            .sweeping
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let trace_id = format!("fs{}", SWEEP_SEQ.fetch_add(1, Ordering::Relaxed) + 1);
         *self.last_trace_id.lock().expect("trace id lock") = Some(trace_id.clone());
         let state = SweepState::new(archs, networks, seeds, sample_cap, &trace_id);
@@ -557,8 +568,11 @@ impl Fleet {
         sweep_span.attr("rows", state.rows());
         sweep_span.attr("backends", self.membership.len());
         // Member counts are this sweep's: the stats read them at the end.
+        // A job still queued holds an earlier sweep's row index (a hedge
+        // that sweep finished without): drop it.
         for member in self.membership.snapshot() {
             member.reset_counts();
+            member.queue.drain();
         }
 
         // Home every row among the members that can take work right now;

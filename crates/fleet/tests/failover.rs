@@ -24,9 +24,10 @@ mod chaos;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use sibia_fleet::{Fleet, FleetConfig, FleetError};
+use sibia_fleet::{backend_for_row, Fleet, FleetConfig, FleetError};
 use sibia_obs::json::Json;
 use sibia_serve::protocol::{arch_by_name, ErrorCode};
 use sibia_serve::server::{ServeConfig, Server};
@@ -120,17 +121,77 @@ fn merged_sweep_is_byte_identical_for_1_2_and_4_backends() {
             stats.per_backend_cells.iter().sum::<u64>(),
             stats.cells as u64
         );
-        if n > 1 {
-            assert!(
-                stats.per_backend_cells.iter().filter(|&&c| c > 0).count() > 1,
-                "sharding must spread cells: {:?}",
-                stats.per_backend_cells
-            );
+        if n == 1 {
+            continue;
         }
+        // With stealing and hedging on, which backend computes a row races
+        // worker start: the daemons are shared across passes, and one warm
+        // from an earlier pass may steal every row. Without them placement
+        // is the shard's, on a fresh fleet that has no homes to pin.
+        let mut config = fleet_config(endpoints[..n].to_vec());
+        config.steal = false;
+        config.hedge.enabled = false;
+        let (json, stats) = Fleet::new(config)
+            .unwrap()
+            .sweep_with_stats(&owned(&ARCHS), &owned(&NETWORKS), &SEEDS, Some(SAMPLE_CAP))
+            .expect("static fleet sweep");
+        assert_eq!(json.to_string(), expected, "{n}-backend static merge");
+        let mut sharded = vec![0u64; n];
+        for network in NETWORKS {
+            for seed in SEEDS {
+                sharded[backend_for_row(network, seed, n)] += ARCHS.len() as u64;
+            }
+        }
+        assert_eq!(stats.per_backend_cells, sharded, "{n} backends");
+        assert!(
+            sharded.iter().filter(|&&c| c > 0).count() > 1,
+            "sharding must spread cells: {sharded:?}"
+        );
     }
     for s in servers {
         s.shutdown();
     }
+}
+
+#[test]
+fn overlapping_sweeps_on_one_fleet_both_return_the_direct_bytes() {
+    // A 12-cell and a 1-cell sweep started together on one fleet. The
+    // sweeps run one after the other; neither may crash or hang, and each
+    // must merge its own grid's bytes. A hung sweep fails the bound here
+    // instead of hanging the suite.
+    const BOUND: Duration = Duration::from_secs(60);
+    let server = start_server();
+    let fleet = Arc::new(Fleet::new(fleet_config(vec![server.addr().to_string()])).unwrap());
+    let grids: [(&[&str], &[u64]); 2] = [(&ARCHS, &[1, 2, 3, 4, 5, 6]), (&ARCHS[..1], &[7])];
+    let start = Arc::new(Barrier::new(grids.len()));
+    let (tx, rx) = mpsc::channel();
+    for (index, (archs, seeds)) in grids.into_iter().enumerate() {
+        let (fleet, start, tx) = (Arc::clone(&fleet), Arc::clone(&start), tx.clone());
+        let (archs, seeds) = (owned(archs), seeds.to_vec());
+        std::thread::spawn(move || {
+            start.wait();
+            let merged = fleet.sweep(&archs, &owned(&NETWORKS), &seeds, Some(SAMPLE_CAP));
+            let _ = tx.send((index, merged.map(|json| json.to_string())));
+        });
+    }
+    drop(tx);
+    let deadline = Instant::now() + BOUND;
+    let mut merged = [None, None];
+    for _ in 0..grids.len() {
+        let (index, bytes) = rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .expect("both sweeps return within the bound");
+        merged[index] = Some(bytes.expect("fleet sweep"));
+    }
+    for (index, (archs, seeds)) in grids.into_iter().enumerate() {
+        let expected = grid_bytes(archs, &NETWORKS, seeds, SAMPLE_CAP, &DecompCache::new());
+        assert_eq!(
+            merged[index].as_deref(),
+            Some(expected.as_str()),
+            "grid {index}"
+        );
+    }
+    server.shutdown();
 }
 
 #[test]

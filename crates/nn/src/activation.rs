@@ -7,6 +7,11 @@
 
 use std::fmt;
 
+#[cfg(target_arch = "x86_64")]
+use sibia_sbr::kernels::{self, KernelTier};
+
+use crate::tanhf::tanhf;
+
 /// An elementwise activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Activation {
@@ -39,26 +44,37 @@ impl Activation {
     pub fn apply(&self, x: f32) -> f32 {
         match *self {
             Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
+            Activation::Relu => relu(x),
+            Activation::LeakyRelu { alpha } => leaky_relu(x, alpha),
+            Activation::Gelu => gelu(x),
+            Activation::Elu { alpha } => elu(x, alpha),
+        }
+    }
+
+    /// [`Self::apply`] to every value in place, bit for bit. The function
+    /// is chosen once per call, and each arm is a loop over one function,
+    /// so the branch-free ones vectorize. GELU runs an AVX2 instance when
+    /// the process kernel tier (`sibia_sbr::kernels::active`) is AVX2, as
+    /// the sampler's Box–Muller math does.
+    pub(crate) fn apply_in_place(&self, values: &mut [f32]) {
+        match *self {
+            Activation::Identity => {}
+            Activation::Relu => values.iter_mut().for_each(|v| *v = relu(*v)),
             Activation::LeakyRelu { alpha } => {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * x
-                }
+                values.iter_mut().for_each(|v| *v = leaky_relu(*v, alpha))
             }
             Activation::Gelu => {
-                // tanh approximation (Hendrycks & Gimpel).
-                let c = (2.0f32 / std::f32::consts::PI).sqrt();
-                0.5 * x * (1.0 + (c * (x + 0.044_715 * x * x * x)).tanh())
-            }
-            Activation::Elu { alpha } => {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * (x.exp() - 1.0)
+                #[cfg(target_arch = "x86_64")]
+                if kernels::active().tier == KernelTier::Avx2 {
+                    // SAFETY: the AVX2 tier is only selected, detected or
+                    // forced, after CPUID reports AVX2
+                    // (`KernelTier::supported`).
+                    unsafe { gelu_avx2(values) };
+                    return;
                 }
+                gelu_plain(values);
             }
+            Activation::Elu { alpha } => values.iter_mut().for_each(|v| *v = elu(*v, alpha)),
         }
     }
 
@@ -68,6 +84,53 @@ impl Activation {
     pub fn zeroes_negatives(&self) -> bool {
         matches!(self, Activation::Relu)
     }
+}
+
+#[inline(always)]
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+#[inline(always)]
+fn leaky_relu(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        alpha * x
+    }
+}
+
+/// GELU, tanh approximation (Hendrycks & Gimpel), with glibc's `tanhf`
+/// ported branch-free so a loop of it vectorizes.
+#[inline(always)]
+fn gelu(x: f32) -> f32 {
+    let c = (2.0f32 / std::f32::consts::PI).sqrt();
+    0.5 * x * (1.0 + tanhf(c * (x + 0.044_715 * x * x * x)))
+}
+
+#[inline(always)]
+fn elu(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        alpha * (x.exp() - 1.0)
+    }
+}
+
+/// The GELU loop compiled for the target's baseline instruction set.
+fn gelu_plain(values: &mut [f32]) {
+    values.iter_mut().for_each(|v| *v = gelu(*v));
+}
+
+/// The GELU loop compiled with AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_avx2(values: &mut [f32]) {
+    values.iter_mut().for_each(|v| *v = gelu(*v));
 }
 
 impl fmt::Display for Activation {
@@ -107,6 +170,40 @@ mod tests {
         assert!(a.apply(-10.0) > -1.0001);
         assert!(a.apply(-10.0) < -0.99);
         assert_eq!(a.apply(1.5), 1.5);
+    }
+
+    #[test]
+    fn apply_in_place_matches_apply() {
+        // Every 4099th f32 bit pattern, NaNs and infinities included.
+        let inputs: Vec<f32> = (0..1u64 << 32)
+            .step_by(4099)
+            .map(|b| f32::from_bits(b as u32))
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for act in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::LEAKY_RELU_01,
+            Activation::Gelu,
+            Activation::ELU_1,
+        ] {
+            let applied: Vec<f32> = inputs.iter().map(|&x| act.apply(x)).collect();
+            let mut in_place = inputs.clone();
+            act.apply_in_place(&mut in_place);
+            assert_eq!(bits(&in_place), bits(&applied), "{act}");
+        }
+        // Both GELU instances, whichever the kernel tier picks.
+        let applied: Vec<f32> = inputs.iter().map(|&x| Activation::Gelu.apply(x)).collect();
+        let mut plain = inputs.clone();
+        gelu_plain(&mut plain);
+        assert_eq!(bits(&plain), bits(&applied));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            let mut wide = inputs.clone();
+            // SAFETY: AVX2 was detected above.
+            unsafe { gelu_avx2(&mut wide) };
+            assert_eq!(bits(&wide), bits(&applied));
+        }
     }
 
     #[test]

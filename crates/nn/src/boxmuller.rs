@@ -26,8 +26,9 @@ use sibia_sbr::kernels::{self, KernelTier};
 /// Standard normals from raw draws: `out[i]` from `u1[i]` and `u2[i]`, the
 /// top 32 bits of a normal's two `SynthRng::next_u64` draws in stream
 /// order. Computes exactly
-/// `(-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()` with `u1` and `u2`
-/// drawn by `gen_range(f32::EPSILON..1.0)` and `gen_range(0.0..1.0)`.
+/// `(-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()` with
+/// `u1 = f32::EPSILON + u * (1.0 - f32::EPSILON)` and
+/// `u2 = 0.0 + u * (1.0 - 0.0)`, `u` each draw's `SynthRng::unit_f32`.
 ///
 /// Runs the AVX2 instance when the process kernel tier
 /// (`sibia_sbr::kernels::active`) is AVX2, the plain one otherwise.
@@ -74,14 +75,15 @@ fn unit(draw: u32) -> f32 {
     ((draw >> 8) as i32) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
-/// `gen_range(f32::EPSILON..1.0)` of a draw: in `[2^-23, 1 - 2^-24]`.
+/// `f32::EPSILON + u * (1.0 - f32::EPSILON)` of a draw's unit `u`: in
+/// `[2^-23, 1 - 2^-24]`.
 #[inline(always)]
 fn uniform_u1(draw: u32) -> f32 {
     f32::EPSILON + unit(draw) * (1.0 - f32::EPSILON)
 }
 
-/// `2π·gen_range(0.0..1.0)` of a draw, in `[0, 2π)`. `gen_range` returns
-/// the unit draw unchanged there (`0.0 + u·1.0 = u` for `u ≥ 0`).
+/// `2π·(0.0 + u * (1.0 - 0.0))` of a draw's unit `u`, in `[0, 2π)`. The
+/// inner expression is `u` itself (`0.0 + u·1.0 = u` for `u ≥ 0`).
 #[inline(always)]
 fn angle(draw: u32) -> f32 {
     2.0 * std::f32::consts::PI * unit(draw)
@@ -221,9 +223,9 @@ mod tests {
         (0..1u32 << 24).step_by(step).map(|k| k << 8)
     }
 
-    /// `u1` and the angle as `SynthRng::unit_f32` and `gen_range` form
-    /// them, from the draw's 24-bit integer: the reference for `unit`'s
-    /// `i32` conversion.
+    /// `u1` and the angle as `SynthRng::unit_f32` and the expressions of
+    /// [`box_muller`] form them, from the draw's 24-bit integer: the
+    /// reference for `unit`'s `i32` conversion.
     fn reference_inputs(draw: u32) -> (f32, f32) {
         let unit = u64::from(draw >> 8) as f32 * (1.0 / (1u64 << 24) as f32);
         let u1 = f32::EPSILON + unit * (1.0 - f32::EPSILON);

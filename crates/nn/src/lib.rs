@@ -23,6 +23,7 @@ pub mod layer;
 pub mod network;
 pub mod rng;
 pub mod synth;
+mod tanhf;
 pub mod zoo;
 
 pub use activation::Activation;

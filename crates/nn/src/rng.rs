@@ -80,16 +80,38 @@ impl SynthRng {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
-    /// Uniform `f32` in `[range.start, range.end)`.
-    #[inline]
-    pub fn gen_range(&mut self, range: core::ops::Range<f32>) -> f32 {
-        range.start + self.unit_f32() * (range.end - range.start)
-    }
-
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`): whether
+    /// [`Self::unit_f64`] falls below `p`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
+        Bernoulli::new(p).sample(self)
+    }
+}
+
+/// A Bernoulli trial of fixed probability, for draw loops: the same draw
+/// as [`SynthRng::gen_bool`] with the float work done once.
+///
+/// `gen_bool` compares `k·2^-53` with `p`, `k` the draw's top 53 bits.
+/// Both scalings by 2^53 are exact, so `k·2^-53 < p` exactly when
+/// `k < ceil(p·2^53)`; the saturating conversion maps `p ≤ 0` and NaN to
+/// a threshold of 0 (never) and `p ≥ 1` to one above every `k` (always).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bernoulli {
+    below: u64,
+}
+
+impl Bernoulli {
+    /// The trial with probability `p`.
+    pub(crate) fn new(p: f64) -> Self {
+        Self {
+            below: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    /// One trial: consumes one draw.
+    #[inline]
+    pub(crate) fn sample(self, rng: &mut SynthRng) -> bool {
+        rng.next_u64() >> 11 < self.below
     }
 }
 
@@ -144,6 +166,48 @@ mod tests {
         let frac = hits as f64 / 100_000.0;
         assert!((frac - 0.25).abs() < 0.01, "got {frac}");
     }
+
+    #[test]
+    fn bernoulli_threshold_is_the_float_comparison() {
+        // The threshold's edges: probabilities whose p·2^53 is and is not
+        // an integer, the extremes, subnormals and NaN, each against the
+        // draws just below, at and above it.
+        let probabilities = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::MIN_POSITIVE / 4.0,
+            1e-300,
+            ACT_P,
+            0.5,
+            0.5 + f64::EPSILON,
+            0.119,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for p in probabilities {
+            let t = Bernoulli::new(p).below.min(1 << 53);
+            for k in [0, 1, t.saturating_sub(1), t, t + 1, (1 << 53) - 1] {
+                let k = k.min((1 << 53) - 1);
+                let unit = k as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(k < Bernoulli::new(p).below, unit < p, "p {p:e}, k {k}");
+            }
+        }
+        // And draw for draw on one stream.
+        let (mut a, mut b) = (SynthRng::seed_from_u64(17), SynthRng::seed_from_u64(17));
+        for p in [ACT_P, 0.175, 0.5, 0.9] {
+            let trial = Bernoulli::new(p);
+            for _ in 0..10_000 {
+                assert_eq!(trial.sample(&mut a), b.unit_f64() < p);
+            }
+        }
+    }
+
+    /// The activation outlier probability the sampler draws per value.
+    const ACT_P: f64 = 0.005;
 
     #[test]
     fn mean_is_centered() {

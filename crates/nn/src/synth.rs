@@ -22,7 +22,7 @@ use sibia_tensor::{QuantTensor, Shape};
 use crate::activation::Activation;
 use crate::boxmuller;
 use crate::layer::Layer;
-use crate::rng::SynthRng;
+use crate::rng::{Bernoulli, SynthRng};
 
 /// Statistical profile of a layer's input tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -157,11 +157,141 @@ impl Normals {
     }
 }
 
+/// The settings of one post-activation sampling call that do not depend
+/// on the activation.
+struct PostActivation {
+    n: usize,
+    outlier_gain: f32,
+    anchor: f32,
+    indep: f32,
+}
+
+impl PostActivation {
+    /// Samples `n` post-activation values in chunks of whole blocks.
+    ///
+    /// Draw: per block its zero draw (when `zero_block` is set), then a
+    /// zero block's two skipped draws, or the block's shared factor and
+    /// per value its normal and its outlier draw. Math: the normals at
+    /// once. Assemble, in three passes over the chunk: mix each block's
+    /// `shared` factor into its values with the outlier gains; apply the
+    /// activation to the chunk's values; mask a zero block's values to
+    /// +0.0. ELU's libm `expf` is applied block by block to the value
+    /// blocks only; every other activation is a few vector instructions a
+    /// value, cheaper than a branch per block. A
+    /// block's normals sit at `start[b]` among the chunk's normals; a zero
+    /// block's start is the next block's, and the lanes past the last
+    /// value of a partial block read stale normals, both masked or cut
+    /// off. The buffer holds four normals past any block's start.
+    #[inline(always)]
+    fn sample(
+        &self,
+        src: &mut SynthSource,
+        zero_block: Option<Bernoulli>,
+        shared: impl Fn(f32) -> f32,
+        activation: Activation,
+    ) -> Vec<f32> {
+        let n = self.n;
+        let outlier = Bernoulli::new(ACT_OUTLIER_P);
+        let mut out = Vec::with_capacity(n);
+        let mut normals = Normals::new();
+        let mut start = [0usize; CHUNK / BLOCK];
+        let mut zero = [false; CHUNK / BLOCK];
+        let mut gains = [1.0f32; CHUNK];
+        let mut chunk = [0.0f32; CHUNK];
+        while out.len() < n {
+            let (mut drawn, mut blocks) = (out.len(), 0);
+            while blocks < CHUNK / BLOCK && drawn < n {
+                let len = BLOCK.min(n - drawn);
+                let is_zero = zero_block.is_some_and(|p| p.sample(&mut src.rng));
+                start[blocks] = normals.len;
+                zero[blocks] = is_zero;
+                if is_zero {
+                    // The unused shared factor's draws keep the stream
+                    // aligned; its math is skipped.
+                    src.rng.next_u64();
+                    src.rng.next_u64();
+                } else {
+                    normals.draw(&mut src.rng);
+                    for g in &mut gains[blocks * BLOCK..blocks * BLOCK + len] {
+                        normals.draw(&mut src.rng);
+                        *g = if outlier.sample(&mut src.rng) {
+                            self.outlier_gain
+                        } else {
+                            1.0
+                        };
+                    }
+                }
+                drawn += len;
+                blocks += 1;
+            }
+            normals.compute();
+            let values = &mut chunk[..blocks * BLOCK];
+            for (b, (dst, g)) in values
+                .chunks_exact_mut(BLOCK)
+                .zip(gains.chunks_exact(BLOCK))
+                .enumerate()
+            {
+                let v: &[f32; BLOCK + 1] = normals.z[start[b]..start[b] + BLOCK + 1]
+                    .try_into()
+                    .expect("four normals past any start");
+                let s = shared(v[0]);
+                for j in 0..BLOCK {
+                    dst[j] = (s + self.indep * v[j + 1]) * g[j];
+                }
+            }
+            if let Activation::Elu { .. } = activation {
+                for (dst, &is_zero) in values.chunks_exact_mut(BLOCK).zip(&zero) {
+                    if !is_zero {
+                        activation.apply_in_place(dst);
+                    }
+                }
+            } else {
+                activation.apply_in_place(values);
+            }
+            for (dst, &is_zero) in values.chunks_exact_mut(BLOCK).zip(&zero) {
+                // All ones for a value block, all zeros for a zero block.
+                let keep = u32::from(is_zero).wrapping_sub(1);
+                dst.iter_mut()
+                    .for_each(|v| *v = f32::from_bits(v.to_bits() & keep));
+            }
+            if out.is_empty() && !zero[0] {
+                chunk[0] = self.anchor;
+            }
+            let take = drawn - out.len();
+            out.extend_from_slice(&chunk[..take]);
+        }
+        out
+    }
+}
+
+/// The zero codes of `codes` as two bitmaps per 64 codes: bit `i` of word
+/// `w` marks code `64w + i`. `scattered` holds the zeros of four-code
+/// blocks that also hold a non-zero code, `clustered` those of all-zero
+/// blocks. A partial last block is all-zero when its codes are.
+fn zero_masks(codes: &[i32]) -> (Vec<u64>, Vec<u64>) {
+    /// Low bit of every four-bit block lane.
+    const BLOCK_LO: u64 = 0x1111_1111_1111_1111;
+    codes
+        .chunks(64)
+        .map(|chunk| {
+            let zero = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (i, &c)| m | (u64::from(c == 0) << i));
+            // Lanes past the end count as zero for the block test only.
+            let padded = zero | u64::MAX.checked_shl(chunk.len() as u32).unwrap_or(0);
+            let all_zero = padded & (padded >> 1) & (padded >> 2) & (padded >> 3) & BLOCK_LO;
+            let clustered = zero & (all_zero * 0xF);
+            (zero & !clustered, clustered)
+        })
+        .unzip()
+}
+
 /// Zeroes the smallest-magnitude non-zero codes until at least `want` codes
 /// are zero (or every code is). Selection is by counting rather than
 /// sorting: one pass builds a magnitude histogram, which locates the
-/// threshold, then one forward pass zeroes every code strictly below it
-/// plus the earliest codes *at* it until the quota is met — exactly the set
+/// threshold, then one pass zeroes every code strictly below it and
+/// another the earliest codes *at* it until the quota is met — exactly the set
 /// a stable sort-by-`unsigned_abs` followed by `take(want - zeros)` picks,
 /// in O(n) instead of O(n log n). Quantized magnitudes are small (≤ the
 /// precision's symmetric maximum), so the histogram is small too.
@@ -228,20 +358,24 @@ fn zero_up_to_threshold(
         }
         below += count;
     }
+    // Every group keyed below the threshold goes whole, in a pass without
+    // a data-dependent branch (a group keyed 0 holds only zeros)...
+    for g in codes.chunks_mut(group) {
+        let below = key(g) < threshold;
+        g.iter_mut().for_each(|c| *c = if below { 0 } else { *c });
+    }
+    // ...then the earliest non-zero codes keyed at it, stopping once the
+    // quota is met.
     let mut at_threshold = need - below;
     for g in codes.chunks_mut(group) {
-        let k = key(g);
-        if k == 0 || k > threshold {
-            continue;
+        if at_threshold == 0 {
+            break;
         }
-        for c in g.iter_mut().filter(|c| **c != 0) {
-            if k == threshold {
-                if at_threshold == 0 {
-                    break;
-                }
+        if key(g) == threshold {
+            for c in g.iter_mut().filter(|c| **c != 0).take(at_threshold) {
+                *c = 0;
                 at_threshold -= 1;
             }
-            *c = 0;
         }
     }
 }
@@ -273,22 +407,24 @@ impl SynthSource {
     pub fn weights(&mut self, layer: &Layer, cap: usize) -> QuantTensor {
         let n = layer.kind().weight_len().min(cap.max(1));
         let gain = weight_outlier_gain(layer.weight_precision());
+        let outlier = Bernoulli::new(WEIGHT_OUTLIER_P);
         let mut data = Vec::with_capacity(n);
         let mut normals = Normals::new();
-        let mut outliers = [false; CHUNK];
+        let mut gains = [1.0; CHUNK];
         while data.len() < n {
-            // Per weight: its normal's two draws, then its outlier draw.
-            let outliers = &mut outliers[..CHUNK.min(n - data.len())];
-            for outlier in outliers.iter_mut() {
+            // Per weight: its normal's two draws, then its outlier draw. A
+            // weight that is no outlier is scaled by 1.0, which is exact.
+            let gains = &mut gains[..CHUNK.min(n - data.len())];
+            for g in gains.iter_mut() {
                 normals.draw(&mut self.rng);
-                *outlier = self.rng.gen_bool(WEIGHT_OUTLIER_P);
+                *g = if outlier.sample(&mut self.rng) {
+                    gain
+                } else {
+                    1.0
+                };
             }
             let z = normals.compute();
-            data.extend(
-                z.iter()
-                    .zip(outliers.iter())
-                    .map(|(&w, &outlier)| if outlier { w * gain } else { w }),
-            );
+            data.extend(z.iter().zip(gains.iter()).map(|(&w, &g)| w * g));
         }
         // Pin the quantizer scale to the full tensor's expected maximum so
         // sampled statistics do not depend on the sample size (real
@@ -360,8 +496,7 @@ impl SynthSource {
         let mut codes = qt.into_codes();
         let n = codes.len();
         let want = (target * n as f64).round() as usize;
-        let count_zeros = |c: &[i32]| c.iter().filter(|&&v| v == 0).count();
-        let cur = count_zeros(&codes);
+        let cur = codes.iter().filter(|&&v| v == 0).count();
         let nonneg = activation.zeroes_negatives();
         // Calibration works on blocks of four adjacent elements to preserve
         // the spatial clustering of zero regions (whole zero tokens /
@@ -373,34 +508,26 @@ impl SynthSource {
             // if scattered zeros run out. Only half the excess is rescued:
             // the paper's reported "data sparsity" is a pre-quantization
             // figure, and symmetric quantization legitimately underflows
-            // additional near-zero values to exact zeros.
+            // additional near-zero values to exact zeros. Rescues go in
+            // index order, each drawing its sign unless negatives are
+            // zeroed anyway.
             let mut excess = (cur - want) / 2;
-            for pass in 0..2 {
-                if excess == 0 {
-                    break;
-                }
-                let mut block = 0;
-                while excess > 0 && block * 4 < n {
-                    let range = block * 4..(block * 4 + 4).min(n);
-                    let all_zero = codes[range.clone()].iter().all(|&v| v == 0);
-                    let rescue_here = if pass == 0 { !all_zero } else { all_zero };
-                    if rescue_here {
-                        for i in range {
-                            if excess == 0 {
-                                break;
-                            }
-                            if codes[i] == 0 {
-                                let sign = if nonneg || self.rng.gen_bool(0.5) {
-                                    1
-                                } else {
-                                    -1
-                                };
-                                codes[i] = sign;
-                                excess -= 1;
-                            }
+            let (scattered, clustered) = zero_masks(&codes);
+            'rescue: for masks in [scattered, clustered] {
+                for (w, mut bits) in masks.into_iter().enumerate() {
+                    while bits != 0 {
+                        if excess == 0 {
+                            break 'rescue;
                         }
+                        codes[64 * w + bits.trailing_zeros() as usize] =
+                            if nonneg || self.rng.gen_bool(0.5) {
+                                1
+                            } else {
+                                -1
+                            };
+                        excess -= 1;
+                        bits &= bits - 1;
                     }
-                    block += 1;
                 }
             }
         } else if cur < want {
@@ -439,71 +566,29 @@ impl SynthSource {
         outlier_gain: f32,
     ) -> Vec<f32> {
         const RHO: f32 = 0.85;
-        let indep = (1.0 - RHO * RHO).sqrt();
         // ReLU shifts the pre-activation mean so P(x <= 0) hits the target;
         // the marginal stays N(mu, 1) under the shared block factor.
         // Non-ReLU functions keep negatives alive; exact zeros come from
         // quantization underflow, modelled as a per-block mixture (zero
         // regions of a feature map are contiguous).
-        let relu_mu = (activation == Activation::Relu)
-            .then(|| -inverse_normal_cdf(target_sparsity.clamp(1e-6, 1.0 - 1e-6)) as f32);
-        // Deterministic scale anchor for out[0] (see weights()); a leading
-        // zero block keeps its zero.
-        let anchor = activation.apply(4.0 * outlier_gain);
-        let mut out = Vec::with_capacity(n);
-        let mut normals = Normals::new();
-        let mut zero_blocks = [false; CHUNK / BLOCK];
-        let mut outliers = [false; CHUNK];
-        while out.len() < n {
-            // Draw whole blocks: a non-ReLU block's zero draw, its shared
-            // factor, then per value its normal and its outlier draw. A zero
-            // block's shared factor goes unused: skip its math but not its
-            // draws, so the stream stays aligned.
-            let (mut drawn, mut blocks, mut values) = (out.len(), 0, 0);
-            while blocks < zero_blocks.len() && drawn < n {
-                let len = BLOCK.min(n - drawn);
-                let zero = relu_mu.is_none() && self.rng.gen_bool(target_sparsity);
-                if zero {
-                    self.rng.next_u64();
-                    self.rng.next_u64();
-                } else {
-                    normals.draw(&mut self.rng);
-                    for outlier in &mut outliers[values..values + len] {
-                        normals.draw(&mut self.rng);
-                        *outlier = self.rng.gen_bool(ACT_OUTLIER_P);
-                    }
-                    values += len;
-                }
-                zero_blocks[blocks] = zero;
-                drawn += len;
-                blocks += 1;
+        let sampler = PostActivation {
+            n,
+            outlier_gain,
+            // Deterministic scale anchor for out[0] (see weights()); a
+            // leading zero block keeps its zero.
+            anchor: activation.apply(4.0 * outlier_gain),
+            indep: (1.0 - RHO * RHO).sqrt(),
+        };
+        match activation {
+            Activation::Relu => {
+                let mu = -inverse_normal_cdf(target_sparsity.clamp(1e-6, 1.0 - 1e-6)) as f32;
+                sampler.sample(self, None, |b| mu + RHO * b, activation)
             }
-            let mut z = normals.compute().iter();
-            let mut outliers = outliers.iter();
-            for &zero in &zero_blocks[..blocks] {
-                let len = BLOCK.min(n - out.len());
-                if zero {
-                    out.resize(out.len() + len, 0.0);
-                    continue;
-                }
-                let b = z.next().expect("a block's shared factor was drawn");
-                let shared = match relu_mu {
-                    Some(mu) => mu + RHO * b,
-                    None => RHO * b,
-                };
-                for _ in 0..len {
-                    let mut x = shared + indep * z.next().expect("a value's normal was drawn");
-                    if *outliers.next().expect("a value's outlier was drawn") {
-                        x *= outlier_gain;
-                    }
-                    out.push(activation.apply(x));
-                    if out.len() == 1 {
-                        out[0] = anchor;
-                    }
-                }
+            _ => {
+                let zero_block = Bernoulli::new(target_sparsity);
+                sampler.sample(self, Some(zero_block), |b| RHO * b, activation)
             }
         }
-        out
     }
 
     /// Softmax-row values: `n` probabilities drawn as softmax over Gaussian

@@ -416,6 +416,13 @@ pub(crate) mod detail {
     /// A 64-digit chunk is exactly sixteen sub-words, so sub-word
     /// boundaries never straddle chunks and the RLE run threads through
     /// unbroken.
+    ///
+    /// When the RLE cycle is at least sixteen sub-words (`index_bits ≥ 4`,
+    /// the DMU's width), a chunk costs O(1) whatever its density: no gap
+    /// inside a chunk can reach the cycle, so only the carried run plus
+    /// the chunk's leading zero sub-words can flush a padding entry, each
+    /// non-zero sub-word emits one entry, and the trailing zero sub-words
+    /// become the carried run. Narrower cycles walk the non-zero sub-words.
     #[inline(always)]
     pub(crate) fn plane_counts_with<F: FnMut(&[i8]) -> u64>(
         plane: &[i8],
@@ -439,7 +446,8 @@ pub(crate) mod detail {
             nonzero_digits += m.count_ones() as usize;
             // Bit 4j of `s` is set iff sub-word j of the chunk is non-zero.
             let s = (m | (m >> 1) | (m >> 2) | (m >> 3)) & NIBBLE_LO;
-            nonzero_subwords += s.count_ones() as usize;
+            let nonzero = s.count_ones() as usize;
+            nonzero_subwords += nonzero;
             if s == 0 {
                 // Sixteen zero sub-words: advance the run in bulk. A run
                 // reaching `cycle` flushes one padding entry and resets,
@@ -448,6 +456,12 @@ pub(crate) mod detail {
                 run += 16;
                 entries += run / cycle;
                 run %= cycle;
+            } else if cycle >= 16 {
+                // The gap before the first non-zero sub-word may flush one
+                // padding entry; every non-zero sub-word emits its own.
+                let leading = (s.trailing_zeros() / 4) as usize;
+                entries += (run + leading) / cycle + nonzero;
+                run = (s.leading_zeros() / 4) as usize;
             } else {
                 let mut pos = 0usize;
                 let mut bits = s;

@@ -27,9 +27,6 @@ use crate::error::RangeError;
 use crate::precision::Precision;
 use crate::MAX_SLICES;
 
-/// Largest magnitude of an SBR digit.
-pub const DIGIT_MAX: i8 = 7;
-
 /// The SBR decomposition of one fixed-point value.
 ///
 /// Digits are stored least-significant first: `digits()[0]` is the LSB slice.

@@ -43,11 +43,11 @@
 //!
 //! Long-lived owners (the `sibia-serve` daemon keeps one cache for its whole
 //! lifetime) bound memory with [`DecompCache::with_capacity`]: each level
-//! keeps at most `cap` entries, evicting the least-recently-used one on
-//! overflow. Eviction only ever discards memoized values — a later request
-//! for an evicted key recomputes the identical value — so a bounded cache
-//! changes memory and wall-clock, never results. Hit/miss counters feed the
-//! daemon's `metrics` endpoint.
+//! keeps at most `cap` entries, evicting the least recently used sixteenth
+//! of the cap at once on overflow. Eviction only ever discards memoized
+//! values — a later request for an evicted key recomputes the identical
+//! value — so a bounded cache changes memory and wall-clock, never results.
+//! Hit/miss counters feed the daemon's `metrics` endpoint.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -160,9 +160,12 @@ struct DecompKey {
 }
 
 /// One bounded, LRU-ish memo level: entries carry a last-use stamp from a
-/// per-level logical clock; on overflow the smallest stamp is evicted.
-/// Eviction scans linearly — "LRU-ish" — which is exact LRU behaviour at
-/// O(n) evict cost, fine for the few-thousand-entry caps a server uses.
+/// per-level logical clock. An insert past the cap evicts the oldest
+/// sixteenth of the cap (at least one entry) in one selection pass over
+/// the stamps, so the level refills that many inserts before it selects
+/// again: amortized O(1) per insert, and the most recently used entries
+/// always survive. Stamps are unique, so the victims are exactly the
+/// least recently used.
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<K, (Arc<V>, u64)>,
@@ -200,14 +203,12 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
                 .0,
         );
         if let Some(cap) = cap {
-            while self.map.len() > cap {
-                let oldest = self
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (_, stamp))| *stamp)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.map.remove(&oldest);
+            if self.map.len() > cap {
+                // Keep the `cap - cap / 16` newest entries.
+                let evict = self.map.len() - (cap - cap / 16);
+                let mut stamps: Vec<u64> = self.map.values().map(|&(_, stamp)| stamp).collect();
+                let (_, &mut newest_evicted, _) = stamps.select_nth_unstable(evict - 1);
+                self.map.retain(|_, &mut (_, stamp)| stamp > newest_evicted);
             }
         }
         stored
@@ -239,8 +240,9 @@ impl DecompCache {
     }
 
     /// An empty cache holding at most `cap` (≥ 1) entries *per level*, with
-    /// least-recently-used eviction. Long-lived owners (the serve daemon)
-    /// use this to keep memory bounded across an unbounded request stream.
+    /// batched least-recently-used eviction. Long-lived owners (the serve
+    /// daemon) use this to keep memory bounded across an unbounded request
+    /// stream.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             capacity: Some(cap.max(1)),
@@ -508,6 +510,40 @@ mod tests {
         // Counters: misses = 4 computes (0, 1, 2, 1-again), hits = 2.
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 2);
+    }
+
+    #[test]
+    fn eviction_past_the_cap_keeps_the_most_recent_keys() {
+        use sibia_nn::Layer;
+        let cap = 64;
+        let cache = DecompCache::with_capacity(cap);
+        let layer = Layer::linear("l", 4, 8, 8);
+        let decomp = || LayerDecomp {
+            ki: 2,
+            kw: 2,
+            input: OperandStats::measure(&[1, 0], Precision::BITS7, Repr::Sbr),
+            weight: OperandStats::measure(&[0, 1], Precision::BITS7, Repr::Sbr),
+        };
+        // Ten caps' worth of distinct keys; key 0 is re-read after every
+        // insert, so it is always among the most recently used.
+        for index in 1..10 * cap {
+            cache.decomp(&layer, 1, index, 64, Repr::Sbr, decomp);
+            cache.decomp(&layer, 1, 0, 64, Repr::Sbr, decomp);
+            assert!(cache.decomp_entries() <= cap, "cap respected");
+        }
+        let misses = cache.misses();
+        cache.decomp(&layer, 1, 0, 64, Repr::Sbr, || {
+            unreachable!("key 0 survives")
+        });
+        // A batch eviction leaves `cap - cap / 16` entries; the newest of
+        // the inserted keys are all still there.
+        assert!(cache.decomp_entries() >= cap - cap / 16);
+        for index in 10 * cap - (cap - cap / 16 - 1)..10 * cap {
+            cache.decomp(&layer, 1, index, 64, Repr::Sbr, || {
+                unreachable!("recent key {index} survives")
+            });
+        }
+        assert_eq!(cache.misses(), misses, "every recent key was a hit");
     }
 
     #[test]

@@ -23,7 +23,8 @@ echo "==> kernel tier forcing"
 # where AVX2/SSE2 would otherwise mask a SWAR regression (serve's lib suite
 # holds the pinned `encode` reply text), and confirm an unknown tier is a
 # typed error, not a silent fallback. Auto-detection never picks SSE2 on
-# an AVX2 host, so x86_64 also runs the grid suite end to end on SSE2.
+# an AVX2 host, so x86_64 also runs the grid suite and the golden digests
+# end to end on SSE2, which shares the plane-count driver with SWAR and AVX2.
 # The tier also picks the synthesis sampler's instance (AVX2 or plain), so
 # the synthesis pins and the golden digests run on the plain one too.
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-sbr
@@ -33,6 +34,7 @@ SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-nn
 SIBIA_FORCE_KERNEL=swar cargo test -q -p sibia-bench --test golden
 if [ "$(uname -m)" = "x86_64" ]; then
   SIBIA_FORCE_KERNEL=sse2 cargo test -q -p sibia-sim --test parallel
+  SIBIA_FORCE_KERNEL=sse2 cargo test -q -p sibia-bench --test golden
 fi
 if SIBIA_FORCE_KERNEL=nonsense ./target/release/sibia-cli networks 2>/dev/null; then
   echo "unknown kernel tier was silently accepted"; exit 1
@@ -46,7 +48,9 @@ cargo test --release -q -p sibia-sbr -- --ignored
 echo "==> exhaustive sampler math"
 # The synthesis sampler's ports of glibc's logf and cosf against the host
 # libm, and its AVX2 instance against the plain one, on all 2^24 inputs
-# each function can get (about a second; glibc Linux hosts only).
+# each function can get (about a second); and GELU's port of glibc's tanhf,
+# plain and AVX2, against the host libm on all 2^32 f32 inputs (about two
+# minutes on two cores). glibc Linux hosts only.
 cargo test --release -q -p sibia-nn -- --ignored
 
 echo "==> science smoke test"
